@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .diagram import (
     Diagram,
@@ -306,18 +307,31 @@ def decompose(obj: MonomialObject) -> DecompositionTree:
     )
 
 
+def walk(tree: DecompositionTree) -> Iterator[tuple[DecompositionTree, int, str | None]]:
+    """Preorder (sub before quotient) of ``(subtree, depth, role)`` triples.
+
+    ``role`` is ``"sub"`` or ``"quotient"``, and ``None`` at the root.  The
+    walk keeps an explicit stack, so tree depth is not bounded by the
+    recursion limit.
+    """
+    stack = [(tree, 0, None)]
+    while stack:
+        item = stack.pop()
+        yield item
+        subtree, depth, _ = item
+        if not subtree.is_leaf:
+            stack.append((subtree.quotient, depth + 1, "quotient"))
+            stack.append((subtree.sub, depth + 1, "sub"))
+
+
 def leaves(tree: DecompositionTree) -> list[MonomialObject]:
     """Leaf objects in left-to-right (sub before quotient) order."""
-    if tree.is_leaf:
-        return [tree.node]
-    return leaves(tree.sub) + leaves(tree.quotient)
+    return [t.node for t, _, _ in walk(tree) if t.is_leaf]
 
 
 def internal_nodes(tree: DecompositionTree) -> list[DecompositionTree]:
     """Internal subtrees in preorder."""
-    if tree.is_leaf:
-        return []
-    return [tree] + internal_nodes(tree.sub) + internal_nodes(tree.quotient)
+    return [t for t, _, _ in walk(tree) if not t.is_leaf]
 
 
 def mu_opt(obj: MonomialObject) -> Fraction:
@@ -373,23 +387,22 @@ def text_name(obj: MonomialObject) -> str:
 
 def render_tree(tree: DecompositionTree, indent: int = 0) -> str:
     """Indented text rendering of a decomposition tree."""
-    pad = "  " * indent
-    if tree.is_leaf:
-        return f"{pad}{text_name(tree.node)}\n"
-    seq = tree.sequence
-    direction, index = seq.cut
-    header = (
-        f"{pad}{text_name(tree.node)}"
-        f"  [cut {direction} {index}; wall center {seq.wall.center},"
-        f" radius_sq {seq.wall.radius_sq}]\n"
-    )
-    return (
-        header
-        + f"{pad}sub:\n"
-        + render_tree(tree.sub, indent + 1)
-        + f"{pad}quotient:\n"
-        + render_tree(tree.quotient, indent + 1)
-    )
+    lines = []
+    for t, depth, role in walk(tree):
+        pad = "  " * (indent + depth)
+        if role is not None:
+            lines.append(f"{pad[2:]}{role}:\n")
+        if t.is_leaf:
+            lines.append(f"{pad}{text_name(t.node)}\n")
+            continue
+        seq = t.sequence
+        direction, index = seq.cut
+        lines.append(
+            f"{pad}{text_name(t.node)}"
+            f"  [cut {direction} {index}; wall center {seq.wall.center},"
+            f" radius_sq {seq.wall.radius_sq}]\n"
+        )
+    return "".join(lines)
 
 
 def object_to_dict(obj: MonomialObject) -> dict:
@@ -478,27 +491,29 @@ def tree_to_dot(tree: DecompositionTree) -> str:
         "  node [shape=box];",
         "  graph [ordering=out];",
     ]
-    counter = 0
+    # internal nodes whose edges follow their subtree: [name, depth, quotient]
+    pending: list[list] = []
 
-    def visit(t: DecompositionTree) -> int:
-        nonlocal counter
-        name = counter
-        counter += 1
+    def close(depth: int) -> None:
+        while pending and pending[-1][1] >= depth:
+            name, _, quotient = pending.pop()
+            lines.append(f'  n{name} -> n{name + 1} [label="sub"];')
+            lines.append(f'  n{name} -> n{quotient} [label="quotient"];')
+
+    for name, (t, depth, role) in enumerate(walk(tree)):
+        close(depth)
+        if role == "quotient":
+            pending[-1][2] = name
         label = text_name(t.node).replace('"', r"\"")
         if t.is_leaf:
             lines.append(f'  n{name} [label="{label}"];')
-            return name
+            continue
         wall = t.sequence.wall
         lines.append(
             f'  n{name} [label="{label}\\ncenter {wall.center},'
             f' radius_sq {wall.radius_sq}"];'
         )
-        left = visit(t.sub)
-        right = visit(t.quotient)
-        lines.append(f'  n{name} -> n{left} [label="sub"];')
-        lines.append(f'  n{name} -> n{right} [label="quotient"];')
-        return name
-
-    visit(tree)
+        pending.append([name, depth, None])
+    close(0)
     lines.append("}")
     return "\n".join(lines) + "\n"

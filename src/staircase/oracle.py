@@ -5,6 +5,13 @@ diagram contributes a batch of assertions about its decomposition trees, and
 a failed assertion becomes a witness in the report.  Checks accept an index
 range so large runs can be sharded; fragments merge into the same aggregate
 report that a serial run produces.
+
+Checks that walk trees read each node's destabilizing sequence, and the
+optimal invariants ``(mu_opt, Delta_opt)`` of its wall, from the tree nodes
+that :func:`decompose` built; they compute no step a second time.  The
+``chern`` check keeps recomputing each node wall with :func:`potential_wall`
+from the Chern characters of sub, node and quotient, so the general wall
+formula stays the reference against which every tree is checked.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from .objects import (
     RankZero,
     chern_of,
     decompose,
-    delta_opt,
     derived_dual,
     destabilizing_sequence,
     internal_nodes,
@@ -115,32 +121,30 @@ def _all_internal_nodes(diagram: Diagram):
 def _check_nesting(diagram: Diagram) -> Iterator[str]:
     """Child walls nest inside the parent wall; slopes/discriminants compare."""
     for node in _all_internal_nodes(diagram):
-        seq = node.sequence
-        for role, child in (("sub", seq.sub), ("quotient", seq.quotient)):
-            if is_trivial(child):
+        wall = node.sequence.wall
+        mu, delta = orthogonal_invariants(wall)
+        for role, child in (("sub", node.sub), ("quotient", node.quotient)):
+            if child.is_leaf:
                 continue
-            child_wall = destabilizing_sequence(child).wall
-            rank = chern_of(child).r
-            where = f"{role} {text_name(child)} of {text_name(node.node)}"
-            if rank == 0:
-                if mu_opt(child) != mu_opt(node.node):
-                    yield f"{where}: mu_opt {mu_opt(child)} != {mu_opt(node.node)}"
-                if delta_opt(child) > delta_opt(node.node):
-                    yield (
-                        f"{where}: Delta_opt {delta_opt(child)}"
-                        f" > {delta_opt(node.node)}"
-                    )
+            child_wall = child.sequence.wall
+            child_mu, child_delta = orthogonal_invariants(child_wall)
+            where = f"{role} {text_name(child.node)} of {text_name(node.node)}"
+            if isinstance(child.node, RankZero):
+                if child_mu != mu:
+                    yield f"{where}: mu_opt {child_mu} != {mu}"
+                if child_delta > delta:
+                    yield f"{where}: Delta_opt {child_delta} > {delta}"
                 side = "left"
-            elif rank == 1:
-                if mu_opt(child) > mu_opt(node.node):
-                    yield f"{where}: mu_opt {mu_opt(child)} > {mu_opt(node.node)}"
+            elif isinstance(child.node, RankOne):
+                if child_mu > mu:
+                    yield f"{where}: mu_opt {child_mu} > {mu}"
                 side = "left"
             else:
-                if mu_opt(child) < mu_opt(node.node):
-                    yield f"{where}: mu_opt {mu_opt(child)} < {mu_opt(node.node)}"
+                if child_mu < mu:
+                    yield f"{where}: mu_opt {child_mu} < {mu}"
                 side = "right"
-            if not is_nested(child_wall, seq.wall, side):
-                yield f"{where}: wall {child_wall} not nested in {seq.wall}"
+            if not is_nested(child_wall, wall, side):
+                yield f"{where}: wall {child_wall} not nested in {wall}"
 
 
 def _check_purity(diagram: Diagram) -> Iterator[str]:
@@ -172,7 +176,7 @@ def _check_duality(diagram: Diagram) -> Iterator[str]:
             yield f"dual diagram is not the rotated complement at {text_name(obj)}"
         if complement_rotate(dual_diagram, obj.k, obj.i) != obj.diagram:
             yield f"complement rotation not involutive at {text_name(obj)}"
-        untwisted = mu_opt(obj) + obj.twist
+        untwisted = orthogonal_invariants(node.sequence.wall)[0] + obj.twist
         expected = -mu_opt(rank_one(dual_diagram)) + obj.i + obj.k - 3
         if untwisted != expected:
             yield (
@@ -237,17 +241,19 @@ def _check_ci(rectangle: Diagram) -> Iterator[str]:
     """Closed forms for a complete intersection, both wall-crossing stages."""
     a, b = col_count(rectangle), row_count(rectangle)
     seq = destabilizing_sequence(rank_one(rectangle))
+    second = destabilizing_sequence(seq.quotient)
+    mu, delta = orthogonal_invariants(seq.wall)
+    second_mu, second_delta = orthogonal_invariants(second.wall)
     if seq.sub != rank_one((), -a):
         yield f"CI({a},{b}) sub is {text_name(seq.sub)}, expected O(-{a})"
     if seq.wall.center != Fraction(-a, 2) - b:
         yield f"CI({a},{b}) center {seq.wall.center} != -a/2 - b"
     if seq.wall.radius_sq != Fraction((a - 2 * b) ** 2, 4):
         yield f"CI({a},{b}) radius^2 {seq.wall.radius_sq} != (a/2 - b)^2"
-    if mu_opt(rank_one(rectangle)) != b + Fraction(a - 3, 2):
+    if mu != b + Fraction(a - 3, 2):
         yield f"CI({a},{b}) mu_opt != b + (a-3)/2"
-    if delta_opt(rank_one(rectangle)) != Fraction((a - 2 * b) ** 2 - 1, 8):
+    if delta != Fraction((a - 2 * b) ** 2 - 1, 8):
         yield f"CI({a},{b}) Delta_opt != ((a-2b)^2 - 1)/8"
-    second = destabilizing_sequence(seq.quotient)
     if (second.wall == seq.wall) != (a == b):
         yield f"CI({a},{b}) wall equality should hold exactly when a = b"
     if second.wall.center != seq.wall.center:
@@ -256,9 +262,9 @@ def _check_ci(rectangle: Diagram) -> Iterator[str]:
         yield f"CI({a},{b}) second radius^2 {second.wall.radius_sq} != a^2/4"
     if seq.wall.radius_sq - second.wall.radius_sq != b * (b - a):
         yield f"CI({a},{b}) radius^2 gap != b(b-a)"
-    if mu_opt(seq.quotient) != b + Fraction(a - 3, 2):
+    if second_mu != b + Fraction(a - 3, 2):
         yield f"CI({a},{b}) rank-0 mu_opt != b + (a-3)/2"
-    if delta_opt(seq.quotient) != Fraction(a * a - 1, 8):
+    if second_delta != Fraction(a * a - 1, 8):
         yield f"CI({a},{b}) rank-0 Delta_opt != (a^2-1)/8"
 
 

@@ -11,6 +11,7 @@ of a stable bundle whose general section interpolates through Z.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from typing import Literal, NamedTuple
 
 from .diagram import Diagram, col_count, degree, row_count, slice_above, transpose
@@ -59,13 +60,20 @@ def vertical_slope(diagram: Diagram, i: int) -> Fraction:
 
 def slope_table(diagram: Diagram) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """All horizontal slopes (k = 1..r) and vertical slopes (i = 1..c)."""
-    horizontal = tuple(
-        horizontal_slope(diagram, k) for k in range(1, row_count(diagram) + 1)
+    return _bottom_slopes(diagram), _bottom_slopes(transpose(diagram))
+
+
+def _bottom_slopes(diagram: Diagram, k_max: int | None = None) -> tuple[Fraction, ...]:
+    """Padded slopes for k = 1..k_max (default r(D)), from running row sums.
+
+    The bottom k rows hold ``n - w_k`` boxes, so one running sum gives every
+    slope instead of one slice and sum per k.
+    """
+    padding = 0 if k_max is None else k_max - row_count(diagram)
+    bottoms = accumulate(chain(diagram, repeat(0, padding)))
+    return tuple(
+        Fraction(bottom, k) + Fraction(k - 3, 2) for k, bottom in enumerate(bottoms, 1)
     )
-    vertical = tuple(
-        vertical_slope(diagram, i) for i in range(1, col_count(diagram) + 1)
-    )
-    return horizontal, vertical
 
 
 def scheme_slope(diagram: Diagram) -> SchemeSlope:
@@ -107,8 +115,8 @@ def is_horizontally_pure(diagram: Diagram, k: int | None = None) -> bool:
         raise ValueError(f"purity bound {k} below the row count")
     if k == 0:
         return True
-    top = padded_horizontal_slope(diagram, k)
-    return all(padded_horizontal_slope(diagram, j) <= top for j in range(1, k))
+    *lower, top = _bottom_slopes(diagram, k)
+    return all(slope <= top for slope in lower)
 
 
 def min_interpolating_slope(diagram: Diagram) -> Fraction:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from staircase.diagram import (
 )
 from staircase.ktheory import chern, hilbert_P, reduced_rank0_hilbert_polynomial
 from staircase.objects import (
+    DecompositionTree,
+    DestabilizingSequence,
     LineBundle,
     RankMinusOne,
     RankOne,
@@ -35,6 +38,7 @@ from staircase.objects import (
     rank_minus_one,
     rank_one,
     rank_zero,
+    render_tree,
     serialize_tree,
     text_name,
     tree_to_dot,
@@ -447,3 +451,20 @@ def test_twisted_helper():
     assert twisted(rank_one((1,), 0), -8) == RankOne((1,), -8)
     assert twisted(LineBundle(-1), 2) == LineBundle(1)
     assert twisted(rank_zero((1,), 1, 0), 3) == RankZero((1,), 1, 3)
+
+
+def test_tree_walks_are_not_bounded_by_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    wall = SemicircleWall(Fraction(-3), Fraction(1))
+    tree = DecompositionTree(LineBundle(0))
+    for m in range(1, depth + 1):
+        sub = DecompositionTree(LineBundle(-m))
+        sequence = DestabilizingSequence(sub.node, tree.node, wall, ("horizontal", 1))
+        tree = DecompositionTree(RankOne((1,), m), sequence, sub, tree)
+    assert len(internal_nodes(tree)) == depth
+    assert leaves(tree)[:2] == [LineBundle(-depth), LineBundle(1 - depth)]
+    assert len(leaves(tree)) == depth + 1
+    assert render_tree(tree).count("\n") == 4 * depth + 1
+    dot = tree_to_dot(tree)
+    assert dot.count("->") == 2 * depth
+    assert dot.endswith('  n0 -> n1 [label="sub"];\n  n0 -> n2 [label="quotient"];\n}\n')

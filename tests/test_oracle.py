@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from staircase import objects, oracle
+from staircase.diagram import enumerate_diagrams_upto
+from staircase.objects import decompose, destabilizing_sequence, internal_nodes
 from staircase.oracle import (
     CHECK_NAMES,
     FAILURE_CAP,
@@ -16,6 +21,7 @@ from staircase.oracle import (
     verify_root_wall,
     verify_triviality_inequalities,
 )
+from staircase.walls import SemicircleWall
 
 BOUND = 12
 
@@ -112,3 +118,53 @@ def test_render_reports_joins_all_checks():
     text = render_reports(reports)
     for name in CHECK_NAMES[:3]:
         assert f"check: {name}" in text
+
+
+def test_tree_sequences_match_fresh_recomputation():
+    """The checks read each step from its tree node; the node must hold the fresh step."""
+    for d in enumerate_diagrams_upto(10):
+        if not d:
+            continue
+        for root in oracle._tree_roots(d):
+            for node in internal_nodes(decompose(root)):
+                assert node.sequence == destabilizing_sequence(node.node)
+                assert (node.sub.node, node.quotient.node) == (
+                    node.sequence.sub,
+                    node.sequence.quotient,
+                )
+
+
+def test_nesting_sees_a_tampered_child_wall(monkeypatch):
+    """A child wall that does not nest in the tree is reported, not recomputed away."""
+
+    def tampered(root):
+        tree = decompose(root)
+        parent = tree.sequence.wall
+        for role in ("sub", "quotient"):
+            child = getattr(tree, role)
+            if not child.is_leaf:
+                outside = SemicircleWall(parent.center, parent.radius_sq + 1)
+                child = replace(child, sequence=replace(child.sequence, wall=outside))
+                return replace(tree, **{role: child})
+        return tree
+
+    monkeypatch.setattr(oracle, "decompose", tampered)
+    report = run_check("nesting", 4)
+    assert not report.passed
+    assert any("not nested in" in failure.detail for failure in report.failures)
+
+
+def test_nesting_computes_no_step_beyond_the_tree_memo(monkeypatch):
+    calls = 0
+
+    def counting(obj):
+        nonlocal calls
+        calls += 1
+        return destabilizing_sequence(obj)
+
+    monkeypatch.setattr(objects, "destabilizing_sequence", counting)
+    monkeypatch.setattr(oracle, "destabilizing_sequence", counting)
+    decompose.cache_clear()
+    report = run_check("nesting", 10)
+    assert report.passed
+    assert 0 < calls <= decompose.cache_info().misses

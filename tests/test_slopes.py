@@ -109,6 +109,15 @@ def test_purity_with_padding():
         is_horizontally_pure((3, 3), 1)
 
 
+def test_purity_matches_padded_slope_definition():
+    for d in enumerate_diagrams_upto(BOUND):
+        for k in range(row_count(d), row_count(d) + 3):
+            top = padded_horizontal_slope(d, k) if k else None
+            expected = all(padded_horizontal_slope(d, j) <= top for j in range(1, k))
+            assert is_horizontally_pure(d, k) == expected
+        assert is_horizontally_pure(d) == is_horizontally_pure(d, row_count(d))
+
+
 def test_checker_identity_relating_slices():
     """(i+k) mu_{i+k}(Z) = k mu_k(Z) + i mu_i(W_k) + i k for i + k <= r."""
     for d in enumerate_diagrams_upto(BOUND):
