@@ -136,9 +136,7 @@ def _cmd_interp(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = CHECK_NAMES if args.check == "all" else (args.check,)
-    reports = [
-        run_check(name, args.max_degree, workers=args.workers) for name in names
-    ]
+    reports = [run_check(name, args.max_degree) for name in names]
     text = render_reports(reports)
     print(text)
     path = os.environ.get(REPORT_PATH_VAR)
@@ -188,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--check", default="all", choices=("all",) + CHECK_NAMES, help="which check"
     )
-    sub.add_argument("--workers", type=int, default=None, help="shard across threads")
     return parser
 
 
@@ -206,6 +203,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error: input too deep for the recursion limit ({limit})", file=sys.stderr)
         return 3
 
 

@@ -2,9 +2,11 @@
 
 Every check is a pure fold over the deterministic diagram enumeration: each
 diagram contributes a batch of assertions about its decomposition trees, and
-a failed assertion becomes a witness in the report.  Checks accept an index
-range so large runs can be sharded; fragments merge into the same aggregate
-report that a serial run produces.
+a failed assertion becomes a witness in the report.  :func:`run_check` runs
+one check serially in the calling process.  It also accepts an index range
+``[start, stop)`` of the instance list, so a large run can be split by hand
+across processes; :func:`merge_reports` folds the fragments, in index order,
+into the instances and failures that one serial run reports.
 
 Checks that walk trees read each node's destabilizing sequence, and the
 optimal invariants ``(mu_opt, Delta_opt)`` of its wall, from the tree nodes
@@ -17,7 +19,6 @@ formula stays the reference against which every tree is checked.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -334,11 +335,7 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_check(
-    name: str,
-    n_max: int | None = None,
-    start: int = 0,
-    stop: int | None = None,
-    workers: int | None = None,
+    name: str, n_max: int | None = None, start: int = 0, stop: int | None = None
 ) -> VerificationReport:
     """Run one named check over an index range of its instance list."""
     if name not in _CHECKS:
@@ -347,8 +344,6 @@ def run_check(
         n_max = DEFAULT_CI_BOUND if name == "ci" else DEFAULT_BOUND
     enumerate_instances, check = _CHECKS[name]
     instances = enumerate_instances(n_max)[start:stop]
-    if workers and workers > 1 and len(instances) > 1:
-        return _run_sharded(name, n_max, start, stop, workers)
     begin = time.perf_counter()
     failures = []
     for item in instances:
@@ -358,58 +353,6 @@ def run_check(
     return VerificationReport(
         name, n_max, len(instances), tuple(failures), time.perf_counter() - begin
     )
-
-
-def _run_sharded(name, n_max, start, stop, workers) -> VerificationReport:
-    enumerate_instances, _ = _CHECKS[name]
-    total = len(enumerate_instances(n_max))
-    stop = total if stop is None else min(stop, total)
-    step = max(1, -(-(stop - start) // workers))
-    shards = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        fragments = list(
-            pool.map(lambda span: run_check(name, n_max, span[0], span[1]), shards)
-        )
-    report = fragments[0]
-    for fragment in fragments[1:]:
-        report = merge_reports(report, fragment)
-    return report
-
-
-def run_all(n_max: int | None = None, workers: int | None = None) -> list[VerificationReport]:
-    return [run_check(name, n_max, workers=workers) for name in CHECK_NAMES]
-
-
-def verify_nesting(n_max: int = DEFAULT_BOUND, **kwargs) -> VerificationReport:
-    return run_check("nesting", n_max, **kwargs)
-
-
-def verify_purity(n_max: int = DEFAULT_BOUND, **kwargs) -> VerificationReport:
-    return run_check("purity", n_max, **kwargs)
-
-
-def verify_duality(n_max: int = DEFAULT_BOUND, **kwargs) -> VerificationReport:
-    return run_check("duality", n_max, **kwargs)
-
-
-def verify_chern(n_max: int = DEFAULT_BOUND, **kwargs) -> VerificationReport:
-    return run_check("chern", n_max, **kwargs)
-
-
-def verify_root_wall(n_max: int = DEFAULT_BOUND, **kwargs) -> VerificationReport:
-    return run_check("rootwall", n_max, **kwargs)
-
-
-def verify_ci(a_max: int = DEFAULT_CI_BOUND, **kwargs) -> VerificationReport:
-    return run_check("ci", a_max, **kwargs)
-
-
-def verify_triviality_inequalities(n_max: int = DEFAULT_BOUND, **kwargs) -> VerificationReport:
-    return run_check("triviality", n_max, **kwargs)
-
-
-def verify_gieseker(n_max: int = DEFAULT_BOUND, **kwargs) -> VerificationReport:
-    return run_check("gieseker", n_max, **kwargs)
 
 
 def render_report(report: VerificationReport, show_duration: bool = False) -> str:

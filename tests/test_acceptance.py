@@ -39,15 +39,7 @@ from staircase.objects import (
     rank_zero,
     serialize_tree,
 )
-from staircase.oracle import (
-    run_check,
-    verify_chern,
-    verify_ci,
-    verify_duality,
-    verify_gieseker,
-    verify_nesting,
-    verify_purity,
-)
+from staircase.oracle import run_check
 from staircase.resolution import minimal_free_resolution
 from staircase.slopes import scheme_slope, slope_table
 from staircase.walls import orthogonal_invariants, potential_wall
@@ -155,24 +147,24 @@ def test_criterion_03_root_wall_formula():
 
 
 def test_criterion_04_complete_intersection_sweep():
-    report = verify_ci(25)
+    report = run_check("ci", 25)
     assert report.instances == 325
     assert report.failures == ()
 
 
 def test_criterion_05_nesting_suite():
-    report = verify_nesting(18)
+    report = run_check("nesting", 18)
     assert report.failures == ()
     assert report.instances == 1596
 
 
 def test_criterion_06_purity_suite():
-    assert verify_purity(18).failures == ()
-    assert verify_gieseker(18).failures == ()
+    assert run_check("purity", 18).failures == ()
+    assert run_check("gieseker", 18).failures == ()
 
 
 def test_criterion_07_duality_suite():
-    report = verify_duality(15)
+    report = run_check("duality", 15)
     assert report.failures == ()
     obj = rank_minus_one((7, 7, 7, 7, 6), 5, 7)
     dual_diagram, twist, shift = derived_dual(obj)
@@ -181,7 +173,7 @@ def test_criterion_07_duality_suite():
 
 
 def test_criterion_08_ktheory_consistency():
-    assert verify_chern(18).failures == ()
+    assert run_check("chern", 18).failures == ()
 
 
 def test_criterion_09_resolution_check():
@@ -226,9 +218,7 @@ def test_criterion_11_tie_determinism():
     first = serialize_tree(decompose(rank_one(BIG)))
     second = serialize_tree(parse_tree(first))
     assert first == second  # byte-identical across independent constructions
-    serial = run_check("nesting", 10)
-    parallel = run_check("nesting", 10, workers=4)
-    assert (serial.instances, serial.failures) == (
-        parallel.instances,
-        parallel.failures,
-    )
+    decompose.cache_clear()
+    cold = run_check("nesting", 10)
+    warm = run_check("nesting", 10)
+    assert (cold.instances, cold.failures) == (warm.instances, warm.failures)

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 
 from staircase import cli
 from staircase.objects import decompose, parse_tree, rank_one
-from staircase.oracle import Failure, VerificationReport
+from staircase.oracle import (
+    CHECK_NAMES,
+    Failure,
+    VerificationReport,
+    render_reports,
+    run_check,
+)
 
 BIG_IDEAL = "x^9,x^7y^2,x^6y^4,x^4y^5,x^3y^6,y^8"
 CHECKER_IDEAL = "x^7,x^6y,x^2y^3,xy^4,y^5"
@@ -131,6 +139,34 @@ def test_verify_writes_report_file(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "verify", "--max-degree", "5", "--check", "purity")
     assert code == 0
     assert path.read_text() == out
+
+
+def test_verify_all_prints_the_library_reports(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "all", "--max-degree", "6")
+    assert code == 0
+    assert out == render_reports([run_check(name, 6) for name in CHECK_NAMES]) + "\n"
+
+
+def test_verify_rejects_the_removed_sharding_flag(capsys):
+    code, _, err = run(capsys, "verify", "--workers", "2")
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_too_deep_input_is_a_domain_error(capsys):
+    staircase = "rows: " + ",".join(str(h) for h in range(60, 0, -1))
+    for fmt in ("text", "json"):
+        decompose.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            code, out, err = run(capsys, "decompose", staircase, "--format", fmt)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: input too deep")
+        assert err.count("\n") == 1
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staircase import objects, oracle
 from staircase.diagram import enumerate_diagrams_upto
@@ -15,11 +18,7 @@ from staircase.oracle import (
     merge_reports,
     render_report,
     render_reports,
-    run_all,
     run_check,
-    verify_nesting,
-    verify_root_wall,
-    verify_triviality_inequalities,
 )
 from staircase.walls import SemicircleWall
 
@@ -32,7 +31,7 @@ def comparable(report):
 
 
 def test_all_checks_pass():
-    for report in run_all(BOUND):
+    for report in [run_check(name, BOUND) for name in CHECK_NAMES]:
         assert report.passed, render_report(report)
         assert report.instances > 0
         assert report.duration >= 0
@@ -45,16 +44,15 @@ def test_ci_rectangle_count():
 
 
 def test_zero_bound_is_vacuous():
-    report = verify_nesting(0)
+    report = run_check("nesting", 0)
     assert report.passed
     assert report.instances == 0
 
 
-def test_named_wrappers_match_run_check():
-    assert comparable(verify_root_wall(8)) == comparable(run_check("rootwall", 8))
-    assert comparable(verify_triviality_inequalities(8)) == comparable(
-        run_check("triviality", 8)
-    )
+def test_run_check_picks_the_default_bounds():
+    report = run_check("gieseker")
+    assert (report.degree_bound, report.instances) == (oracle.DEFAULT_BOUND, 1596)
+    assert run_check("ci").degree_bound == oracle.DEFAULT_CI_BOUND
 
 
 def test_unknown_check_rejected():
@@ -70,10 +68,24 @@ def test_shards_merge_to_serial_report():
     assert left.instances + right.instances == serial.instances
 
 
-def test_thread_pool_matches_serial():
-    serial = run_check("chern", 10)
-    parallel = run_check("chern", 10, workers=3)
-    assert comparable(parallel) == comparable(serial)
+SHARD_BOUND = 8
+
+
+@cache
+def serial_report(name):
+    return run_check(name, SHARD_BOUND)
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_any_split_merges_to_the_serial_report(name, data):
+    serial = serial_report(name)
+    k = data.draw(st.integers(0, serial.instances), label="split")
+    left = run_check(name, SHARD_BOUND, 0, k)
+    right = run_check(name, SHARD_BOUND, k)
+    assert (left.instances, right.instances) == (k, serial.instances - k)
+    assert comparable(merge_reports(left, right)) == comparable(serial)
 
 
 def test_merge_rejects_mismatched_reports():
