@@ -23,11 +23,10 @@ from .diagram import (
     to_generators,
 )
 from .objects import (
+    ShiftedLineBundle,
     decompose,
-    delta_opt,
-    derived_dual_parts,
+    derived_dual,
     destabilizing_sequence,
-    mu_opt,
     rank_minus_one,
     rank_one,
     render_tree,
@@ -44,6 +43,7 @@ from .resolution import (
     render_resolution,
 )
 from .slopes import scheme_slope, slope_table
+from .walls import orthogonal_invariants
 
 REPORT_PATH_VAR = "STAIRCASE_REPORT_PATH"
 
@@ -98,15 +98,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_dual(args) -> int:
     diagram = _parse_nonempty(args.ideal)
-    lines = args.lines if args.lines is not None else row_count(diagram)
-    colines = args.colines if args.colines is not None else col_count(diagram)
-    source = rank_minus_one(diagram, lines, colines)
-    dual_diagram, twist, _ = derived_dual_parts(diagram, lines, colines)
+    source = rank_minus_one(diagram, row_count(diagram), col_count(diagram))
     print(f"F = {text_name(source)}")
-    if dual_diagram:
-        print(f"dual = I({','.join(map(str, dual_diagram))})({twist})[-1]")
+    if isinstance(source, ShiftedLineBundle):
+        print(f"dual = O({-source.twist})[-1]")
     else:
-        print(f"dual = O({twist})[-1]")
+        dual_diagram, twist, _ = derived_dual(source)
+        print(f"dual = I({','.join(map(str, dual_diagram))})({twist})[-1]")
     return 0
 
 
@@ -126,11 +124,9 @@ def _cmd_resolution(args) -> int:
 def _cmd_interp(args) -> int:
     diagram = _parse_nonempty(args.ideal)
     obj = rank_one(diagram)
+    mu, delta = orthogonal_invariants(destabilizing_sequence(obj).wall)
     print(f"interpolation invariants for {text_name(obj)}:")
-    print(
-        f"mu = {_fmt(mu_opt(obj), args.approx)},"
-        f" Delta = {_fmt(delta_opt(obj), args.approx)}"
-    )
+    print(f"mu = {_fmt(mu, args.approx)}, Delta = {_fmt(delta, args.approx)}")
     return 0
 
 
@@ -141,8 +137,12 @@ def _cmd_verify(args) -> int:
     print(text)
     path = os.environ.get(REPORT_PATH_VAR)
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as error:
+            print(f"error: cannot write report to {path}: {error.strerror}", file=sys.stderr)
+            return 2
     failed = [r for r in reports if not r.passed]
     if failed:
         print(f"{len(failed)} check(s) FAILED", file=sys.stderr)
@@ -175,9 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "dot"), default="text",
         help="tree output format",
     )
-    sub = add("dual", _cmd_dual, "derived dual of a rank -1 object")
-    sub.add_argument("--lines", type=int, help="line multiplicity k (default: rows)")
-    sub.add_argument("--colines", type=int, help="coline multiplicity i (default: columns)")
+    add("dual", _cmd_dual, "derived dual of a rank -1 object")
     sub = add("resolution", _cmd_resolution, "minimal free resolution")
     sub.add_argument("--matrix", action="store_true", help="also print the syzygy matrix")
     add("interp", _cmd_interp, "interpolation slope and discriminant", approx=True)

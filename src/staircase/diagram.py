@@ -191,66 +191,51 @@ def parse_ideal(text: str) -> Diagram:
         return _parse_rows(compact, len("rows:"))
     if not compact:
         raise IdealSyntaxError("empty ideal text", 0)
-    gens: list[Generator] = []
-    pos = 0
-    while True:
-        match = _MONOMIAL.match(compact, pos)
-        if match is None or match.end() == match.start():
-            raise IdealSyntaxError(
-                f"expected a monomial, found {compact[pos:pos + 1]!r}", pos
-            )
-        token = match.group(0)
-        if token == "1":
-            gens.append((0, 0))
-        elif token.startswith("x"):
-            a = int(match.group(1)) if match.group(1) is not None else 1
-            if "y" in token:
-                b = int(match.group(2)) if match.group(2) is not None else 1
-            else:
-                b = 0
-            gens.append((a, b))
-        else:
-            b = int(match.group(3)) if match.group(3) is not None else 1
-            gens.append((0, b))
-        pos = match.end()
-        if pos == len(compact):
-            break
-        if compact[pos] != ",":
-            raise IdealSyntaxError(
-                f"expected ',' between monomials, found {compact[pos]!r}", pos
-            )
-        pos += 1
-        if pos == len(compact):
-            raise IdealSyntaxError("trailing comma", pos)
-    return from_generators(gens)
+    matches = _comma_list(compact, 0, _MONOMIAL, "a monomial", "monomials")
+    return from_generators([_exponents(match) for match in matches])
 
 
 def _parse_rows(compact: str, start: int) -> Diagram:
     if start == len(compact):
         return EMPTY
-    rows: list[int] = []
-    pos = start
-    while True:
-        match = _ROWS_ITEM.match(compact, pos)
-        if match is None:
-            raise IdealSyntaxError(
-                f"expected a row length, found {compact[pos:pos + 1]!r}", pos
-            )
-        rows.append(int(match.group(0)))
-        pos = match.end()
-        if pos == len(compact):
-            break
-        if compact[pos] != ",":
-            raise IdealSyntaxError(
-                f"expected ',' between row lengths, found {compact[pos]!r}", pos
-            )
-        pos += 1
-        if pos == len(compact):
-            raise IdealSyntaxError("trailing comma", pos)
+    matches = _comma_list(compact, start, _ROWS_ITEM, "a row length", "row lengths")
+    rows = [int(match.group(0)) for match in matches]
     try:
         return as_diagram(rows)
     except ValueError as exc:
         raise IdealSyntaxError(str(exc), start) from exc
+
+
+def _comma_list(compact: str, pos: int, pattern: re.Pattern, item: str, items: str):
+    """Yield the pattern's matches in the comma list from ``pos`` to the end."""
+    while True:
+        match = pattern.match(compact, pos)
+        if match is None:
+            raise IdealSyntaxError(
+                f"expected {item}, found {compact[pos:pos + 1]!r}", pos
+            )
+        yield match
+        pos = match.end()
+        if pos == len(compact):
+            return
+        if compact[pos] != ",":
+            raise IdealSyntaxError(
+                f"expected ',' between {items}, found {compact[pos]!r}", pos
+            )
+        pos += 1
+        if pos == len(compact):
+            raise IdealSyntaxError("trailing comma", pos)
+
+
+def _exponents(match: re.Match) -> Generator:
+    """The exponent pair (a, b) of a matched monomial; an omitted exponent is 1."""
+    token = match.group(0)
+    a, b, b_alone = (int(e) if e is not None else 1 for e in match.groups())
+    if token == "1":
+        return (0, 0)
+    if token.startswith("x"):
+        return (a, b if "y" in token else 0)
+    return (0, b_alone)
 
 
 def render_ideal(diagram: Diagram) -> str:

@@ -175,17 +175,6 @@ def chern_of(obj: MonomialObject) -> ChernCharacter:
     raise TypeError(f"not a monomial object: {obj!r}")
 
 
-def twisted(obj: MonomialObject, m: int) -> MonomialObject:
-    """The same object with m added to its twist."""
-    if isinstance(obj, (LineBundle, ShiftedLineBundle)):
-        return type(obj)(obj.twist + m)
-    if isinstance(obj, RankOne):
-        return RankOne(obj.diagram, obj.twist + m)
-    if isinstance(obj, RankZero):
-        return RankZero(obj.diagram, obj.k, obj.twist + m)
-    return RankMinusOne(obj.diagram, obj.k, obj.i, obj.twist + m)
-
-
 def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
     """Every candidate destabilizing cut with its wall.
 
@@ -350,24 +339,16 @@ def _optimal_invariants(obj: MonomialObject) -> tuple[Fraction, Fraction]:
     return orthogonal_invariants(destabilizing_sequence(obj).wall)
 
 
-def derived_dual_parts(diagram, k: int, i: int, twist: int = 0) -> tuple[Diagram, int, int]:
+def derived_dual(obj: RankMinusOne) -> tuple[Diagram, int, int]:
     """Rotated-complement dual data (diagram', twist', shift) of a rank -1 object.
 
     The complex (O(-k) + O(-i) -> I_Z)(twist) dualizes to
     I_{Z'}(k + i - twist)[-1] with Z' the half-turn complement of Z in the
-    k x i box; a full box (trivial object) dualizes to the line bundle case.
+    k x i box.
     """
-    diagram = as_diagram(diagram)
-    if row_count(diagram) > k or col_count(diagram) > i:
-        raise ValueError(f"diagram {diagram} does not fit in a {k} x {i} box")
-    return complement_rotate(diagram, k, i), k + i - twist, -1
-
-
-def derived_dual(obj: RankMinusOne) -> tuple[Diagram, int, int]:
-    """Derived dual of a nontrivial rank -1 object; see derived_dual_parts."""
     if not isinstance(obj, RankMinusOne):
         raise ValueError(f"derived_dual acts on rank -1 objects, got {obj!r}")
-    return derived_dual_parts(obj.diagram, obj.k, obj.i, obj.twist)
+    return complement_rotate(obj.diagram, obj.k, obj.i), obj.k + obj.i - obj.twist, -1
 
 
 def text_name(obj: MonomialObject) -> str:
@@ -385,11 +366,11 @@ def text_name(obj: MonomialObject) -> str:
     return f"F({rows} in {obj.k}x{obj.i}){suffix}"
 
 
-def render_tree(tree: DecompositionTree, indent: int = 0) -> str:
+def render_tree(tree: DecompositionTree) -> str:
     """Indented text rendering of a decomposition tree."""
     lines = []
     for t, depth, role in walk(tree):
-        pad = "  " * (indent + depth)
+        pad = "  " * depth
         if role is not None:
             lines.append(f"{pad[2:]}{role}:\n")
         if t.is_leaf:

@@ -79,7 +79,8 @@ def _bottom_slopes(diagram: Diagram, k_max: int | None = None) -> tuple[Fraction
 def scheme_slope(diagram: Diagram) -> SchemeSlope:
     """The maximal slope mu(Z) with its realizing cut.
 
-    Ties prefer the horizontal family, then the smallest index.
+    mu(Z) is the smallest slope interpolating the scheme.  Ties prefer the
+    horizontal family, then the smallest index.
     """
     if not diagram:
         raise ValueError("the empty scheme has no slope")
@@ -117,11 +118,6 @@ def is_horizontally_pure(diagram: Diagram, k: int | None = None) -> bool:
         return True
     *lower, top = _bottom_slopes(diagram, k)
     return all(slope <= top for slope in lower)
-
-
-def min_interpolating_slope(diagram: Diagram) -> Fraction:
-    """The smallest slope interpolating the scheme: mu(Z)."""
-    return scheme_slope(diagram).value
 
 
 def in_stable_base_locus(diagram: Diagram, slope) -> bool:

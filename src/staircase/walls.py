@@ -78,7 +78,7 @@ def wall_from_invariants(mu, delta) -> SemicircleWall:
     return SemicircleWall(-mu - Fraction(3, 2), 2 * delta + Fraction(1, 4))
 
 
-def is_nested(wall_inner: Wall, wall_outer: Wall, side: str, strict: bool = False) -> bool:
+def is_nested(wall_inner: Wall, wall_outer: Wall, side: str) -> bool:
     """Whether the inner wall sits inside the outer one.
 
     ``side`` says which side of the vertical wall the family lives on:
@@ -93,8 +93,6 @@ def is_nested(wall_inner: Wall, wall_outer: Wall, side: str, strict: bool = Fals
     if is_empty(wall_inner):
         return True
     if wall_inner.center == wall_outer.center:
-        if strict:
-            return wall_inner.radius_sq < wall_outer.radius_sq
         return wall_inner.radius_sq <= wall_outer.radius_sq
     if side == "left":
         return wall_inner.center > wall_outer.center

@@ -4,8 +4,8 @@ import inspect
 import json
 import sys
 
-from staircase import cli
-from staircase.objects import decompose, parse_tree, rank_one
+from staircase import cli, objects
+from staircase.objects import decompose, destabilizing_sequence, parse_tree, rank_one
 from staircase.oracle import (
     CHECK_NAMES,
     Failure,
@@ -44,6 +44,21 @@ def test_interp_pinned_line(capsys):
     code, out, _ = run(capsys, "interp", BIG_IDEAL)
     assert code == 0
     assert out.splitlines()[-1] == "mu = 43/5, Delta = 72/25"
+
+
+def test_interp_takes_one_destabilizing_step(capsys, monkeypatch):
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return destabilizing_sequence(obj)
+
+    monkeypatch.setattr(cli, "destabilizing_sequence", counted)
+    monkeypatch.setattr(objects, "destabilizing_sequence", counted)
+    code, out, _ = run(capsys, "interp", BIG_IDEAL)
+    assert code == 0
+    assert out.splitlines()[-1] == "mu = 43/5, Delta = 72/25"
+    assert len(calls) == 1
 
 
 def test_wall_pinned_output(capsys):
@@ -99,15 +114,21 @@ def test_dual_pinned(capsys):
 
 
 def test_dual_with_explicit_box(capsys):
-    code, out, _ = run(capsys, "dual", "rows: 3,1", "--lines", "2", "--colines", "3")
+    code, out, _ = run(capsys, "dual", "rows: 3,1")
     assert code == 0
     assert out.splitlines()[-1] == "dual = I(2)(5)[-1]"
 
 
+def test_dual_of_the_full_box_is_a_line_bundle(capsys):
+    code, out, _ = run(capsys, "dual", "rows: 3,3")
+    assert code == 0
+    assert out.splitlines() == ["F = O(-5)[1]", "dual = O(5)[-1]"]
+
+
 def test_dual_box_too_small(capsys):
     code, _, err = run(capsys, "dual", "rows: 3,1", "--lines", "1")
-    assert code == 3
-    assert "box" in err
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_resolution_display_and_betti(capsys):
@@ -139,6 +160,24 @@ def test_verify_writes_report_file(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "verify", "--max-degree", "5", "--check", "purity")
     assert code == 0
     assert path.read_text() == out
+
+
+def test_verify_unwritable_report_path_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "missing" / "r.txt"
+    monkeypatch.setenv(cli.REPORT_PATH_VAR, str(path))
+    code, out, err = run(capsys, "verify", "--max-degree", "3", "--check", "purity")
+    assert code == 2
+    assert "status: pass" in out
+    assert err.startswith(f"error: cannot write report to {path}: ")
+    assert err.count("\n") == 1
+    assert not path.parent.exists()
+
+
+def test_verify_negative_bound_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "verify", "--max-degree", "-3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: degree bound must be nonnegative, got -3\n"
 
 
 def test_verify_all_prints_the_library_reports(capsys):

@@ -216,6 +216,30 @@ def test_parse_ideal_errors_carry_positions():
         parse_ideal("x^2")  # no pure y-power
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("x^2,z", "expected a monomial, found 'z'", 4),
+        ("x^2;y", "expected ',' between monomials, found ';'", 3),
+        ("x^2,,y", "expected a monomial, found ','", 4),
+        ("x^2,y,", "trailing comma", 6),
+        ("", "empty ideal text", 0),
+        ("  ", "empty ideal text", 0),
+        ("rows: 3,a", "expected a row length, found 'a'", 7),
+        ("rows:3;1", "expected ',' between row lengths, found ';'", 6),
+        ("rows:3,,1", "expected a row length, found ','", 7),
+        ("rows:3,1,", "trailing comma", 9),
+        ("rows:,", "expected a row length, found ','", 5),
+        ("rows: 1,2", "rows must be weakly decreasing bottom-to-top, got 1 before 2", 5),
+    ],
+)
+def test_parse_ideal_error_table(text, message, position):
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal(text)
+    assert str(err.value) == f"{message} (position {position})"
+    assert err.value.position == position
+
+
 def test_render_ideal_round_trips():
     for d in enumerate_diagrams_upto(BOUND):
         assert parse_ideal(render_ideal(d)) == d

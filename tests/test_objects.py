@@ -28,7 +28,6 @@ from staircase.objects import (
     decompose,
     delta_opt,
     derived_dual,
-    derived_dual_parts,
     destabilizing_sequence,
     internal_nodes,
     is_trivial,
@@ -42,7 +41,6 @@ from staircase.objects import (
     serialize_tree,
     text_name,
     tree_to_dot,
-    twisted,
 )
 from staircase.slopes import is_horizontally_pure, scheme_slope
 from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall
@@ -359,7 +357,6 @@ def test_mu_opt_twist_covariance():
 def test_derived_dual_pinned():
     assert derived_dual(rank_minus_one((7, 7, 7, 7, 6), 5, 7)) == ((1,), 12, -1)
     assert derived_dual(rank_minus_one((3, 1), 2, 3)) == ((2,), 5, -1)
-    assert derived_dual_parts((3, 3), 2, 3) == ((), 5, -1)  # full box: trivial dual
     with pytest.raises(ValueError):
         derived_dual(LineBundle(0))
 
@@ -445,12 +442,6 @@ def test_text_names():
     assert text_name(rank_minus_one((7, 7, 7, 7, 6), 5, 7)) == "F(7,7,7,7,6 in 5x7)"
     assert text_name(LineBundle(-8)) == "O(-8)"
     assert text_name(ShiftedLineBundle(-11)) == "O(-11)[1]"
-
-
-def test_twisted_helper():
-    assert twisted(rank_one((1,), 0), -8) == RankOne((1,), -8)
-    assert twisted(LineBundle(-1), 2) == LineBundle(1)
-    assert twisted(rank_zero((1,), 1, 0), 3) == RankZero((1,), 1, 3)
 
 
 def test_tree_walks_are_not_bounded_by_the_recursion_limit():

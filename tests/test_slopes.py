@@ -16,7 +16,6 @@ from staircase.slopes import (
     horizontal_slope,
     in_stable_base_locus,
     is_horizontally_pure,
-    min_interpolating_slope,
     padded_horizontal_slope,
     scheme_slope,
     slope_table,
@@ -44,7 +43,7 @@ def test_pinned_slope_values():
     assert vertical_slope(d, 6) == 5
     assert horizontal_slope(d, 3) == Fraction(19, 3)
     assert scheme_slope(d) == (Fraction(19, 3), "horizontal", 3)
-    assert min_interpolating_slope(d) == Fraction(19, 3)
+    assert scheme_slope(d).value == Fraction(19, 3)
     assert in_stable_base_locus(d, 6)
     assert not in_stable_base_locus(d, Fraction(19, 3))
 

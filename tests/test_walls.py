@@ -160,7 +160,6 @@ def test_nesting_rules():
     assert is_nested(concentric_inner, concentric_outer, "right")
     assert not is_nested(concentric_outer, concentric_inner, "left")
     assert is_nested(concentric_outer, concentric_outer, "left")
-    assert not is_nested(concentric_outer, concentric_outer, "left", strict=True)
 
     inner = SemicircleWall(Fraction(-3), Fraction(1, 2))
     outer = SemicircleWall(Fraction(-4), Fraction(5))
