@@ -67,12 +67,18 @@ def full_col_count(diagram: Diagram) -> int:
 
 
 def transpose(diagram: Diagram) -> Diagram:
-    """Reflect the diagram across the main diagonal (conjugate partition)."""
-    if not diagram:
-        return EMPTY
-    return tuple(
-        sum(1 for h in diagram if h >= c) for c in range(1, diagram[0] + 1)
-    )
+    """Reflect the diagram across the main diagonal (conjugate partition).
+
+    One pass over the rows from the top down: the columns between the row
+    above and row ``j`` have height ``j``, so this costs O(r + c).
+    """
+    columns: list[int] = []
+    covered = 0  # columns already emitted: the width of the row above
+    for height in range(len(diagram), 0, -1):  # top row first
+        row = diagram[height - 1]
+        columns.extend([height] * (row - covered))
+        covered = row
+    return tuple(columns)
 
 
 def slice_above(diagram: Diagram, k: int) -> Diagram:
@@ -171,21 +177,29 @@ class IdealSyntaxError(ValueError):
 
 _MONOMIAL = re.compile(r"x(?:\^(\d+))?(?:y(?:\^(\d+))?)?|y(?:\^(\d+))?|1")
 _ROWS_ITEM = re.compile(r"\d+")
+_SPLIT_NUMBER = re.compile(r"\d\s+(?=\d)")
 
 
 def parse_ideal(text: str) -> Diagram:
     """Parse ideal text into a diagram.
 
-    Two grammars are accepted, whitespace-insensitive:
+    Two grammars are accepted; whitespace is insignificant except between
+    two digits, where it is an error rather than part of one number:
 
     * a comma-separated list of monomials, e.g. ``x^9, x^7y^2, y^8`` (an
       exponent of 1 may be omitted, ``1`` denotes the unit ideal);
     * explicit row lengths, e.g. ``rows:9,9,7,7,6,4,3,3``.
 
     Syntax problems raise :class:`IdealSyntaxError` with the position of the
-    offending character; a well-formed ideal without a pure x- and y-power
-    raises a plain :class:`ValueError`.
+    offending character, counted in the text with its whitespace removed; a
+    well-formed ideal without a pure x- and y-power raises a plain
+    :class:`ValueError`.
     """
+    split = _SPLIT_NUMBER.search(text)
+    if split is not None:
+        raise IdealSyntaxError(
+            "whitespace between digits", len("".join(text[: split.end()].split()))
+        )
     compact = "".join(text.split())
     if compact.startswith("rows:"):
         return _parse_rows(compact, len("rows:"))

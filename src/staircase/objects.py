@@ -19,8 +19,13 @@ the diagram transposed, which changes none of the invariants.
 Destabilization picks the largest candidate wall: most negative center for
 rank 1, largest squared radius among the concentric rank-0 candidates, least
 negative center for rank -1.  Ties prefer the horizontal family, then the
-smallest cut index.  Decomposing recursively yields a finite tree whose
-leaves are trivial.
+smallest cut index.  The cut is picked exactly from integer data: every
+candidate character is ``(r, c1, 2*ch2)`` in plain ints, built from running
+row and column sums, and walls compare by cross-multiplication.  Only the
+chosen cut's wall is computed, by the general :func:`potential_wall`, and
+stored.  :func:`candidate_walls` evaluates :func:`potential_wall` on every
+candidate and stays the reference that the selection is tested against.
+Decomposing recursively yields a finite tree whose leaves are trivial.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 from .diagram import (
@@ -36,6 +42,7 @@ from .diagram import (
     as_diagram,
     col_count,
     complement_rotate,
+    degree,
     full_col_count,
     full_row_count,
     row_count,
@@ -47,6 +54,7 @@ from .diagram import (
 )
 from .ktheory import (
     ChernCharacter,
+    chern,
     chern_of_ideal,
     chern_of_rank0,
     chern_of_rank_minus1,
@@ -176,55 +184,73 @@ def chern_of(obj: MonomialObject) -> ChernCharacter:
 
 
 def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
-    """Every candidate destabilizing cut with its wall.
+    """Every candidate destabilizing cut with its wall: the reference path.
 
     Walls come from :func:`potential_wall` between the candidate subobject's
     character and the object's own, never from specialized radius formulas.
+    :func:`destabilizing_sequence` picks its cut without these walls, and
+    the tests compare the two.
     """
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
     target = chern_of(obj)
     candidates = []
-    for cut, sub_chern in _candidate_subs(obj):
-        wall = potential_wall(sub_chern, target)
+    for cut, sub in _candidate_subs(obj):
+        wall = potential_wall(_from_scaled(sub), target)
         if not isinstance(wall, SemicircleWall):
             raise AssertionError(f"candidate wall at {cut} is not a semicircle")
         candidates.append((cut, wall))
     return candidates
 
 
+def _from_scaled(scaled: tuple[int, int, int]) -> ChernCharacter:
+    r, c1, ch2_twice = scaled
+    return chern(r, c1, Fraction(ch2_twice, 2))
+
+
 def _candidate_subs(obj: MonomialObject):
-    """(cut, chern of candidate subobject) pairs, in deterministic order."""
-    t = obj.twist
+    """(cut, (r, c1, 2*ch2)) of every candidate subobject, in preference order.
+
+    The order is horizontal before vertical, then ascending index, so the
+    first of several equal walls is the preferred cut.  Every character is
+    integral after doubling ch2: a subobject I_{Z'}(m) is ``(1, m, m^2 - 2n')``
+    and I_{Z' in KL}(m) is ``(0, K, -K^2 - 2n' + 2Km)``, where ``n'`` is ``n``
+    minus the boxes cut off, a running sum over the rows or the columns.
+    """
+    d, t = obj.diagram, obj.twist
+    n = degree(d)
     if isinstance(obj, RankOne):
-        d = obj.diagram
-        for k in range(1, row_count(d) + 1):
-            yield ("horizontal", k), twist_chern(chern_of_ideal(slice_above(d, k)), t - k)
-        for i in range(1, col_count(d) + 1):
-            yield ("vertical", i), twist_chern(chern_of_ideal(slice_right(d, i)), t - i)
+        yield from _rank_one_subs("horizontal", d, n, t, 1, row_count(d))
+        yield from _rank_one_subs("vertical", transpose(d), n, t, 1, col_count(d))
     elif isinstance(obj, RankZero):
-        d = obj.diagram
         if row_count(d) == obj.k:
-            for i in range(full_col_count(d), col_count(d) + 1):
-                yield ("vertical", i), twist_chern(chern_of_ideal(slice_right(d, i)), t - i)
+            yield from _rank_one_subs(
+                "vertical", transpose(d), n, t, full_col_count(d), col_count(d)
+            )
         else:
             # padded support: only the ambient line-bundle kernel splits off
-            yield ("vertical", 0), twist_chern(chern_of_ideal(d), t)
+            yield ("vertical", 0), (1, t, t * t - 2 * n)
     else:
-        d, k, i = obj.diagram, obj.k, obj.i
-        for j in range(full_row_count(d), k):
-            yield ("horizontal", j), twist_chern(
-                chern_of_rank0(slice_above(d, j), k - j), t - j
-            )
-        for j in range(full_col_count(d), i):
-            yield ("vertical", j), twist_chern(
-                chern_of_rank0(transpose(slice_right(d, j)), i - j), t - j
-            )
+        yield from _rank_zero_subs("horizontal", d, n, t, full_row_count(d), obj.k)
+        yield from _rank_zero_subs(
+            "vertical", transpose(d), n, t, full_col_count(d), obj.i
+        )
 
 
-def _cut_preference(cut: Cut):
-    direction, index = cut
-    return (direction != "horizontal", index)
+def _rank_one_subs(direction: str, lengths: Diagram, n: int, t: int, first: int, last: int):
+    """I(slice past cut j)(t - j) for j = first..last; ``lengths`` are rows or columns."""
+    cut_off = [0, *accumulate(lengths)]
+    for j in range(first, last + 1):
+        m = t - j
+        yield (direction, j), (1, m, m * m - 2 * (n - cut_off[j]))
+
+
+def _rank_zero_subs(direction: str, lengths: Diagram, n: int, t: int, first: int, lines: int):
+    """I(slice past cut j in (lines - j)L)(t - j) for j = first..lines - 1."""
+    cut_off = [0, *accumulate(lengths)]
+    for j in range(first, lines):
+        k, m = lines - j, t - j
+        yield (direction, j), (0, k, -k * k - 2 * (n - cut_off[j]) + 2 * k * m)
 
 
 def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
@@ -232,20 +258,40 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
 
     Largest means: most negative center (rank 1), largest squared radius
     (rank 0, all candidates concentric), least negative center (rank -1).
-    Ties prefer horizontal cuts, then the smallest index.
+    Ties prefer horizontal cuts, then the smallest index.  The cut is chosen
+    from the integer characters of :func:`_candidate_subs` by cross-multiplied
+    comparisons, so it is the first minimum of :func:`candidate_walls` (the
+    reference) under the key ``center``, ``-radius_sq`` or ``-center``.  The
+    stored wall is :func:`potential_wall` of the chosen subobject and the
+    object, computed once.
     """
-    candidates = candidate_walls(obj)
-    if isinstance(obj, RankOne):
-        key = lambda item: (item[1].center, *_cut_preference(item[0]))
-    elif isinstance(obj, RankZero):
-        key = lambda item: (-item[1].radius_sq, *_cut_preference(item[0]))
-    else:
-        key = lambda item: (-item[1].center, *_cut_preference(item[0]))
-    cut, wall = min(candidates, key=key)
+    if is_trivial(obj):
+        raise ValueError(f"trivial object {obj!r} has no candidate walls")
+    target = chern_of(obj)
+    r2, c2, e2 = target.r, int(target.c1), int(2 * target.ch2)
+    best_cut, best_p, best_q = None, 0, 1
+    for cut, sub in _candidate_subs(obj):
+        r1, c1, e1 = sub
+        # center = num/den and radius_sq = (num^2 + 2*den*cross)/den^2,
+        # the formulas of potential_wall with 2*ch2 in place of ch2
+        den = 2 * (c1 * r2 - c2 * r1)
+        if den == 0:
+            potential_wall(_from_scaled(sub), target)  # raises if dependent
+            raise AssertionError(f"candidate wall at {cut} is not a semicircle")
+        num = e1 * r2 - e2 * r1
+        # the cut minimizes p/q, q > 0: -radius_sq for rank 0, and
+        # r2 * center for rank r2 = +-1 (most or least negative center)
+        if r2 == 0:
+            p, q = -(num * num + 2 * den * (c1 * e2 - c2 * e1)), den * den
+        else:
+            p, q = (r2 * num, den) if den > 0 else (-r2 * num, -den)
+        if best_cut is None or p * best_q < best_p * q:
+            best_cut, best_p, best_q = cut, p, q
+    sub, quotient = _sequence_parts(obj, best_cut)
+    wall = potential_wall(chern_of(sub), target)
     if is_empty(wall):
-        raise AssertionError(f"selected wall at {cut} for {obj!r} is empty")
-    sub, quotient = _sequence_parts(obj, cut)
-    return DestabilizingSequence(sub, quotient, wall, cut)
+        raise AssertionError(f"selected wall at {best_cut} for {obj!r} is empty")
+    return DestabilizingSequence(sub, quotient, wall, best_cut)
 
 
 def _sequence_parts(obj: MonomialObject, cut: Cut) -> tuple[MonomialObject, MonomialObject]:

@@ -84,6 +84,13 @@ def test_parse_error_reports_position(capsys):
     assert "position" in err
 
 
+def test_whitespace_between_digits_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "slope", "rows: 3 1")
+    assert code == 2
+    assert out == ""
+    assert "whitespace between digits (position 6)" in err
+
+
 def test_decompose_json_round_trips(capsys):
     code, out, _ = run(capsys, "decompose", "rows: 4,3,3", "--format", "json")
     assert code == 0

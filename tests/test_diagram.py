@@ -240,6 +240,28 @@ def test_parse_ideal_error_table(text, message, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("rows: 3 1", 6),
+        ("rows:3,1 0", 8),
+        ("x^1 0,y", 3),
+        ("x^2,y^1\t\n2", 7),
+    ],
+)
+def test_whitespace_between_digits_is_an_error(text, position):
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal(text)
+    assert str(err.value) == f"whitespace between digits (position {position})"
+    assert err.value.position == position
+
+
+def test_whitespace_elsewhere_is_insignificant():
+    assert parse_ideal("rows: 3 , 1") == (3, 1)
+    assert parse_ideal("x ^10, y") == (10,)
+    assert parse_ideal("x^2 y^3, x^4, y^5") == parse_ideal("x^2y^3,x^4,y^5")
+
+
 def test_render_ideal_round_trips():
     for d in enumerate_diagrams_upto(BOUND):
         assert parse_ideal(render_ideal(d)) == d

@@ -5,16 +5,27 @@ from fractions import Fraction
 
 import pytest
 
+from staircase import objects, oracle
 from staircase.diagram import (
     degree,
     enumerate_diagrams_upto,
     row_count,
     col_count,
+    full_col_count,
+    full_row_count,
     slice_above,
     slice_below,
+    slice_right,
     transpose,
 )
-from staircase.ktheory import chern, hilbert_P, reduced_rank0_hilbert_polynomial
+from staircase.ktheory import (
+    chern,
+    chern_of_ideal,
+    chern_of_rank0,
+    hilbert_P,
+    reduced_rank0_hilbert_polynomial,
+    twist,
+)
 from staircase.objects import (
     DecompositionTree,
     DestabilizingSequence,
@@ -147,6 +158,85 @@ def test_candidate_walls_trivial_rejected():
         candidate_walls(LineBundle(0))
     with pytest.raises(ValueError):
         destabilizing_sequence(ShiftedLineBundle(-2))
+
+
+def slice_candidates(obj):
+    """(cut, character) of every candidate subobject, sliced out one by one."""
+    d, t = obj.diagram, obj.twist
+    if isinstance(obj, RankOne):
+        for k in range(1, row_count(d) + 1):
+            yield ("horizontal", k), twist(chern_of_ideal(slice_above(d, k)), t - k)
+        for i in range(1, col_count(d) + 1):
+            yield ("vertical", i), twist(chern_of_ideal(slice_right(d, i)), t - i)
+    elif isinstance(obj, RankZero):
+        if row_count(d) == obj.k:
+            for i in range(full_col_count(d), col_count(d) + 1):
+                yield ("vertical", i), twist(chern_of_ideal(slice_right(d, i)), t - i)
+        else:
+            yield ("vertical", 0), twist(chern_of_ideal(d), t)
+    else:
+        k, i = obj.k, obj.i
+        for j in range(full_row_count(d), k):
+            yield ("horizontal", j), twist(chern_of_rank0(slice_above(d, j), k - j), t - j)
+        for j in range(full_col_count(d), i):
+            yield ("vertical", j), twist(
+                chern_of_rank0(transpose(slice_right(d, j)), i - j), t - j
+            )
+
+
+def reference_step(obj):
+    """The first minimum of candidate_walls under the documented key."""
+    if isinstance(obj, RankOne):
+        key = lambda wall: wall.center
+    elif isinstance(obj, RankZero):
+        key = lambda wall: -wall.radius_sq
+    else:
+        key = lambda wall: -wall.center
+    return min(
+        candidate_walls(obj),
+        key=lambda item: (key(item[1]), item[0][0] != "horizontal", item[0][1]),
+    )
+
+
+def test_integer_selection_matches_the_reference_on_every_tree_node():
+    for d in enumerate_diagrams_upto(12):
+        for root in oracle._tree_roots(d):
+            for node in internal_nodes(decompose(root)):
+                obj = node.node
+                seq = destabilizing_sequence(obj)
+                assert (seq.cut, seq.wall) == reference_step(obj)
+                scaled = list(objects._candidate_subs(obj))
+                assert all(type(x) is int for _, sub in scaled for x in sub)
+                assert [
+                    (cut, chern(r, c1, Fraction(ch2_twice, 2)))
+                    for cut, (r, c1, ch2_twice) in scaled
+                ] == list(slice_candidates(obj))
+
+
+def test_selection_raises_like_the_reference_on_a_degenerate_candidate(monkeypatch):
+    obj = rank_one((4, 3, 3), -5)
+    own = (1, -5, 5)  # the object's own character: linearly dependent
+    same_slope = (1, -5, 7)  # independent but of equal slope: a vertical wall
+    for sub, error in ((own, ValueError), (same_slope, AssertionError)):
+        monkeypatch.setattr(objects, "_candidate_subs", lambda _: iter([(("horizontal", 1), sub)]))
+        with pytest.raises(error):
+            candidate_walls(obj)
+        with pytest.raises(error):
+            destabilizing_sequence(obj)
+
+
+def test_one_potential_wall_per_tree_node(monkeypatch):
+    calls = 0
+
+    def counting(xi1, xi2):
+        nonlocal calls
+        calls += 1
+        return potential_wall(xi1, xi2)
+
+    monkeypatch.setattr(objects, "potential_wall", counting)
+    decompose.cache_clear()
+    tree = decompose(rank_one(tuple(range(150, 0, -1))))
+    assert calls == len(internal_nodes(tree))
 
 
 def test_destabilizing_sequence_big_chain():
