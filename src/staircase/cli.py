@@ -110,11 +110,10 @@ def _cmd_dual(args) -> int:
 
 def _cmd_resolution(args) -> int:
     diagram = parse_ideal(args.ideal)
-    gens = to_generators(diagram)
-    res = minimal_free_resolution(gens)
+    res = minimal_free_resolution(to_generators(diagram))
     print(render_resolution(res))
     print("betti:")
-    print(render_betti(betti_table(gens)))
+    print(render_betti(betti_table(res)))
     if args.matrix and res.syzygy_count:
         print("syzygy matrix:")
         print(render_matrix(res))

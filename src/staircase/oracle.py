@@ -1,18 +1,22 @@
 """Exhaustive verification of the combinatorial lemmas behind the trees.
 
-Every check is a pure fold over the deterministic diagram enumeration: each
-diagram contributes a batch of assertions about its decomposition trees, and
-a failed assertion becomes a witness in the report.  :func:`run_check` runs
-one check serially in the calling process.  It also accepts an index range
-``[start, stop)`` of the instance list, so a large run can be split by hand
-across processes; :func:`merge_reports` folds the fragments, in index order,
-into the instances and failures that one serial run reports.
+A check is a node predicate, a diagram predicate or both, folded over the
+deterministic instance enumeration; each detail a predicate yields becomes
+a witness in the report.  A node predicate tests one internal tree node and
+its two children.  :func:`run_check` owns the only tree walk: per diagram,
+the internal nodes of every :func:`_tree_roots` tree in preorder, then the
+diagram predicate.  Trees share subtrees, so each distinct node is checked
+once per run and later visits replay its details; the witnesses and the
+``FAILURE_CAP`` cut stay those of checking every visit.  An index range
+``[start, stop)`` of the instances splits a run into shards by hand; each
+shard checks its own distinct nodes, and :func:`merge_reports` folds the
+fragments, in index order, into the report of one serial run.
 
-Checks that walk trees read each node's destabilizing sequence, and the
-optimal invariants ``(mu_opt, Delta_opt)`` of its wall, from the tree nodes
-that :func:`decompose` built; they compute no step a second time.  The
-``chern`` check keeps recomputing each node wall with :func:`potential_wall`
-from the Chern characters of sub, node and quotient, so the general wall
+Node predicates read each destabilizing sequence, and the optimal
+invariants ``(mu_opt, Delta_opt)`` of its wall, from the nodes that
+:func:`decompose` built.  The ``chern`` check recomputes each node wall with
+:func:`potential_wall` from the Chern characters of sub, node and quotient,
+and the chosen cut with :func:`candidate_walls`, so the general wall
 formula stays the reference against which every tree is checked.
 """
 
@@ -45,9 +49,11 @@ from .ktheory import (
     ring_product,
 )
 from .objects import (
+    DecompositionTree,
     RankMinusOne,
     RankOne,
     RankZero,
+    candidate_walls,
     chern_of,
     decompose,
     derived_dual,
@@ -114,106 +120,107 @@ def _tree_roots(diagram: Diagram):
         yield full
 
 
-def _all_internal_nodes(diagram: Diagram):
-    for root in _tree_roots(diagram):
-        yield from internal_nodes(decompose(root))
-
-
-def _check_nesting(diagram: Diagram) -> Iterator[str]:
+def _check_nesting(node: DecompositionTree) -> Iterator[str]:
     """Child walls nest inside the parent wall; slopes/discriminants compare."""
-    for node in _all_internal_nodes(diagram):
-        wall = node.sequence.wall
-        mu, delta = orthogonal_invariants(wall)
-        for role, child in (("sub", node.sub), ("quotient", node.quotient)):
-            if child.is_leaf:
-                continue
-            child_wall = child.sequence.wall
-            child_mu, child_delta = orthogonal_invariants(child_wall)
-            where = f"{role} {text_name(child.node)} of {text_name(node.node)}"
-            if isinstance(child.node, RankZero):
-                if child_mu != mu:
-                    yield f"{where}: mu_opt {child_mu} != {mu}"
-                if child_delta > delta:
-                    yield f"{where}: Delta_opt {child_delta} > {delta}"
-                side = "left"
-            elif isinstance(child.node, RankOne):
-                if child_mu > mu:
-                    yield f"{where}: mu_opt {child_mu} > {mu}"
-                side = "left"
-            else:
-                if child_mu < mu:
-                    yield f"{where}: mu_opt {child_mu} < {mu}"
-                side = "right"
-            if not is_nested(child_wall, wall, side):
-                yield f"{where}: wall {child_wall} not nested in {wall}"
-
-
-def _check_purity(diagram: Diagram) -> Iterator[str]:
-    """Rank-0 children of the trees are horizontally pure of the right shape."""
-    for node in _all_internal_nodes(diagram):
-        obj = node.node
-        if isinstance(obj, RankOne) and not isinstance(
-            node.sequence.quotient, RankZero
-        ):
-            yield f"quotient of {text_name(obj)} is not a rank-0 object"
-        if isinstance(obj, RankMinusOne) and not isinstance(
-            node.sequence.sub, RankZero
-        ):
-            yield f"sub of {text_name(obj)} is not a rank-0 object"
-        if isinstance(obj, RankZero) and not is_horizontally_pure(obj.diagram, obj.k):
-            yield f"{text_name(obj)} is not horizontally pure"
-
-
-def _check_duality(diagram: Diagram) -> Iterator[str]:
-    """Derived-dual slope identity and involutivity at rank -1 nodes."""
-    for node in _all_internal_nodes(diagram):
-        obj = node.node
-        if not isinstance(obj, RankMinusOne):
+    wall = node.sequence.wall
+    mu, delta = orthogonal_invariants(wall)
+    for role, child in (("sub", node.sub), ("quotient", node.quotient)):
+        if child.is_leaf:
             continue
-        dual_diagram, twist, shift = derived_dual(obj)
-        if shift != -1 or twist != obj.k + obj.i - obj.twist:
-            yield f"unexpected dual twist/shift at {text_name(obj)}"
-        if dual_diagram != complement_rotate(obj.diagram, obj.k, obj.i):
-            yield f"dual diagram is not the rotated complement at {text_name(obj)}"
-        if complement_rotate(dual_diagram, obj.k, obj.i) != obj.diagram:
-            yield f"complement rotation not involutive at {text_name(obj)}"
-        untwisted = orthogonal_invariants(node.sequence.wall)[0] + obj.twist
-        expected = -mu_opt(rank_one(dual_diagram)) + obj.i + obj.k - 3
-        if untwisted != expected:
+        child_wall = child.sequence.wall
+        child_mu, child_delta = orthogonal_invariants(child_wall)
+        where = f"{role} {text_name(child.node)} of {text_name(node.node)}"
+        if isinstance(child.node, RankZero):
+            if child_mu != mu:
+                yield f"{where}: mu_opt {child_mu} != {mu}"
+            if child_delta > delta:
+                yield f"{where}: Delta_opt {child_delta} > {delta}"
+            side = "left"
+        elif isinstance(child.node, RankOne):
+            if child_mu > mu:
+                yield f"{where}: mu_opt {child_mu} > {mu}"
+            side = "left"
+        else:
+            if child_mu < mu:
+                yield f"{where}: mu_opt {child_mu} < {mu}"
+            side = "right"
+        if not is_nested(child_wall, wall, side):
+            yield f"{where}: wall {child_wall} not nested in {wall}"
+
+
+def _check_purity(node: DecompositionTree) -> Iterator[str]:
+    """Rank-0 children of the trees are horizontally pure of the right shape."""
+    obj = node.node
+    if isinstance(obj, RankOne) and not isinstance(node.sequence.quotient, RankZero):
+        yield f"quotient of {text_name(obj)} is not a rank-0 object"
+    if isinstance(obj, RankMinusOne) and not isinstance(node.sequence.sub, RankZero):
+        yield f"sub of {text_name(obj)} is not a rank-0 object"
+    if isinstance(obj, RankZero) and not is_horizontally_pure(obj.diagram, obj.k):
+        yield f"{text_name(obj)} is not horizontally pure"
+
+
+def _check_duality(node: DecompositionTree) -> Iterator[str]:
+    """Derived-dual slope identity and involutivity at rank -1 nodes."""
+    obj = node.node
+    if not isinstance(obj, RankMinusOne):
+        return
+    dual_diagram, twist, shift = derived_dual(obj)
+    if shift != -1 or twist != obj.k + obj.i - obj.twist:
+        yield f"unexpected dual twist/shift at {text_name(obj)}"
+    if dual_diagram != complement_rotate(obj.diagram, obj.k, obj.i):
+        yield f"dual diagram is not the rotated complement at {text_name(obj)}"
+    if complement_rotate(dual_diagram, obj.k, obj.i) != obj.diagram:
+        yield f"complement rotation not involutive at {text_name(obj)}"
+    untwisted = orthogonal_invariants(node.sequence.wall)[0] + obj.twist
+    expected = -mu_opt(rank_one(dual_diagram)) + obj.i + obj.k - 3
+    if untwisted != expected:
+        yield (
+            f"dual slope identity fails at {text_name(obj)}:"
+            f" {untwisted} != {expected}"
+        )
+
+
+def _check_chern(node: DecompositionTree) -> Iterator[str]:
+    """Chern additivity, wall agreement, largest-wall cut, orthogonality."""
+    seq = node.sequence
+    total = chern_of(node.node)
+    sub = chern_of(seq.sub)
+    quot = chern_of(seq.quotient)
+    if chern(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
+        yield f"chern additivity fails at {text_name(node.node)}"
+    if potential_wall(sub, total) != seq.wall:
+        yield f"W(sub, node) differs from node wall at {text_name(node.node)}"
+    if potential_wall(total, quot) != seq.wall:
+        yield f"W(node, quot) differs from node wall at {text_name(node.node)}"
+    # the first largest candidate: least center, -radius_sq, -center at rank 1, 0, -1
+    cut, wall = min(
+        candidate_walls(node.node),
+        key=lambda item: total.r * item[1].center if total.r else -item[1].radius_sq,
+    )
+    if (cut, wall) != (seq.cut, seq.wall):
+        yield (
+            f"cut {seq.cut} is not the first largest candidate {cut}"
+            f" (wall {wall}) at {text_name(node.node)}"
+        )
+    mu, delta = orthogonal_invariants(seq.wall)
+    zeta = from_slope_discriminant(1, mu, delta)
+    for name, ch in (("sub", sub), ("node", total), ("quotient", quot)):
+        pairing = euler_char(ring_product(zeta, ch))
+        if pairing != 0:
             yield (
-                f"dual slope identity fails at {text_name(obj)}:"
-                f" {untwisted} != {expected}"
+                f"orthogonal class pairs to {pairing} with {name}"
+                f" at {text_name(node.node)}"
+            )
+        top = central_charge(ch, seq.wall.center, seq.wall.radius_sq)
+        if top.real != 0:
+            yield (
+                f"central charge of {name} has real part {top.real}"
+                f" at the top of the wall of {text_name(node.node)}"
             )
 
 
-def _check_chern(diagram: Diagram) -> Iterator[str]:
-    """Chern additivity, wall agreement, orthogonality, resolution sums."""
-    for node in _all_internal_nodes(diagram):
-        seq = node.sequence
-        total = chern_of(node.node)
-        sub = chern_of(seq.sub)
-        quot = chern_of(seq.quotient)
-        if chern(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
-            yield f"chern additivity fails at {text_name(node.node)}"
-        if potential_wall(sub, total) != seq.wall:
-            yield f"W(sub, node) differs from node wall at {text_name(node.node)}"
-        if potential_wall(total, quot) != seq.wall:
-            yield f"W(node, quot) differs from node wall at {text_name(node.node)}"
-        mu, delta = orthogonal_invariants(seq.wall)
-        zeta = from_slope_discriminant(1, mu, delta)
-        for name, ch in (("sub", sub), ("node", total), ("quotient", quot)):
-            pairing = euler_char(ring_product(zeta, ch))
-            if pairing != 0:
-                yield (
-                    f"orthogonal class pairs to {pairing} with {name}"
-                    f" at {text_name(node.node)}"
-                )
-            top = central_charge(ch, seq.wall.center, seq.wall.radius_sq)
-            if top.real != 0:
-                yield (
-                    f"central charge of {name} has real part {top.real}"
-                    f" at the top of the wall of {text_name(node.node)}"
-                )
+def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:
+    """The Chern characters of the minimal free resolution sum to the ideal's."""
     res = minimal_free_resolution(to_generators(diagram))
     total = [Fraction(0)] * 3
     for twist in res.generator_twists:
@@ -269,31 +276,30 @@ def _check_ci(rectangle: Diagram) -> Iterator[str]:
         yield f"CI({a},{b}) rank-0 Delta_opt != (a^2-1)/8"
 
 
-def _check_triviality(diagram: Diagram) -> Iterator[str]:
+def _check_triviality(node: DecompositionTree) -> Iterator[str]:
     """Walls are nonempty and trivial children satisfy the case inequalities."""
-    for node in _all_internal_nodes(diagram):
-        seq = node.sequence
-        obj = node.node
-        where = f"{text_name(obj)}"
-        if seq.wall.radius_sq <= 0:
-            yield f"empty destabilizing wall at {where}"
-        direction, index = seq.cut
-        if isinstance(obj, RankOne):
-            n = degree(obj.diagram)
-            if is_trivial(seq.sub) and not index * index < 2 * n:
-                yield f"case 1 fails at {where}: {index}^2 >= 2*{n}"
-        elif isinstance(obj, RankZero):
-            n, k = degree(obj.diagram), obj.k
-            if is_trivial(seq.sub) and not index < Fraction(n, k) + Fraction(k, 2):
-                yield f"case 2 fails at {where}: {index} >= n/k + k/2"
-            if is_trivial(seq.quotient) and not index >= Fraction(n, k) - Fraction(k, 2):
-                yield f"case 3 fails at {where}: {index} < n/k - k/2"
-        else:
-            n, k, i = degree(obj.diagram), obj.k, obj.i
-            if is_trivial(seq.quotient):
-                gap = k - index if direction == "horizontal" else i - index
-                if not gap * gap < 2 * (k * i - n):
-                    yield f"case 4 fails at {where}: {gap}^2 >= 2(ki - n)"
+    seq = node.sequence
+    obj = node.node
+    where = f"{text_name(obj)}"
+    if seq.wall.radius_sq <= 0:
+        yield f"empty destabilizing wall at {where}"
+    direction, index = seq.cut
+    if isinstance(obj, RankOne):
+        n = degree(obj.diagram)
+        if is_trivial(seq.sub) and not index * index < 2 * n:
+            yield f"case 1 fails at {where}: {index}^2 >= 2*{n}"
+    elif isinstance(obj, RankZero):
+        n, k = degree(obj.diagram), obj.k
+        if is_trivial(seq.sub) and not index < Fraction(n, k) + Fraction(k, 2):
+            yield f"case 2 fails at {where}: {index} >= n/k + k/2"
+        if is_trivial(seq.quotient) and not index >= Fraction(n, k) - Fraction(k, 2):
+            yield f"case 3 fails at {where}: {index} < n/k - k/2"
+    else:
+        n, k, i = degree(obj.diagram), obj.k, obj.i
+        if is_trivial(seq.quotient):
+            gap = k - index if direction == "horizontal" else i - index
+            if not gap * gap < 2 * (k * i - n):
+                yield f"case 4 fails at {where}: {gap}^2 >= 2(ki - n)"
 
 
 def _check_gieseker(diagram: Diagram) -> Iterator[str]:
@@ -320,15 +326,16 @@ def _rectangles(a_max: int) -> list[Diagram]:
     return [(a,) * b for a in range(1, a_max + 1) for b in range(a, a_max + 1)]
 
 
-_CHECKS: dict[str, tuple[Callable[[int], list[Diagram]], Callable[[Diagram], Iterator[str]]]] = {
-    "nesting": (_diagrams, _check_nesting),
-    "purity": (_diagrams, _check_purity),
-    "duality": (_diagrams, _check_duality),
-    "chern": (_diagrams, _check_chern),
-    "rootwall": (_diagrams, _check_root_wall),
-    "ci": (_rectangles, _check_ci),
-    "triviality": (_diagrams, _check_triviality),
-    "gieseker": (_diagrams, _check_gieseker),
+# name -> (instances, node predicate, diagram predicate); None means no such part
+_CHECKS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
+    "nesting": (_diagrams, _check_nesting, None),
+    "purity": (_diagrams, _check_purity, None),
+    "duality": (_diagrams, _check_duality, None),
+    "chern": (_diagrams, _check_chern, _check_resolution_chern),
+    "rootwall": (_diagrams, None, _check_root_wall),
+    "ci": (_rectangles, None, _check_ci),
+    "triviality": (_diagrams, _check_triviality, None),
+    "gieseker": (_diagrams, None, _check_gieseker),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -344,12 +351,23 @@ def run_check(
         n_max = DEFAULT_CI_BOUND if name == "ci" else DEFAULT_BOUND
     if n_max < 0:
         raise ValueError(f"degree bound must be nonnegative, got {n_max}")
-    enumerate_instances, check = _CHECKS[name]
+    enumerate_instances, node_check, item_check = _CHECKS[name]
     instances = enumerate_instances(n_max)[start:stop]
     begin = time.perf_counter()
+    # id(node) -> (node, details); holding the node keeps its id unique
+    checked: dict[int, tuple[DecompositionTree, tuple[str, ...]]] = {}
     failures = []
     for item in instances:
-        for detail in check(item):
+        details = []
+        if node_check:
+            for root in _tree_roots(item):
+                for node in internal_nodes(decompose(root)):
+                    if id(node) not in checked:
+                        checked[id(node)] = node, tuple(node_check(node))
+                    details += checked[id(node)][1]
+        if item_check:
+            details += item_check(item)
+        for detail in details:
             if len(failures) < FAILURE_CAP:
                 failures.append(Failure(item, detail))
     return VerificationReport(

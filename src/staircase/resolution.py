@@ -81,8 +81,7 @@ class BettiTable(NamedTuple):
     beta1: dict[int, int]
 
 
-def betti_table(generators) -> BettiTable:
-    res = minimal_free_resolution(generators)
+def betti_table(res: FreeResolution) -> BettiTable:
     return BettiTable(
         dict(sorted(Counter(-t for t in res.generator_twists).items())),
         dict(sorted(Counter(-t for t in res.syzygy_twists).items())),

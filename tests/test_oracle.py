@@ -9,7 +9,19 @@ from hypothesis import strategies as st
 
 from staircase import objects, oracle
 from staircase.diagram import enumerate_diagrams_upto
-from staircase.objects import decompose, destabilizing_sequence, internal_nodes
+from staircase.objects import (
+    DestabilizingSequence,
+    RankZero,
+    candidate_walls,
+    chern_of,
+    decompose,
+    destabilizing_sequence,
+    internal_nodes,
+    parse_tree,
+    rank_one,
+    serialize_tree,
+    text_name,
+)
 from staircase.oracle import (
     CHECK_NAMES,
     FAILURE_CAP,
@@ -20,7 +32,7 @@ from staircase.oracle import (
     render_reports,
     run_check,
 )
-from staircase.walls import SemicircleWall
+from staircase.walls import SemicircleWall, potential_wall
 
 BOUND = 12
 
@@ -184,3 +196,123 @@ def test_nesting_computes_no_step_beyond_the_tree_memo(monkeypatch):
     report = run_check("nesting", 10)
     assert report.passed
     assert 0 < calls <= decompose.cache_info().misses
+
+
+@pytest.fixture
+def tamper(monkeypatch):
+    """Replace the destabilizing step of one object in every tree built after.
+
+    The ``decompose`` memo is cleared when the step is replaced and again at
+    teardown, so no tampered tree outlives the test.
+    """
+
+    def apply(target, change):
+        real = objects.destabilizing_sequence
+
+        def tampered(obj):
+            return change(obj, real(obj)) if obj == target else real(obj)
+
+        monkeypatch.setattr(objects, "destabilizing_sequence", tampered)
+        decompose.cache_clear()
+
+    yield apply
+    decompose.cache_clear()
+
+
+def shifted_wall(obj, seq):
+    return replace(seq, wall=SemicircleWall(seq.wall.center - 1, seq.wall.radius_sq))
+
+
+# an object whose node the trees of many diagrams share
+SHARED = RankZero((5,), 1, 0)
+SHARED_BOUND = 8
+
+
+def unmemoized_failures(name, n_max):
+    """The failures of a walk that checks every visit afresh, uncapped."""
+    _, node_check, item_check = oracle._CHECKS[name]
+    failures = []
+    for d in oracle._diagrams(n_max):
+        for root in oracle._tree_roots(d):
+            for node in internal_nodes(oracle.decompose(root)):
+                failures += [Failure(d, detail) for detail in node_check(node)]
+        if item_check:
+            failures += [Failure(d, detail) for detail in item_check(d)]
+    return failures
+
+
+def test_node_predicates_run_once_per_distinct_node(monkeypatch):
+    calls = 0
+    euler_char = oracle.euler_char
+
+    def counting(ch):
+        nonlocal calls
+        calls += 1
+        return euler_char(ch)
+
+    monkeypatch.setattr(oracle, "euler_char", counting)
+    distinct = {
+        id(node): node
+        for d in oracle._diagrams(BOUND)
+        for root in oracle._tree_roots(d)
+        for node in internal_nodes(decompose(root))
+    }
+    assert run_check("chern", BOUND).passed
+    assert len(distinct) == 611
+    assert calls == 3 * len(distinct)  # three pairings per node, in chern only
+
+
+@pytest.mark.parametrize("name", ["nesting", "chern"])
+def test_a_tampered_shared_node_is_replayed_at_every_visit(tamper, name):
+    tamper(SHARED, shifted_wall)
+    expected = unmemoized_failures(name, SHARED_BOUND)
+    report = run_check(name, SHARED_BOUND)
+    assert report.failures == tuple(expected[:FAILURE_CAP])
+    assert len({failure.diagram for failure in report.failures}) > 1
+    if name == "chern":
+        assert len(expected) > FAILURE_CAP
+
+
+def test_no_node_details_leak_across_runs(tamper):
+    assert run_check("chern", SHARED_BOUND).passed
+    tamper(SHARED, shifted_wall)
+    assert not run_check("chern", SHARED_BOUND).passed
+
+
+def test_a_re_parsed_tree_is_checked_on_its_own(monkeypatch):
+    """A tree over the same objects as the memo's nodes is not the same tree."""
+    real = oracle.decompose
+
+    def reparsed(obj):
+        tree = real(obj)
+        if obj == SHARED:  # a rank-0 root, and inside many other trees
+            tampered = replace(tree, sequence=shifted_wall(obj, tree.sequence))
+            tree = parse_tree(serialize_tree(tampered))
+        return tree
+
+    monkeypatch.setattr(oracle, "decompose", reparsed)
+    report = run_check("chern", SHARED_BOUND)
+    assert report.failures
+    assert report.failures == tuple(unmemoized_failures("chern", SHARED_BOUND)[:FAILURE_CAP])
+
+
+def test_chern_reports_a_cut_that_is_not_the_largest(tamper):
+    """A real candidate step along a smaller wall passes every other clause."""
+    obj = rank_one((3, 1))
+    best = destabilizing_sequence(obj)
+    cut = ("vertical", 3)  # a pure quotient, on a smaller wall
+    wall = dict(candidate_walls(obj))[cut]
+    assert wall != best.wall
+
+    def smaller_cut(obj, seq):
+        sub, quotient = objects._sequence_parts(obj, cut)
+        assert potential_wall(chern_of(sub), chern_of(obj)) == wall
+        return DestabilizingSequence(sub, quotient, wall, cut)
+
+    tamper(obj, smaller_cut)
+    report = run_check("chern", 4)
+    assert (3, 1) in {failure.diagram for failure in report.failures}
+    assert {failure.detail for failure in report.failures} == {
+        f"cut {cut} is not the first largest candidate {best.cut}"
+        f" (wall {best.wall}) at {text_name(obj)}"
+    }

@@ -98,15 +98,15 @@ def test_matrix_shape_and_degrees():
 
 
 def test_betti_tables():
-    assert betti_table([(1, 0), (0, 1)]) == BettiTable({1: 2}, {2: 1})
+    koszul = minimal_free_resolution([(1, 0), (0, 1)])
+    assert betti_table(koszul) == BettiTable({1: 2}, {2: 1})
     for a in range(1, 5):
         for b in range(a, 5):
-            gens = [(a, 0), (0, b)]
+            res = minimal_free_resolution([(a, 0), (0, b)])
             beta0 = {a: 1, b: 1} if a != b else {a: 2}
-            assert betti_table(gens) == BettiTable(beta0, {a + b: 1})
-    assert betti_table([(5, 0), (4, 2), (3, 3), (0, 5)]) == BettiTable(
-        {5: 2, 6: 2}, {7: 2, 8: 1}
-    )
+            assert betti_table(res) == BettiTable(beta0, {a + b: 1})
+    res = minimal_free_resolution([(5, 0), (4, 2), (3, 3), (0, 5)])
+    assert betti_table(res) == BettiTable({5: 2, 6: 2}, {7: 2, 8: 1})
 
 
 def test_render_resolution():
@@ -134,7 +134,7 @@ def test_render_matrix():
 
 
 def test_render_betti():
-    table = betti_table([(5, 0), (4, 2), (3, 3), (0, 5)])
+    table = betti_table(minimal_free_resolution([(5, 0), (4, 2), (3, 3), (0, 5)]))
     assert render_betti(table) == "\n".join(
         [
             "deg  5  6  7  8",
