@@ -262,14 +262,15 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     from the integer characters of :func:`_candidate_subs` by cross-multiplied
     comparisons, so it is the first minimum of :func:`candidate_walls` (the
     reference) under the key ``center``, ``-radius_sq`` or ``-center``.  The
-    stored wall is :func:`potential_wall` of the chosen subobject and the
-    object, computed once.
+    stored wall is :func:`potential_wall` of the chosen candidate's own
+    integer character and the object, computed once; the oracle's ``chern``
+    check compares it with the walls of the sliced sub and quotient.
     """
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
     target = chern_of(obj)
     r2, c2, e2 = target.r, int(target.c1), int(2 * target.ch2)
-    best_cut, best_p, best_q = None, 0, 1
+    best_cut, best_sub, best_p, best_q = None, None, 0, 1
     for cut, sub in _candidate_subs(obj):
         r1, c1, e1 = sub
         # center = num/den and radius_sq = (num^2 + 2*den*cross)/den^2,
@@ -286,12 +287,11 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
         else:
             p, q = (r2 * num, den) if den > 0 else (-r2 * num, -den)
         if best_cut is None or p * best_q < best_p * q:
-            best_cut, best_p, best_q = cut, p, q
-    sub, quotient = _sequence_parts(obj, best_cut)
-    wall = potential_wall(chern_of(sub), target)
+            best_cut, best_sub, best_p, best_q = cut, sub, p, q
+    wall = potential_wall(_from_scaled(best_sub), target)
     if is_empty(wall):
         raise AssertionError(f"selected wall at {best_cut} for {obj!r} is empty")
-    return DestabilizingSequence(sub, quotient, wall, best_cut)
+    return DestabilizingSequence(*_sequence_parts(obj, best_cut), wall, best_cut)
 
 
 def _sequence_parts(obj: MonomialObject, cut: Cut) -> tuple[MonomialObject, MonomialObject]:

@@ -12,12 +12,12 @@ once per run and later visits replay its details; the witnesses and the
 shard checks its own distinct nodes, and :func:`merge_reports` folds the
 fragments, in index order, into the report of one serial run.
 
-Node predicates read each destabilizing sequence, and the optimal
-invariants ``(mu_opt, Delta_opt)`` of its wall, from the nodes that
-:func:`decompose` built.  The ``chern`` check recomputes each node wall with
-:func:`potential_wall` from the Chern characters of sub, node and quotient,
-and the chosen cut with :func:`candidate_walls`, so the general wall
-formula stays the reference against which every tree is checked.
+Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
+wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
+``duality`` is the only fresh step.  The ``chern`` check recomputes each node
+wall with :func:`potential_wall` from the Chern characters of the sliced sub,
+node and quotient, and the chosen cut with :func:`candidate_walls`, so the
+general wall formula stays the reference against which every tree is checked.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .diagram import (
     row_count,
     slice_below,
     to_generators,
-    transpose,
 )
 from .ktheory import (
     central_charge,
@@ -57,18 +56,16 @@ from .objects import (
     chern_of,
     decompose,
     derived_dual,
-    destabilizing_sequence,
     internal_nodes,
     is_trivial,
     mu_opt,
     rank_minus_one,
     rank_one,
-    rank_zero,
     text_name,
 )
 from .resolution import minimal_free_resolution
 from .slopes import is_horizontally_pure, scheme_slope
-from .walls import is_nested, orthogonal_invariants, potential_wall
+from .walls import is_empty, is_nested, orthogonal_invariants, potential_wall
 
 FAILURE_CAP = 100
 DEFAULT_BOUND = 18
@@ -110,11 +107,10 @@ def merge_reports(first: VerificationReport, second: VerificationReport) -> Veri
 
 
 def _tree_roots(diagram: Diagram):
-    """The root objects whose trees are probed for one diagram."""
-    yield rank_one(diagram)
-    best = scheme_slope(diagram)
-    base = transpose(diagram) if best.orientation == "vertical" else diagram
-    yield rank_zero(slice_below(base, best.index), best.index)
+    """I_Z, the rank-0 quotient of its root step, and its box's rank -1 object."""
+    root = rank_one(diagram)
+    yield root
+    yield decompose(root).sequence.quotient
     full = rank_minus_one(diagram, row_count(diagram), col_count(diagram))
     if not is_trivial(full):
         yield full
@@ -181,13 +177,14 @@ def _check_duality(node: DecompositionTree) -> Iterator[str]:
 
 
 def _check_chern(node: DecompositionTree) -> Iterator[str]:
-    """Chern additivity, wall agreement, largest-wall cut, orthogonality."""
+    """Chern additivity, wall agreement, largest cut, orthogonality on a nonempty wall."""
     seq = node.sequence
     total = chern_of(node.node)
     sub = chern_of(seq.sub)
     quot = chern_of(seq.quotient)
     if chern(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
         yield f"chern additivity fails at {text_name(node.node)}"
+    # the stored wall came from the cut's integer character, not from this slice
     if potential_wall(sub, total) != seq.wall:
         yield f"W(sub, node) differs from node wall at {text_name(node.node)}"
     if potential_wall(total, quot) != seq.wall:
@@ -202,6 +199,9 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
             f"cut {seq.cut} is not the first largest candidate {cut}"
             f" (wall {wall}) at {text_name(node.node)}"
         )
+    if is_empty(seq.wall):
+        yield f"empty node wall {seq.wall} at {text_name(node.node)}"
+        return
     mu, delta = orthogonal_invariants(seq.wall)
     zeta = from_slope_discriminant(1, mu, delta)
     for name, ch in (("sub", sub), ("node", total), ("quotient", quot)):
@@ -232,13 +232,12 @@ def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:
 
 
 def _check_root_wall(diagram: Diagram) -> Iterator[str]:
-    """Root wall center and radius from the scheme slope, transposing first."""
+    """The root step of I_Z cuts, centers and sizes its wall by the scheme slope."""
     best = scheme_slope(diagram)
-    base = transpose(diagram) if best.orientation == "vertical" else diagram
-    seq = destabilizing_sequence(rank_one(base))
+    seq = decompose(rank_one(diagram)).sequence
     center = -best.value - Fraction(3, 2)
-    if seq.cut != ("horizontal", best.index):
-        yield f"root cut {seq.cut} is not horizontal at k={best.index}"
+    if seq.cut != (best.orientation, best.index):
+        yield f"root cut {seq.cut} is not {best.orientation} at k={best.index}"
     if seq.wall.center != center:
         yield f"root wall center {seq.wall.center} != {center}"
     if seq.wall.radius_sq != center**2 - 2 * degree(diagram):
@@ -246,10 +245,10 @@ def _check_root_wall(diagram: Diagram) -> Iterator[str]:
 
 
 def _check_ci(rectangle: Diagram) -> Iterator[str]:
-    """Closed forms for a complete intersection, both wall-crossing stages."""
+    """Closed forms for a complete intersection at the first two steps of its tree."""
     a, b = col_count(rectangle), row_count(rectangle)
-    seq = destabilizing_sequence(rank_one(rectangle))
-    second = destabilizing_sequence(seq.quotient)
+    tree = decompose(rank_one(rectangle))
+    seq, second = tree.sequence, tree.quotient.sequence
     mu, delta = orthogonal_invariants(seq.wall)
     second_mu, second_delta = orthogonal_invariants(second.wall)
     if seq.sub != rank_one((), -a):
@@ -281,7 +280,7 @@ def _check_triviality(node: DecompositionTree) -> Iterator[str]:
     seq = node.sequence
     obj = node.node
     where = f"{text_name(obj)}"
-    if seq.wall.radius_sq <= 0:
+    if is_empty(seq.wall):
         yield f"empty destabilizing wall at {where}"
     direction, index = seq.cut
     if isinstance(obj, RankOne):

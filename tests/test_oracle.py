@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircase import objects, oracle
-from staircase.diagram import enumerate_diagrams_upto
+from staircase import cli, objects, oracle, slopes
+from staircase.diagram import (
+    col_count,
+    enumerate_diagrams_upto,
+    row_count,
+    slice_below,
+    transpose,
+)
 from staircase.objects import (
     DestabilizingSequence,
     RankZero,
@@ -17,8 +23,11 @@ from staircase.objects import (
     decompose,
     destabilizing_sequence,
     internal_nodes,
+    is_trivial,
     parse_tree,
+    rank_minus_one,
     rank_one,
+    rank_zero,
     serialize_tree,
     text_name,
 )
@@ -191,7 +200,7 @@ def test_nesting_computes_no_step_beyond_the_tree_memo(monkeypatch):
         return destabilizing_sequence(obj)
 
     monkeypatch.setattr(objects, "destabilizing_sequence", counting)
-    monkeypatch.setattr(oracle, "destabilizing_sequence", counting)
+    monkeypatch.setattr(oracle, "destabilizing_sequence", counting, raising=False)
     decompose.cache_clear()
     report = run_check("nesting", 10)
     assert report.passed
@@ -316,3 +325,79 @@ def test_chern_reports_a_cut_that_is_not_the_largest(tamper):
         f"cut {cut} is not the first largest candidate {best.cut}"
         f" (wall {best.wall}) at {text_name(obj)}"
     }
+
+
+def test_tree_roots_are_read_from_the_rank_one_tree(monkeypatch):
+    """The rank-0 root is the scheme-slope object, yet no slope is recomputed."""
+
+    def no_slope(diagram):
+        raise AssertionError("_tree_roots recomputed the scheme slope")
+
+    monkeypatch.setattr(oracle, "scheme_slope", no_slope)
+    for d in oracle._diagrams(14):
+        best = slopes.scheme_slope(d)
+        base = transpose(d) if best.orientation == "vertical" else d
+        expected = [rank_one(d), rank_zero(slice_below(base, best.index), best.index)]
+        full = rank_minus_one(d, row_count(d), col_count(d))
+        if not is_trivial(full):
+            expected.append(full)
+        assert list(oracle._tree_roots(d)) == expected
+
+
+def test_rootwall_takes_no_step_beyond_the_built_trees(monkeypatch):
+    calls = 0
+
+    def counting(obj):
+        nonlocal calls
+        calls += 1
+        return destabilizing_sequence(obj)
+
+    monkeypatch.setattr(objects, "destabilizing_sequence", counting)
+    monkeypatch.setattr(oracle, "destabilizing_sequence", counting, raising=False)
+    decompose.cache_clear()
+    assert run_check("nesting", BOUND).passed
+    calls = 0
+    report = run_check("rootwall", BOUND)
+    decompose.cache_clear()
+    assert report.passed and report.instances == 271
+    assert calls == 0
+
+
+def test_rootwall_reports_a_root_cut_that_is_not_the_scheme_slope_cut(tamper):
+    obj = rank_one((3, 1))
+    best = slopes.scheme_slope((3, 1))
+    cut = ("vertical", 3)  # a real step, on a smaller wall
+
+    def smaller_cut(obj, seq):
+        sub, quotient = objects._sequence_parts(obj, cut)
+        return DestabilizingSequence(sub, quotient, dict(candidate_walls(obj))[cut], cut)
+
+    tamper(obj, smaller_cut)
+    report = run_check("rootwall", 4)
+    assert {failure.diagram for failure in report.failures} == {(3, 1)}
+    assert (
+        f"root cut {cut} is not {best.orientation} at k={best.index}"
+        in {failure.detail for failure in report.failures}
+    )
+
+
+def emptied_wall(obj, seq):
+    return replace(seq, wall=SemicircleWall(seq.wall.center, -seq.wall.radius_sq))
+
+
+def test_an_empty_node_wall_is_a_witness_not_an_abort(tamper, monkeypatch, capsys):
+    monkeypatch.delenv(cli.REPORT_PATH_VAR, raising=False)
+    tamper(SHARED, emptied_wall)
+    where = text_name(SHARED)
+    chern_report = run_check("chern", BOUND)
+    assert not chern_report.passed
+    assert any(
+        failure.detail.startswith("empty node wall") and failure.detail.endswith(where)
+        for failure in chern_report.failures
+    )
+    triviality = run_check("triviality", BOUND)
+    assert f"empty destabilizing wall at {where}" in {f.detail for f in triviality.failures}
+    assert cli.main(["verify", "--check", "chern", "--max-degree", str(BOUND)]) == 1
+    out, err = capsys.readouterr()
+    assert out == render_report(chern_report) + "\n"
+    assert "1 check(s) FAILED" in err

@@ -87,6 +87,8 @@ def test_leaf_characters_sum_to_the_ideal(diagram):
 @settings(max_examples=15, deadline=None)
 @given(skewed_diagrams())
 def test_root_wall_is_fixed_by_the_scheme_slope(diagram):
-    wall = destabilizing_sequence(rank_one(diagram)).wall
-    center = -scheme_slope(diagram).value - Fraction(3, 2)
-    assert (wall.center, wall.radius_sq) == (center, center * center - 2 * degree(diagram))
+    seq = destabilizing_sequence(rank_one(diagram))
+    best = scheme_slope(diagram)
+    center = -best.value - Fraction(3, 2)
+    assert seq.cut == (best.orientation, best.index)
+    assert (seq.wall.center, seq.wall.radius_sq) == (center, center * center - 2 * degree(diagram))
