@@ -13,15 +13,7 @@ import argparse
 import os
 import sys
 
-from .diagram import (
-    IdealSyntaxError,
-    col_count,
-    degree,
-    parse_ideal,
-    render_ideal,
-    row_count,
-    to_generators,
-)
+from .diagram import IdealSyntaxError, degree, parse_ideal, render_ideal
 from .objects import (
     ShiftedLineBundle,
     decompose,
@@ -98,19 +90,19 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_dual(args) -> int:
     diagram = _parse_nonempty(args.ideal)
-    source = rank_minus_one(diagram, row_count(diagram), col_count(diagram))
+    source = rank_minus_one(diagram)
     print(f"F = {text_name(source)}")
     if isinstance(source, ShiftedLineBundle):
         print(f"dual = O({-source.twist})[-1]")
     else:
-        dual_diagram, twist, _ = derived_dual(source)
+        dual_diagram, twist = derived_dual(source)
         print(f"dual = I({','.join(map(str, dual_diagram))})({twist})[-1]")
     return 0
 
 
 def _cmd_resolution(args) -> int:
     diagram = parse_ideal(args.ideal)
-    res = minimal_free_resolution(to_generators(diagram))
+    res = minimal_free_resolution(diagram)
     print(render_resolution(res))
     print("betti:")
     print(render_betti(betti_table(res)))

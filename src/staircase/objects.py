@@ -7,8 +7,8 @@ Three kinds of nontrivial objects occur:
   (the diagram may have fewer than k rows, "padding"); construction requires
   horizontal purity;
 * ``RankMinusOne(D, k, i, twist)`` — the two-term complex
-  O(-k) + O(-i) -> I_Z (twisted) with the diagram filling a k x i bounding
-  box exactly.
+  O(-k) + O(-i) -> I_Z (twisted) on the k x i bounding box of D; the box is
+  fixed by D, and ``k``, ``i`` are kept for names and serialization.
 
 Trivial objects are the leaves ``LineBundle(m)`` = O(m) and
 ``ShiftedLineBundle(m)`` = O(m)[1]; the factory functions normalize the
@@ -150,15 +150,12 @@ def rank_zero(diagram, k: int, twist: int = 0) -> RankZero:
     return RankZero(diagram, k, twist)
 
 
-def rank_minus_one(diagram, k: int, i: int, twist: int = 0) -> ShiftedLineBundle | RankMinusOne:
-    """The complex O(-k) + O(-i) -> I_Z (twisted); trivial for the full box."""
+def rank_minus_one(diagram, twist: int = 0) -> ShiftedLineBundle | RankMinusOne:
+    """O(-k) + O(-i) -> I_Z (twisted) on Z's k x i bounding box; trivial if Z fills it."""
     diagram = as_diagram(diagram)
-    if k < 1 or i < 1:
+    k, i = row_count(diagram), col_count(diagram)
+    if not diagram:
         raise ValueError(f"box dimensions must be positive, got {k} x {i}")
-    if row_count(diagram) != k or col_count(diagram) != i:
-        raise ValueError(
-            f"diagram {diagram} does not fill a {k} x {i} bounding box"
-        )
     if diagram == (i,) * k:
         return ShiftedLineBundle(twist - k - i)
     return RankMinusOne(diagram, k, i, twist)
@@ -296,9 +293,8 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
 
 def _sequence_parts(obj: MonomialObject, cut: Cut) -> tuple[MonomialObject, MonomialObject]:
     direction, index = cut
-    t = obj.twist
+    d, t = obj.diagram, obj.twist
     if isinstance(obj, RankOne):
-        d = obj.diagram
         if direction == "horizontal":
             return (
                 rank_one(slice_above(d, index), t - index),
@@ -309,22 +305,20 @@ def _sequence_parts(obj: MonomialObject, cut: Cut) -> tuple[MonomialObject, Mono
             rank_zero(transpose(slice_left(d, index)), index, t),
         )
     if isinstance(obj, RankZero):
-        d = obj.diagram
         if index == 0:
             return rank_one(d, t), ShiftedLineBundle(t - obj.k)
         return (
             rank_one(slice_right(d, index), t - index),
-            rank_minus_one(slice_left(d, index), obj.k, index, t),
+            rank_minus_one(slice_left(d, index), t),
         )
-    d, k, i = obj.diagram, obj.k, obj.i
     if direction == "horizontal":
         return (
-            rank_zero(slice_above(d, index), k - index, t - index),
-            rank_minus_one(slice_below(d, index), index, i, t),
+            rank_zero(slice_above(d, index), obj.k - index, t - index),
+            rank_minus_one(slice_below(d, index), t),
         )
     return (
-        rank_zero(transpose(slice_right(d, index)), i - index, t - index),
-        rank_minus_one(slice_left(d, index), k, index, t),
+        rank_zero(transpose(slice_right(d, index)), obj.i - index, t - index),
+        rank_minus_one(slice_left(d, index), t),
     )
 
 
@@ -385,16 +379,16 @@ def _optimal_invariants(obj: MonomialObject) -> tuple[Fraction, Fraction]:
     return orthogonal_invariants(destabilizing_sequence(obj).wall)
 
 
-def derived_dual(obj: RankMinusOne) -> tuple[Diagram, int, int]:
-    """Rotated-complement dual data (diagram', twist', shift) of a rank -1 object.
+def derived_dual(obj: RankMinusOne) -> tuple[Diagram, int]:
+    """Rotated-complement dual data (diagram', twist') of a rank -1 object.
 
     The complex (O(-k) + O(-i) -> I_Z)(twist) dualizes to
     I_{Z'}(k + i - twist)[-1] with Z' the half-turn complement of Z in the
-    k x i box.
+    k x i box; the shift is always -1.
     """
     if not isinstance(obj, RankMinusOne):
         raise ValueError(f"derived_dual acts on rank -1 objects, got {obj!r}")
-    return complement_rotate(obj.diagram, obj.k, obj.i), obj.k + obj.i - obj.twist, -1
+    return complement_rotate(obj.diagram, obj.k, obj.i), obj.k + obj.i - obj.twist
 
 
 def text_name(obj: MonomialObject) -> str:
@@ -466,7 +460,10 @@ def object_from_dict(data: dict) -> MonomialObject:
     if kind == "rank0":
         return rank_zero(data["diagram"], data["lines"], data["twist"])
     if kind == "rank-1":
-        return rank_minus_one(data["diagram"], data["lines"], data["colines"], data["twist"])
+        diagram, k, i = as_diagram(data["diagram"]), data["lines"], data["colines"]
+        if (row_count(diagram), col_count(diagram)) != (k, i):
+            raise ValueError(f"diagram {diagram} does not fill a {k} x {i} bounding box")
+        return rank_minus_one(diagram, data["twist"])
     raise ValueError(f"unknown object type {kind!r}")
 
 

@@ -4,13 +4,15 @@ A check is a node predicate, a diagram predicate or both, folded over the
 deterministic instance enumeration; each detail a predicate yields becomes
 a witness in the report.  A node predicate tests one internal tree node and
 its two children.  :func:`run_check` owns the only tree walk: per diagram,
-the internal nodes of every :func:`_tree_roots` tree in preorder, then the
-diagram predicate.  Trees share subtrees, so each distinct node is checked
-once per run and later visits replay its details; the witnesses and the
-``FAILURE_CAP`` cut stay those of checking every visit.  An index range
-``[start, stop)`` of the instances splits a run into shards by hand; each
-shard checks its own distinct nodes, and :func:`merge_reports` folds the
-fragments, in index order, into the report of one serial run.
+the internal nodes of its :func:`_tree_roots` trees in preorder, then the
+diagram predicate.  The roots are I_Z and its box's rank -1 object; the
+rank-0 quotient of I_Z's root step is checked inside I_Z's tree.  Trees
+share subtrees, so each distinct node is checked once per run and later
+visits replay its details; the witnesses and the ``FAILURE_CAP`` cut stay
+those of checking every visit.  An index range ``[start, stop)`` of the
+instances splits a run into shards by hand; each shard checks its own
+distinct nodes, and :func:`merge_reports` folds the fragments, in index
+order, into the report of one serial run.
 
 Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
 wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
@@ -35,7 +37,6 @@ from .diagram import (
     enumerate_diagrams_upto,
     row_count,
     slice_below,
-    to_generators,
 )
 from .ktheory import (
     central_charge,
@@ -107,11 +108,12 @@ def merge_reports(first: VerificationReport, second: VerificationReport) -> Veri
 
 
 def _tree_roots(diagram: Diagram):
-    """I_Z, the rank-0 quotient of its root step, and its box's rank -1 object."""
-    root = rank_one(diagram)
-    yield root
-    yield decompose(root).sequence.quotient
-    full = rank_minus_one(diagram, row_count(diagram), col_count(diagram))
+    """I_Z and, unless Z fills its box, the box's rank -1 object.
+
+    I_Z's rank-0 quotient I_{Z_k in kL} is checked as its quotient subtree.
+    """
+    yield rank_one(diagram)
+    full = rank_minus_one(diagram)
     if not is_trivial(full):
         yield full
 
@@ -160,9 +162,9 @@ def _check_duality(node: DecompositionTree) -> Iterator[str]:
     obj = node.node
     if not isinstance(obj, RankMinusOne):
         return
-    dual_diagram, twist, shift = derived_dual(obj)
-    if shift != -1 or twist != obj.k + obj.i - obj.twist:
-        yield f"unexpected dual twist/shift at {text_name(obj)}"
+    dual_diagram, twist = derived_dual(obj)
+    if twist != obj.k + obj.i - obj.twist:
+        yield f"unexpected dual twist at {text_name(obj)}"
     if dual_diagram != complement_rotate(obj.diagram, obj.k, obj.i):
         yield f"dual diagram is not the rotated complement at {text_name(obj)}"
     if complement_rotate(dual_diagram, obj.k, obj.i) != obj.diagram:
@@ -221,7 +223,7 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
 
 def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:
     """The Chern characters of the minimal free resolution sum to the ideal's."""
-    res = minimal_free_resolution(to_generators(diagram))
+    res = minimal_free_resolution(diagram)
     total = [Fraction(0)] * 3
     for twist in res.generator_twists:
         total = [x + y for x, y in zip(total, line_bundle(twist))]

@@ -1,8 +1,9 @@
 """Minimal free resolutions of monomial ideal sheaves.
 
-A monomial ideal with minimal generators ``x^{a_i} y^{b_i}`` (``a_1 > ... >
-a_r = 0``, ``0 = b_1 < ... < b_r``) has a length-one resolution whose syzygy
-module is free with one relation between each pair of consecutive generators:
+The ideal is given by its diagram, which fixes the minimal generators
+``x^{a_i} y^{b_i}`` (``a_1 > ... > a_r = 0``, ``0 = b_1 < ... < b_r``).  The
+ideal has a length-one resolution whose syzygy module is free with one
+relation between each pair of consecutive generators:
 
     0 -> (+)_{i<r} O(-a_i - b_{i+1}) -> (+)_i O(-a_i - b_i) -> I_Z -> 0
 
@@ -17,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagram import from_generators, to_generators
+from .diagram import as_diagram, to_generators
 
 
 class MatrixEntry(NamedTuple):
@@ -50,16 +51,9 @@ class FreeResolution:
         return len(self.syzygy_twists)
 
 
-def minimal_free_resolution(generators) -> FreeResolution:
-    """Resolve the ideal sheaf generated by the exponent pairs given.
-
-    The generators must be minimal; redundant or invalid sets are rejected.
-    """
-    gens = tuple((int(a), int(b)) for a, b in generators)
-    minimal = to_generators(from_generators(gens))
-    if sorted(gens) != sorted(minimal):
-        raise ValueError(f"generators {gens} are not minimal")
-    gens = minimal  # descending a, ascending b
+def minimal_free_resolution(diagram) -> FreeResolution:
+    """Resolve the ideal sheaf I_Z of the diagram's minimal generators."""
+    gens = to_generators(as_diagram(diagram))  # descending a, ascending b
     gen_twists = tuple(-(a + b) for a, b in gens)
     syz_twists = tuple(-(gens[i][0] + gens[i + 1][1]) for i in range(len(gens) - 1))
     columns = []

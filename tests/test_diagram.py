@@ -136,6 +136,8 @@ def test_generators_pinned_and_round_trip():
         from_generators([(1, 0), (1, 1)])  # no pure y-power
     with pytest.raises(ValueError):
         from_generators([(0, 1), (1, 1)])  # no pure x-power
+    with pytest.raises(ValueError):
+        from_generators([(1, -1), (0, 1)])  # negative exponent
 
 
 def test_generator_convention_and_round_trip_exhaustive():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def all_test_objects(bound):
         yield rank_one(d)
         bottom, k = pure_bottom(d)
         yield rank_zero(bottom, k)
-        obj = rank_minus_one(d, row_count(d), col_count(d))
+        obj = rank_minus_one(d)
         if not is_trivial(obj):
             yield obj
 
@@ -83,9 +84,9 @@ def all_test_objects(bound):
 def test_factory_normalization():
     assert rank_one((), -8) == LineBundle(-8)
     assert isinstance(rank_one((1,)), RankOne)
-    assert rank_minus_one((3, 3), 2, 3) == ShiftedLineBundle(-5)
-    assert rank_minus_one((3, 3), 2, 3, twist=4) == ShiftedLineBundle(-1)
-    assert isinstance(rank_minus_one((7, 7, 7, 7, 6), 5, 7), RankMinusOne)
+    assert rank_minus_one((3, 3)) == ShiftedLineBundle(-5)
+    assert rank_minus_one((3, 3), twist=4) == ShiftedLineBundle(-1)
+    assert isinstance(rank_minus_one((7, 7, 7, 7, 6)), RankMinusOne)
     assert is_trivial(LineBundle(0))
     assert is_trivial(ShiftedLineBundle(-2))
     assert not is_trivial(rank_one((1,)))
@@ -98,10 +99,8 @@ def test_factory_validation():
         rank_zero((3, 3), 3)
     with pytest.raises(ValueError):
         rank_zero((1, 1, 1), 2)  # too many rows
-    with pytest.raises(ValueError):
-        rank_minus_one((3, 1), 3, 3)  # box taller than the diagram
-    with pytest.raises(ValueError):
-        rank_minus_one((3, 1), 2, 4)  # box wider than the diagram
+    with pytest.raises(ValueError, match="got 0 x 0"):
+        rank_minus_one(())  # the empty scheme has no bounding box
     assert isinstance(rank_zero((1,), 3), RankZero)  # padding is allowed
 
 
@@ -111,7 +110,7 @@ def test_chern_of_pinned():
     assert tuple(chern_of(ShiftedLineBundle(-2))) == (-1, 2, -2)
     assert tuple(chern_of(rank_one((4, 3, 3), -5))) == (1, -5, Fraction(5, 2))
     assert tuple(chern_of(rank_zero((9, 9, 7, 7, 6), 5))) == (0, 5, Fraction(-101, 2))
-    assert tuple(chern_of(rank_minus_one((7, 7, 7, 7, 6), 5, 7))) == (-1, 12, -71)
+    assert tuple(chern_of(rank_minus_one((7, 7, 7, 7, 6)))) == (-1, 12, -71)
 
 
 def test_candidate_walls_rank1_big():
@@ -145,7 +144,7 @@ def test_candidate_walls_rank0_pinned_table():
 
 
 def test_candidate_walls_rank_minus1_tie():
-    obj = rank_minus_one((7, 7, 7, 7, 6), 5, 7)
+    obj = rank_minus_one((7, 7, 7, 7, 6))
     candidates = dict(candidate_walls(obj))
     assert set(candidates) == {("horizontal", 4), ("vertical", 6)}
     assert candidates[("horizontal", 4)].center == Fraction(-21, 2)
@@ -378,7 +377,7 @@ def test_candidate_centers_match_closed_forms():
                 expected = Fraction(-index, 2) + Fraction(w - n, index) + t
                 assert wall.center == expected
         k, i = row_count(d), col_count(d)
-        obj = rank_minus_one(d, k, i)
+        obj = rank_minus_one(d)
         if is_trivial(obj):
             continue
         for (direction, j), wall in candidate_walls(obj):
@@ -408,7 +407,7 @@ def test_mu_delta_opt_pinned():
     assert delta_opt(rank_one(BIG)) == Fraction(72, 25)
     assert mu_opt(rank_zero((9, 9, 7, 7, 6), 5)) == Fraction(43, 5)
     assert delta_opt(rank_zero((9, 9, 7, 7, 6), 5)) == Fraction(17, 25)
-    assert mu_opt(rank_minus_one((7, 7, 7, 7, 6), 5, 7)) == 9
+    assert mu_opt(rank_minus_one((7, 7, 7, 7, 6))) == 9
     with pytest.raises(ValueError):
         mu_opt(LineBundle(0))
 
@@ -425,7 +424,7 @@ def test_mu_delta_opt_closed_forms_exhaustive():
             orthogonal_invariants(wall)[1] for _, wall in candidate_walls(zero)
         ]
         assert delta_opt(zero) == max(deltas)
-        minus = rank_minus_one(d, row_count(d), col_count(d))
+        minus = rank_minus_one(d)
         if not is_trivial(minus):
             slopes = [
                 -wall.center - Fraction(3, 2) for _, wall in candidate_walls(minus)
@@ -445,19 +444,18 @@ def test_mu_opt_twist_covariance():
 
 
 def test_derived_dual_pinned():
-    assert derived_dual(rank_minus_one((7, 7, 7, 7, 6), 5, 7)) == ((1,), 12, -1)
-    assert derived_dual(rank_minus_one((3, 1), 2, 3)) == ((2,), 5, -1)
+    assert derived_dual(rank_minus_one((7, 7, 7, 7, 6))) == ((1,), 12)
+    assert derived_dual(rank_minus_one((3, 1))) == ((2,), 5)
     with pytest.raises(ValueError):
         derived_dual(LineBundle(0))
 
 
 def test_derived_dual_slope_identity_exhaustive():
     for d in enumerate_diagrams_upto(BOUND):
-        obj = rank_minus_one(d, row_count(d), col_count(d))
+        obj = rank_minus_one(d)
         if is_trivial(obj):
             continue
-        dual_diagram, twist, shift = derived_dual(obj)
-        assert shift == -1
+        dual_diagram, twist = derived_dual(obj)
         assert twist == row_count(d) + col_count(d)
         assert mu_opt(obj) == -scheme_slope(dual_diagram).value + twist - 3
 
@@ -516,6 +514,16 @@ def test_serialization_round_trip_and_determinism():
     assert parse_tree(pretty) == decompose(rank_one((1,)))
 
 
+def test_parse_tree_rejects_a_rank_minus_one_box_that_is_not_the_bounding_box():
+    text = serialize_tree(decompose(rank_minus_one((7, 7, 7, 7, 6))))
+    assert parse_tree(text).node == rank_minus_one((7, 7, 7, 7, 6))
+    for lines, colines in ((6, 7), (5, 8), (4, 6)):
+        data = json.loads(text)
+        data["object"].update(lines=lines, colines=colines)
+        with pytest.raises(ValueError, match=f"does not fill a {lines} x {colines} bounding"):
+            parse_tree(json.dumps(data))
+
+
 def test_dot_export_structure():
     dot = tree_to_dot(decompose(rank_one((1,))))
     assert dot.startswith("digraph")
@@ -529,7 +537,7 @@ def test_text_names():
     assert text_name(rank_one(BIG)) == "I(9,9,7,7,6,4,3,3)"
     assert text_name(rank_one((4, 3, 3), -5)) == "I(4,3,3)(-5)"
     assert text_name(rank_zero((9, 9, 7, 7, 6), 5)) == "I(9,9,7,7,6 in 5L)"
-    assert text_name(rank_minus_one((7, 7, 7, 7, 6), 5, 7)) == "F(7,7,7,7,6 in 5x7)"
+    assert text_name(rank_minus_one((7, 7, 7, 7, 6))) == "F(7,7,7,7,6 in 5x7)"
     assert text_name(LineBundle(-8)) == "O(-8)"
     assert text_name(ShiftedLineBundle(-11)) == "O(-11)[1]"
 

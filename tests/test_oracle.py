@@ -8,15 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase import cli, objects, oracle, slopes
-from staircase.diagram import (
-    col_count,
-    enumerate_diagrams_upto,
-    row_count,
-    slice_below,
-    transpose,
-)
+from staircase.diagram import enumerate_diagrams_upto, slice_below, transpose
 from staircase.objects import (
     DestabilizingSequence,
+    RankMinusOne,
     RankZero,
     candidate_walls,
     chern_of,
@@ -234,7 +229,7 @@ def shifted_wall(obj, seq):
 
 # an object whose node the trees of many diagrams share
 SHARED = RankZero((5,), 1, 0)
-SHARED_BOUND = 8
+SHARED_BOUND = 9
 
 
 def unmemoized_failures(name, n_max):
@@ -282,6 +277,15 @@ def test_a_tampered_shared_node_is_replayed_at_every_visit(tamper, name):
         assert len(expected) > FAILURE_CAP
 
 
+def test_each_witness_of_a_tampered_shared_node_is_reported_once(tamper):
+    """The rank-0 quotient is walked inside I_Z's tree only, not again as a root."""
+    tamper(SHARED, shifted_wall)
+    report = run_check("chern", 8)
+    pairs = [(failure.diagram, failure.detail) for failure in report.failures]
+    assert len(pairs) == 98
+    assert len(set(pairs)) == len(pairs)
+
+
 def test_no_node_details_leak_across_runs(tamper):
     assert run_check("chern", SHARED_BOUND).passed
     tamper(SHARED, shifted_wall)
@@ -291,10 +295,13 @@ def test_no_node_details_leak_across_runs(tamper):
 def test_a_re_parsed_tree_is_checked_on_its_own(monkeypatch):
     """A tree over the same objects as the memo's nodes is not the same tree."""
     real = oracle.decompose
+    # the box root of (4, 3), and a node in the box trees of (4, 3, 1) and (4, 3, 1, 1)
+    box = RankMinusOne((4, 3), 2, 4, 0)
+    assert box == rank_minus_one((4, 3))
 
     def reparsed(obj):
         tree = real(obj)
-        if obj == SHARED:  # a rank-0 root, and inside many other trees
+        if obj == box:
             tampered = replace(tree, sequence=shifted_wall(obj, tree.sequence))
             tree = parse_tree(serialize_tree(tampered))
         return tree
@@ -328,7 +335,7 @@ def test_chern_reports_a_cut_that_is_not_the_largest(tamper):
 
 
 def test_tree_roots_are_read_from_the_rank_one_tree(monkeypatch):
-    """The rank-0 root is the scheme-slope object, yet no slope is recomputed."""
+    """The scheme-slope rank-0 object is I_Z's quotient subtree, not a root of its own."""
 
     def no_slope(diagram):
         raise AssertionError("_tree_roots recomputed the scheme slope")
@@ -337,10 +344,10 @@ def test_tree_roots_are_read_from_the_rank_one_tree(monkeypatch):
     for d in oracle._diagrams(14):
         best = slopes.scheme_slope(d)
         base = transpose(d) if best.orientation == "vertical" else d
-        expected = [rank_one(d), rank_zero(slice_below(base, best.index), best.index)]
-        full = rank_minus_one(d, row_count(d), col_count(d))
-        if not is_trivial(full):
-            expected.append(full)
+        quotient = rank_zero(slice_below(base, best.index), best.index)
+        assert quotient == decompose(rank_one(d)).quotient.node
+        box = rank_minus_one(d)
+        expected = [rank_one(d)] if is_trivial(box) else [rank_one(d), box]
         assert list(oracle._tree_roots(d)) == expected
 
 

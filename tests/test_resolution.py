@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from staircase.diagram import degree, enumerate_diagrams_upto, to_generators, transpose
+from staircase.diagram import degree, enumerate_diagrams_upto, from_generators, transpose
 from staircase.ktheory import chern_of_ideal, line_bundle
 from staircase.resolution import (
     BettiTable,
@@ -16,18 +16,14 @@ from staircase.resolution import (
 )
 
 
-def resolution_of(diagram):
-    return minimal_free_resolution(to_generators(diagram))
-
-
 def test_pinned_quintic_example():
-    res = minimal_free_resolution([(5, 0), (4, 2), (3, 3), (0, 5)])
+    res = minimal_free_resolution(from_generators([(5, 0), (4, 2), (3, 3), (0, 5)]))
     assert res.generator_twists == (-5, -6, -6, -5)
     assert res.syzygy_twists == (-7, -7, -8)
 
 
 def test_pinned_point_koszul():
-    res = minimal_free_resolution([(1, 0), (0, 1)])
+    res = minimal_free_resolution(from_generators([(1, 0), (0, 1)]))
     assert res.generator_twists == (-1, -1)
     assert res.syzygy_twists == (-2,)
     ((top, bottom),) = res.matrix
@@ -37,31 +33,29 @@ def test_pinned_point_koszul():
 
 def test_pinned_degree48_example():
     res = minimal_free_resolution(
-        [(9, 0), (7, 2), (6, 4), (4, 5), (3, 6), (0, 8)]
+        from_generators([(9, 0), (7, 2), (6, 4), (4, 5), (3, 6), (0, 8)])
     )
     assert res.generator_twists == (-9, -9, -10, -9, -9, -8)
     assert res.syzygy_twists == (-11, -11, -11, -10, -11)
 
 
 def test_unit_ideal_resolution():
-    res = minimal_free_resolution([(0, 0)])
+    res = minimal_free_resolution(from_generators([(0, 0)]))
     assert res.generator_twists == (0,)
     assert res.syzygy_twists == ()
     assert res.matrix == ()
 
 
-def test_non_minimal_generators_rejected():
+def test_invalid_diagrams_rejected():
     with pytest.raises(ValueError):
-        minimal_free_resolution([(1, 0), (0, 1), (1, 1)])
+        minimal_free_resolution((1, 2))  # rows must not increase
     with pytest.raises(ValueError):
-        minimal_free_resolution([(1, 0)])  # no pure y-power
-    with pytest.raises(ValueError):
-        minimal_free_resolution([(1, -1), (0, 1)])
+        minimal_free_resolution((2, -1))
 
 
 def test_chern_sum_identity_exhaustive():
     for d in enumerate_diagrams_upto(14):
-        res = resolution_of(d)
+        res = minimal_free_resolution(d)
         total = [Fraction(0)] * 3
         for twist in res.generator_twists:
             ch = line_bundle(twist)
@@ -75,15 +69,15 @@ def test_chern_sum_identity_exhaustive():
 
 def test_twist_multisets_transpose_invariant():
     for d in enumerate_diagrams_upto(12):
-        res = resolution_of(d)
-        flipped = resolution_of(transpose(d))
+        res = minimal_free_resolution(d)
+        flipped = minimal_free_resolution(transpose(d))
         assert sorted(res.generator_twists) == sorted(flipped.generator_twists)
         assert sorted(res.syzygy_twists) == sorted(flipped.syzygy_twists)
 
 
 def test_matrix_shape_and_degrees():
     for d in enumerate_diagrams_upto(12):
-        res = resolution_of(d)
+        res = minimal_free_resolution(d)
         assert res.syzygy_count == res.generator_count - 1
         assert len(res.matrix) == res.syzygy_count
         for col, entries in enumerate(res.matrix):
@@ -98,31 +92,31 @@ def test_matrix_shape_and_degrees():
 
 
 def test_betti_tables():
-    koszul = minimal_free_resolution([(1, 0), (0, 1)])
+    koszul = minimal_free_resolution(from_generators([(1, 0), (0, 1)]))
     assert betti_table(koszul) == BettiTable({1: 2}, {2: 1})
     for a in range(1, 5):
         for b in range(a, 5):
-            res = minimal_free_resolution([(a, 0), (0, b)])
+            res = minimal_free_resolution(from_generators([(a, 0), (0, b)]))
             beta0 = {a: 1, b: 1} if a != b else {a: 2}
             assert betti_table(res) == BettiTable(beta0, {a + b: 1})
-    res = minimal_free_resolution([(5, 0), (4, 2), (3, 3), (0, 5)])
+    res = minimal_free_resolution(from_generators([(5, 0), (4, 2), (3, 3), (0, 5)]))
     assert betti_table(res) == BettiTable({5: 2, 6: 2}, {7: 2, 8: 1})
 
 
 def test_render_resolution():
-    res = minimal_free_resolution([(5, 0), (4, 2), (3, 3), (0, 5)])
+    res = minimal_free_resolution(from_generators([(5, 0), (4, 2), (3, 3), (0, 5)]))
     assert (
         render_resolution(res)
         == "0 -> O(-7)^2 (+) O(-8) -> O(-5)^2 (+) O(-6)^2 -> I_Z -> 0"
     )
-    koszul = minimal_free_resolution([(1, 0), (0, 1)])
+    koszul = minimal_free_resolution(from_generators([(1, 0), (0, 1)]))
     assert render_resolution(koszul) == "0 -> O(-2) -> O(-1)^2 -> I_Z -> 0"
-    unit = minimal_free_resolution([(0, 0)])
+    unit = minimal_free_resolution(from_generators([(0, 0)]))
     assert render_resolution(unit) == "0 -> 0 -> O(0) -> I_Z -> 0"
 
 
 def test_render_matrix():
-    res = minimal_free_resolution([(5, 0), (4, 2), (3, 3), (0, 5)])
+    res = minimal_free_resolution(from_generators([(5, 0), (4, 2), (3, 3), (0, 5)]))
     assert render_matrix(res) == "\n".join(
         [
             "[ y^2   0     0 ]",
@@ -134,7 +128,8 @@ def test_render_matrix():
 
 
 def test_render_betti():
-    table = betti_table(minimal_free_resolution([(5, 0), (4, 2), (3, 3), (0, 5)]))
+    res = minimal_free_resolution(from_generators([(5, 0), (4, 2), (3, 3), (0, 5)]))
+    table = betti_table(res)
     assert render_betti(table) == "\n".join(
         [
             "deg  5  6  7  8",
