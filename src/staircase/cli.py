@@ -10,6 +10,7 @@ All rationals print exactly as ``p/q`` unless ``--approx`` is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -141,7 +142,13 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the shared parser, built on the first call.
+
+    argparse makes a fresh namespace on every ``parse_args`` and reads the
+    terminal width when it formats help, so one parser serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="staircase",
         description="Walls, slopes and decomposition trees of monomial schemes.",

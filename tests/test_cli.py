@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import inspect
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 from staircase import cli, objects
 from staircase.objects import decompose, destabilizing_sequence, parse_tree, rank_one
@@ -120,7 +124,7 @@ def test_dual_pinned(capsys):
     assert out.splitlines() == ["F = F(7,7,7,7,6 in 5x7)", "dual = I(1)(12)[-1]"]
 
 
-def test_dual_with_explicit_box(capsys):
+def test_dual_of_rows_3_1(capsys):
     code, out, _ = run(capsys, "dual", "rows: 3,1")
     assert code == 0
     assert out.splitlines()[-1] == "dual = I(2)(5)[-1]"
@@ -132,7 +136,7 @@ def test_dual_of_the_full_box_is_a_line_bundle(capsys):
     assert out.splitlines() == ["F = O(-5)[1]", "dual = O(5)[-1]"]
 
 
-def test_dual_box_too_small(capsys):
+def test_dual_rejects_the_removed_lines_flag(capsys):
     code, _, err = run(capsys, "dual", "rows: 3,1", "--lines", "1")
     assert code == 2
     assert "unrecognized arguments" in err
@@ -230,3 +234,82 @@ def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "--help")[0] == 0
+
+
+def test_shared_parser_keeps_calls_independent(capsys):
+    sequence = [
+        ("bogus",),
+        ("--help",),
+        ("slope", "--approx", CHECKER_IDEAL),
+        ("slope", CHECKER_IDEAL),
+        ("decompose", "--format", "dot", CHECKER_IDEAL),
+        ("decompose", CHECKER_IDEAL),
+    ]
+    first_calls = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        first_calls.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in sequence]
+    assert shared == first_calls
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0]
+    assert shared[3][1].splitlines()[-1] == "mu(Z) = 19/3 (horizontal, k=3)"
+    assert shared[5][1].startswith("I(7,6,6,2,1)")
+    assert "digraph" not in shared[5][1]
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    queries = [
+        ("slope", "x,y"), ("wall", "x,y"), ("interp", "x,y"), ("dual", "x,y"),
+        ("resolution", "x,y"), ("decompose", "x,y"), ("bogus",),
+    ]
+    for i in range(50):
+        run(capsys, *queries[i % len(queries)])
+    assert len(built) == 8  # the main parser and its 7 subcommands
+
+
+def test_help_width_follows_the_terminal_on_every_call(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    helps = []
+    for columns in ("40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "slope", "--help")
+        assert code == 0
+        helps.append(out)
+    assert helps[0] == helps[2]
+    assert helps[1] != helps[0]
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports staircase from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_importing_the_cli_builds_no_parser():
+    code, out, _ = run_python(
+        "-c", "from staircase import cli; print(cli.build_parser.cache_info().currsize)"
+    )
+    assert (code, out) == (0, "0\n")
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_python("-m", "staircase", "slope", "x,y") == run(capsys, "slope", "x,y")
+    usage_error = run_python("-m", "staircase", "bogus")
+    assert usage_error[0] == 2
+    assert usage_error == run(capsys, "bogus")
