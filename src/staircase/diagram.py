@@ -22,6 +22,11 @@ def as_diagram(rows) -> Diagram:
 
     Zero rows are dropped; negative or increasing rows are rejected.
     """
+    rows = tuple(rows)
+    # positive weakly decreasing ints are a diagram already; these loops run in C
+    positive_ints = set(map(type, rows)) == {int} and rows[-1] > 0
+    if positive_ints and all(map(int.__ge__, rows, rows[1:])):
+        return rows
     cleaned = []
     for h in rows:
         if h != int(h):

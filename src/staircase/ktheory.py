@@ -7,6 +7,13 @@ slope mu = c1/r and discriminant Delta = mu^2/2 - ch2/r determine the
 character together with r, and the pairing has the closed form
 ``r(A) r(B) (P(mu(B) - mu(A)) - Delta(A) - Delta(B))`` with P the Hilbert
 polynomial of the plane.
+
+The arithmetic has integer cores: a function brings its rational inputs to
+integer numerators over one common denominator, computes with plain ints,
+and builds each rational result with a single ``Fraction(num, den)``.
+Characters keep their ``Fraction`` fields, so they print as ``str(Fraction)``.
+Characters of monomial objects have 2*ch2 integral and are built from that
+integer form, ``(r, c1, 2*ch2)``, by :func:`from_integers`.
 """
 
 from __future__ import annotations
@@ -42,32 +49,50 @@ def chern(r, c1, ch2) -> ChernCharacter:
     return ChernCharacter(int(r), Fraction(c1), Fraction(ch2))
 
 
+def from_integers(r: int, c1: int, ch2_twice: int) -> ChernCharacter:
+    """The character (r, c1, ch2_twice/2) of three integers."""
+    return ChernCharacter(r, Fraction(c1), Fraction(ch2_twice, 2))
+
+
+def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int, int]:
+    """(r, a, p, b, q) with c1 = a/p and ch2 = b/q in lowest terms."""
+    return (xi.r, *xi.c1.as_integer_ratio(), *xi.ch2.as_integer_ratio())
+
+
 def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
     """Character of rank r with Mumford slope mu and discriminant delta."""
     if r == 0:
         raise ValueError("slope-discriminant coordinates need nonzero rank")
-    mu = Fraction(mu)
-    delta = Fraction(delta)
-    return chern(r, r * mu, r * (mu * mu / 2 - delta))
+    if r != int(r):
+        raise ValueError(f"rank must be an integer, got {r!r}")
+    r = int(r)
+    a, p = Fraction(mu).as_integer_ratio()
+    b, q = Fraction(delta).as_integer_ratio()
+    # ch2 = r (mu^2/2 - delta) over the common denominator 2 p^2 q
+    return ChernCharacter(
+        r, Fraction(r * a, p), Fraction(r * (a * a * q - 2 * p * p * b), 2 * p * p * q)
+    )
 
 
 def line_bundle(m: int) -> ChernCharacter:
     """ch O(m) = (1, m, m^2/2)."""
-    return chern(1, m, Fraction(m * m, 2))
+    return from_integers(1, m, m * m)
 
 
 def twist(xi: ChernCharacter, m: int) -> ChernCharacter:
     """Multiply by e^{mL}: tensoring with the line bundle O(m)."""
-    return chern(
-        xi.r,
-        xi.c1 + xi.r * m,
-        xi.ch2 + xi.c1 * m + Fraction(xi.r * m * m, 2),
+    r, a, p, b, q = integer_parts(xi)
+    # c1 + r m over p, and ch2 + c1 m + r m^2/2 over 2 p q
+    return ChernCharacter(
+        r,
+        Fraction(a + r * m * p, p),
+        Fraction(2 * p * b + 2 * q * a * m + p * q * r * m * m, 2 * p * q),
     )
 
 
 def dual(xi: ChernCharacter) -> ChernCharacter:
     """Dual character: c1 changes sign."""
-    return chern(xi.r, -xi.c1, xi.ch2)
+    return ChernCharacter(xi.r, -xi.c1, xi.ch2)
 
 
 def negate(xi: ChernCharacter) -> ChernCharacter:
@@ -77,10 +102,14 @@ def negate(xi: ChernCharacter) -> ChernCharacter:
 
 def ring_product(xi: ChernCharacter, zeta: ChernCharacter) -> ChernCharacter:
     """Product in the Chern ring, truncated above degree 2."""
+    r1, a1, p1, b1, q1 = integer_parts(xi)
+    r2, a2, p2, b2, q2 = integer_parts(zeta)
+    # xi = (r1, a1/p1, b1/q1) and zeta = (r2, a2/p2, b2/q2): c1 over p, ch2 over p q
+    p, q = p1 * p2, q1 * q2
     return ChernCharacter(
-        xi.r * zeta.r,
-        xi.r * zeta.c1 + zeta.r * xi.c1,
-        xi.r * zeta.ch2 + xi.c1 * zeta.c1 + xi.ch2 * zeta.r,
+        r1 * r2,
+        Fraction(r1 * a2 * p1 + r2 * a1 * p2, p),
+        Fraction((r1 * b2 * q1 + r2 * b1 * q2) * p + a1 * a2 * q, p * q),
     )
 
 
@@ -99,7 +128,7 @@ def discriminant(xi: ChernCharacter) -> Fraction:
 
 def chern_of_ideal(diagram: Diagram) -> ChernCharacter:
     """ch I_Z = (1, 0, -n)."""
-    return chern(1, 0, -degree(diagram))
+    return from_integers(1, 0, -2 * degree(diagram))
 
 
 def chern_of_rank0(diagram: Diagram, k: int) -> ChernCharacter:
@@ -110,7 +139,7 @@ def chern_of_rank0(diagram: Diagram, k: int) -> ChernCharacter:
         raise ValueError(
             f"diagram with {row_count(diagram)} rows does not lie on {k} lines"
         )
-    return chern(0, k, -Fraction(k * k, 2) - degree(diagram))
+    return from_integers(0, k, -k * k - 2 * degree(diagram))
 
 
 def chern_of_rank_minus1(diagram: Diagram, k: int, i: int) -> ChernCharacter:
@@ -121,7 +150,7 @@ def chern_of_rank_minus1(diagram: Diagram, k: int, i: int) -> ChernCharacter:
         raise ValueError(
             f"diagram {diagram} does not fit in a {k} x {i} box"
         )
-    return chern(-1, k + i, -Fraction(k * k + i * i, 2) - degree(diagram))
+    return from_integers(-1, k + i, -(k * k + i * i) - 2 * degree(diagram))
 
 
 def hilbert_P(m) -> Fraction:
@@ -132,7 +161,8 @@ def hilbert_P(m) -> Fraction:
 
 def euler_char(xi: ChernCharacter) -> Fraction:
     """Riemann-Roch: chi = r + (3/2) c1 + ch2."""
-    return xi.r + Fraction(3, 2) * xi.c1 + xi.ch2
+    r, a, p, b, q = integer_parts(xi)
+    return Fraction(2 * r * p * q + 3 * a * q + 2 * b * p, 2 * p * q)
 
 
 def euler_pairing(xi: ChernCharacter, zeta: ChernCharacter) -> Fraction:
@@ -159,13 +189,17 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
     The value is real + i*t*imag_coeff; only t^2 enters the real part, so
     both components are exact rationals.
     """
-    s = Fraction(s)
-    t2 = Fraction(t2)
-    if t2 <= 0:
-        raise ValueError(f"t^2 must be positive, got {t2}")
-    real = -xi.ch2 + s * xi.c1 - (s * s - t2) * Fraction(xi.r, 2)
-    imag_coeff = xi.c1 - s * xi.r
-    return CentralChargeValue(real, imag_coeff)
+    r, a, p, b, q = integer_parts(xi)
+    sn, sd = Fraction(s).as_integer_ratio()
+    tn, td = Fraction(t2).as_integer_ratio()
+    if tn <= 0:
+        raise ValueError(f"t^2 must be positive, got {Fraction(tn, td)}")
+    # real = -ch2 + s c1 - (s^2 - t^2) r/2 over the common denominator 2 p q d
+    d = sd * sd * td
+    real = 2 * (sn * a * q * sd * td - b * p * d) - (sn * sn * td - tn * sd * sd) * r * p * q
+    return CentralChargeValue(
+        Fraction(real, 2 * p * q * d), Fraction(a * sd - sn * r * p, p * sd)
+    )
 
 
 def rank0_hilbert_polynomial(diagram: Diagram, k: int) -> tuple[Fraction, Fraction]:

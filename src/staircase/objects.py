@@ -54,10 +54,10 @@ from .diagram import (
 )
 from .ktheory import (
     ChernCharacter,
-    chern,
     chern_of_ideal,
     chern_of_rank0,
     chern_of_rank_minus1,
+    from_integers,
     line_bundle,
     negate,
     twist as twist_chern,
@@ -193,16 +193,11 @@ def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
     target = chern_of(obj)
     candidates = []
     for cut, sub in _candidate_subs(obj):
-        wall = potential_wall(_from_scaled(sub), target)
+        wall = potential_wall(from_integers(*sub), target)
         if not isinstance(wall, SemicircleWall):
             raise AssertionError(f"candidate wall at {cut} is not a semicircle")
         candidates.append((cut, wall))
     return candidates
-
-
-def _from_scaled(scaled: tuple[int, int, int]) -> ChernCharacter:
-    r, c1, ch2_twice = scaled
-    return chern(r, c1, Fraction(ch2_twice, 2))
 
 
 def _candidate_subs(obj: MonomialObject):
@@ -274,7 +269,7 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
         # the formulas of potential_wall with 2*ch2 in place of ch2
         den = 2 * (c1 * r2 - c2 * r1)
         if den == 0:
-            potential_wall(_from_scaled(sub), target)  # raises if dependent
+            potential_wall(from_integers(*sub), target)  # raises if dependent
             raise AssertionError(f"candidate wall at {cut} is not a semicircle")
         num = e1 * r2 - e2 * r1
         # the cut minimizes p/q, q > 0: -radius_sq for rank 0, and
@@ -285,7 +280,7 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
             p, q = (r2 * num, den) if den > 0 else (-r2 * num, -den)
         if best_cut is None or p * best_q < best_p * q:
             best_cut, best_sub, best_p, best_q = cut, sub, p, q
-    wall = potential_wall(_from_scaled(best_sub), target)
+    wall = potential_wall(from_integers(*best_sub), target)
     if is_empty(wall):
         raise AssertionError(f"selected wall at {best_cut} for {obj!r} is empty")
     return DestabilizingSequence(*_sequence_parts(obj, best_cut), wall, best_cut)

@@ -18,8 +18,12 @@ Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
 wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
 ``duality`` is the only fresh step.  The ``chern`` check recomputes each node
 wall with :func:`potential_wall` from the Chern characters of the sliced sub,
-node and quotient, and the chosen cut with :func:`candidate_walls`, so the
-general wall formula stays the reference against which every tree is checked.
+node and quotient, and the chosen cut with :func:`candidate_walls`, which
+calls :func:`potential_wall` on every candidate, so the general wall formula
+stays the reference against which every tree is checked.  The characters,
+walls, pairings and central charges it compares come from the integer cores
+of ``ktheory`` and ``walls``, one ``Fraction`` per result; the resolution
+clause sums integer ``(r, c1, 2*ch2)`` triples.
 """
 
 from __future__ import annotations
@@ -39,12 +43,12 @@ from .diagram import (
     slice_below,
 )
 from .ktheory import (
+    ChernCharacter,
     central_charge,
-    chern,
     chern_of_ideal,
     euler_char,
+    from_integers,
     from_slope_discriminant,
-    line_bundle,
     reduced_rank0_hilbert_polynomial,
     ring_product,
 )
@@ -184,17 +188,18 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
     total = chern_of(node.node)
     sub = chern_of(seq.sub)
     quot = chern_of(seq.quotient)
-    if chern(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
+    if ChernCharacter(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
         yield f"chern additivity fails at {text_name(node.node)}"
     # the stored wall came from the cut's integer character, not from this slice
     if potential_wall(sub, total) != seq.wall:
         yield f"W(sub, node) differs from node wall at {text_name(node.node)}"
     if potential_wall(total, quot) != seq.wall:
         yield f"W(node, quot) differs from node wall at {text_name(node.node)}"
-    # the first largest candidate: least center, -radius_sq, -center at rank 1, 0, -1
-    cut, wall = min(
+    # the first largest candidate: least center at rank 1, else the first
+    # maximum of radius_sq (rank 0) or of center (rank -1)
+    cut, wall = (min if total.r == 1 else max)(
         candidate_walls(node.node),
-        key=lambda item: total.r * item[1].center if total.r else -item[1].radius_sq,
+        key=lambda item: item[1].center if total.r else item[1].radius_sq,
     )
     if (cut, wall) != (seq.cut, seq.wall):
         yield (
@@ -224,12 +229,12 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
 def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:
     """The Chern characters of the minimal free resolution sum to the ideal's."""
     res = minimal_free_resolution(diagram)
-    total = [Fraction(0)] * 3
-    for twist in res.generator_twists:
-        total = [x + y for x, y in zip(total, line_bundle(twist))]
-    for twist in res.syzygy_twists:
-        total = [x - y for x, y in zip(total, line_bundle(twist))]
-    if tuple(total) != tuple(chern_of_ideal(diagram)):
+    # sum of +-ch O(m) = (1, m, m^2/2) in the integer form (r, c1, 2*ch2)
+    r = c1 = ch2_twice = 0
+    for sign, twists in ((1, res.generator_twists), (-1, res.syzygy_twists)):
+        for m in twists:
+            r, c1, ch2_twice = r + sign, c1 + sign * m, ch2_twice + sign * m * m
+    if from_integers(r, c1, ch2_twice) != chern_of_ideal(diagram):
         yield "resolution chern sum differs from ideal chern character"
 
 

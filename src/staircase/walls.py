@@ -6,14 +6,19 @@ or a semicircle; semicircles store the exact center and squared radius, so a
 "virtual" wall with rho^2 <= 0 is representable and counts as empty.  A
 semicircular wall corresponds to a unique rank-1 orthogonal class through
 mu = -s - 3/2 and 2*Delta = rho^2 - 1/4.
+
+Wall arithmetic has an integer core, as in :mod:`staircase.ktheory`: the
+inputs go to integer numerators over one common denominator, and each
+center, squared radius or invariant is built with one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .ktheory import ChernCharacter, mumford_slope
+from .ktheory import ChernCharacter, integer_parts, mumford_slope
 
 
 @dataclass(frozen=True)
@@ -41,34 +46,35 @@ def potential_wall(xi1: ChernCharacter, xi2: ChernCharacter) -> Wall:
     The two characters must be linearly independent.  When both have rank 0
     the alignment locus is empty (both slopes infinite) and no wall of the
     supported shapes exists; that pairing is rejected.
+
+    With c1 and ch2 of both characters scaled by q, the least common
+    multiple of their four denominators, the 2 x 2 minors c (of r, c1),
+    n (of r, ch2) and cross (of c1, ch2) are integers, and
+    ``center = n/c``, ``radius_sq = (q n^2 + 2 c cross)/(q c^2)``.
     """
-    if _dependent(xi1, xi2):
+    r1, a1, p1, b1, q1 = integer_parts(xi1)
+    r2, a2, p2, b2, q2 = integer_parts(xi2)
+    q = lcm(p1, q1, p2, q2)
+    a1, b1, a2, b2 = a1 * (q // p1), b1 * (q // q1), a2 * (q // p2), b2 * (q // q2)
+    c = a1 * r2 - a2 * r1
+    n = b1 * r2 - b2 * r1
+    cross = a1 * b2 - a2 * b1
+    if c == 0 and n == 0 and cross == 0:
         raise ValueError("linearly dependent characters bound no wall")
-    c = xi1.c1 * xi2.r - xi2.c1 * xi1.r
     if c == 0:
-        if xi1.r == 0 and xi2.r == 0:
+        if r1 == 0 and r2 == 0:
             raise ValueError("two rank-0 characters share no wall (empty locus)")
-        reference = xi1 if xi1.r != 0 else xi2
-        return VerticalWall(mumford_slope(reference))
-    c = Fraction(c)
-    center = (xi1.ch2 * xi2.r - xi2.ch2 * xi1.r) / c
-    radius_sq = center * center + 2 * (xi1.c1 * xi2.ch2 - xi2.c1 * xi1.ch2) / c
-    return SemicircleWall(center, radius_sq)
-
-
-def _dependent(xi1: ChernCharacter, xi2: ChernCharacter) -> bool:
-    return (
-        xi1.r * xi2.c1 == xi2.r * xi1.c1
-        and xi1.r * xi2.ch2 == xi2.r * xi1.ch2
-        and xi1.c1 * xi2.ch2 == xi2.c1 * xi1.ch2
-    )
+        return VerticalWall(mumford_slope(xi1 if r1 != 0 else xi2))
+    return SemicircleWall(Fraction(n, c), Fraction(q * n * n + 2 * c * cross, q * c * c))
 
 
 def orthogonal_invariants(wall: Wall) -> tuple[Fraction, Fraction]:
     """(mu, Delta) of the rank-1 class orthogonal to everything on the wall."""
     if not isinstance(wall, SemicircleWall):
         raise ValueError("vertical walls have no orthogonal invariants")
-    return -wall.center - Fraction(3, 2), wall.radius_sq / 2 - Fraction(1, 8)
+    a, p = wall.center.as_integer_ratio()
+    b, q = wall.radius_sq.as_integer_ratio()
+    return Fraction(-2 * a - 3 * p, 2 * p), Fraction(4 * b - q, 8 * q)
 
 
 def wall_from_invariants(mu, delta) -> SemicircleWall:

@@ -408,3 +408,26 @@ def test_an_empty_node_wall_is_a_witness_not_an_abort(tamper, monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == render_report(chern_report) + "\n"
     assert "1 check(s) FAILED" in err
+
+
+def test_chern_evaluates_potential_wall_on_every_candidate(monkeypatch):
+    """The candidate clause keeps the general wall formula as its reference."""
+    walls, per_call = 0, []
+    candidates = oracle.candidate_walls
+
+    def counting_wall(xi1, xi2):
+        nonlocal walls
+        walls += 1
+        return potential_wall(xi1, xi2)
+
+    def counting_candidates(obj):
+        before = walls
+        result = candidates(obj)
+        per_call.append((len(result), walls - before))
+        return result
+
+    monkeypatch.setattr(objects, "potential_wall", counting_wall)
+    monkeypatch.setattr(oracle, "candidate_walls", counting_candidates)
+    assert run_check("chern", BOUND).passed
+    assert all(count == calls for count, calls in per_call)
+    assert (len(per_call), sum(count for count, _ in per_call)) == (611, 4259)

@@ -1,19 +1,30 @@
-"""Property tests on diagrams far beyond the exhaustive degree bound.
+"""Property tests beyond the exhaustive degree bound.
 
-Skewed partitions of 50-200 rows and columns, twists in -50..50.
+Skewed partitions of 50-200 rows and columns, twists in -50..50; rational
+Chern characters of rank -3..3 against the Fraction formulas of the
+integer arithmetic cores; row lists of mixed types for ``as_diagram``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase import oracle
-from staircase.diagram import degree, transpose
-from staircase.ktheory import chern
+from staircase.diagram import as_diagram, degree, transpose
+from staircase.ktheory import (
+    CentralChargeValue,
+    ChernCharacter,
+    central_charge,
+    chern,
+    euler_char,
+    from_slope_discriminant,
+    ring_product,
+    twist,
+)
 from staircase.objects import (
     RankOne,
     RankZero,
@@ -25,6 +36,7 @@ from staircase.objects import (
     rank_one,
 )
 from staircase.slopes import scheme_slope
+from staircase.walls import SemicircleWall, VerticalWall, orthogonal_invariants, potential_wall
 
 
 @st.composite
@@ -92,3 +104,151 @@ def test_root_wall_is_fixed_by_the_scheme_slope(diagram):
     center = -best.value - Fraction(3, 2)
     assert seq.cut == (best.orientation, best.index)
     assert (seq.wall.center, seq.wall.radius_sq) == (center, center * center - 2 * degree(diagram))
+
+
+# -- the integer cores of ktheory and walls against their Fraction formulas --
+#
+# Each reference below is the formula written out in Fraction arithmetic, one
+# operation at a time; the library computes the same values from integer
+# numerators over a common denominator.
+
+RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+RANKS = st.integers(-3, 3)
+CHARACTERS = st.builds(ChernCharacter, RANKS, RATIONALS, RATIONALS)
+
+
+def outcome(func, *args):
+    """The value, or the exception type and message, of one call."""
+    try:
+        return func(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def assert_fraction_fields(value):
+    """Every field but the integer rank is a Fraction."""
+    assert all(type(getattr(value, f.name)) is Fraction for f in fields(value) if f.name != "r")
+
+
+@st.composite
+def wall_pairs(draw):
+    """Independent pairs, dependent pairs, rank-0 pairs and equal-slope pairs."""
+    xi = draw(CHARACTERS)
+    kind = draw(st.sampled_from(("any", "dependent", "rank0", "same_slope")))
+    if kind == "dependent":
+        scale = draw(st.integers(-3, 3))
+        other = ChernCharacter(scale * xi.r, scale * xi.c1, scale * xi.ch2)
+    elif kind == "rank0":
+        xi = ChernCharacter(0, xi.c1, xi.ch2)
+        other = ChernCharacter(0, draw(RATIONALS), draw(RATIONALS))
+    elif kind == "same_slope":
+        xi = ChernCharacter(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), xi.c1, xi.ch2)
+        r = draw(RANKS)
+        other = ChernCharacter(r, xi.c1 * r / xi.r, draw(RATIONALS))
+    else:
+        other = draw(CHARACTERS)
+    return (xi, other) if draw(st.booleans()) else (other, xi)
+
+
+def reference_wall(xi1, xi2):
+    if (
+        xi1.r * xi2.c1 == xi2.r * xi1.c1
+        and xi1.r * xi2.ch2 == xi2.r * xi1.ch2
+        and xi1.c1 * xi2.ch2 == xi2.c1 * xi1.ch2
+    ):
+        raise ValueError("linearly dependent characters bound no wall")
+    c = xi1.c1 * xi2.r - xi2.c1 * xi1.r
+    if c == 0:
+        if xi1.r == 0 and xi2.r == 0:
+            raise ValueError("two rank-0 characters share no wall (empty locus)")
+        reference = xi1 if xi1.r != 0 else xi2
+        return VerticalWall(Fraction(reference.c1, reference.r))
+    center = (xi1.ch2 * xi2.r - xi2.ch2 * xi1.r) / c
+    radius_sq = center * center + 2 * (xi1.c1 * xi2.ch2 - xi2.c1 * xi1.ch2) / c
+    return SemicircleWall(center, radius_sq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wall_pairs())
+def test_potential_wall_matches_the_fraction_formula(pair):
+    wall = outcome(potential_wall, *pair)
+    assert wall == outcome(reference_wall, *pair)
+    if isinstance(wall, (VerticalWall, SemicircleWall)):
+        assert_fraction_fields(wall)
+    if isinstance(wall, SemicircleWall):
+        mu, delta = orthogonal_invariants(wall)
+        assert (mu, delta) == (-wall.center - Fraction(3, 2), wall.radius_sq / 2 - Fraction(1, 8))
+        assert type(mu) is type(delta) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(CHARACTERS, RATIONALS, RATIONALS)
+def test_central_charge_matches_the_fraction_formula(xi, s, t2):
+    def reference(xi, s, t2):
+        if t2 <= 0:
+            raise ValueError(f"t^2 must be positive, got {t2}")
+        real = -xi.ch2 + s * xi.c1 - (s * s - t2) * Fraction(xi.r, 2)
+        return CentralChargeValue(real, xi.c1 - s * xi.r)
+
+    value = outcome(central_charge, xi, s, t2)
+    assert value == outcome(reference, xi, s, t2)
+    if t2 > 0:
+        assert_fraction_fields(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CHARACTERS, CHARACTERS, st.integers(-20, 20))
+def test_twist_ring_product_euler_char_match_the_fraction_formulas(xi, zeta, m):
+    twisted = twist(xi, m)
+    assert twisted == ChernCharacter(
+        xi.r, xi.c1 + xi.r * m, xi.ch2 + xi.c1 * m + Fraction(xi.r * m * m, 2)
+    )
+    product = ring_product(xi, zeta)
+    assert product == ChernCharacter(
+        xi.r * zeta.r,
+        xi.r * zeta.c1 + zeta.r * xi.c1,
+        xi.r * zeta.ch2 + xi.c1 * zeta.c1 + xi.ch2 * zeta.r,
+    )
+    chi = euler_char(xi)
+    assert chi == xi.r + Fraction(3, 2) * xi.c1 + xi.ch2
+    for value in (twisted, product):
+        assert_fraction_fields(value)
+    assert type(chi) is Fraction
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((-3, -2, -1, 1, 2, 3)), RATIONALS, RATIONALS)
+def test_from_slope_discriminant_matches_the_fraction_formula(r, mu, delta):
+    xi = from_slope_discriminant(r, mu, delta)
+    assert xi == ChernCharacter(r, r * mu, r * (mu * mu / 2 - delta))
+    assert_fraction_fields(xi)
+
+
+ROW_ENTRIES = st.one_of(
+    st.integers(-2, 6), st.booleans(), st.sampled_from((0.0, 2.0, 2.5, Fraction(3), Fraction(1, 2)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ROW_ENTRIES, max_size=6))
+def test_as_diagram_accepts_and_rejects_as_the_plain_loop(rows):
+    def reference(rows):
+        cleaned = []
+        for h in rows:
+            if h != int(h):
+                raise ValueError(f"row length {h!r} is not an integer")
+            h = int(h)
+            if h < 0:
+                raise ValueError(f"row length {h} is negative")
+            if h > 0:
+                cleaned.append(h)
+        for prev, cur in zip(cleaned, cleaned[1:]):
+            if cur > prev:
+                raise ValueError(
+                    f"rows must be weakly decreasing bottom-to-top, got {prev} before {cur}"
+                )
+        return tuple(cleaned)
+
+    result, expected = outcome(as_diagram, rows), outcome(reference, rows)
+    assert result == expected
+    assert list(map(type, result)) == list(map(type, expected))
