@@ -3,9 +3,9 @@
 Three kinds of nontrivial objects occur:
 
 * ``RankOne(D, twist)`` — twisted ideal sheaf I_Z(twist);
-* ``RankZero(D, k, twist)`` — I_{Z in kL}(twist), a scheme lying on k lines
-  (the diagram may have fewer than k rows, "padding"); construction requires
-  horizontal purity;
+* ``RankZero(D, k, twist)`` — I_{Z in kL}(twist), a scheme lying on the k
+  lines of its k rows; construction requires horizontal purity, and ``k``
+  is kept for names and serialization;
 * ``RankMinusOne(D, k, i, twist)`` — the two-term complex
   O(-k) + O(-i) -> I_Z (twisted) on the k x i bounding box of D; the box is
   fixed by D, and ``k``, ``i`` are kept for names and serialization.
@@ -134,16 +134,13 @@ def rank_one(diagram, twist: int = 0) -> LineBundle | RankOne:
     return RankOne(diagram, twist)
 
 
-def rank_zero(diagram, k: int, twist: int = 0) -> RankZero:
-    """I_{Z in kL}(twist); requires row fit and horizontal purity."""
+def rank_zero(diagram, twist: int = 0) -> RankZero:
+    """I_{Z in kL}(twist) on the k = r(D) lines of its rows; requires horizontal purity."""
     diagram = as_diagram(diagram)
+    k = row_count(diagram)
     if k < 1:
         raise ValueError(f"need at least one supporting line, got k={k}")
-    if row_count(diagram) > k:
-        raise ValueError(
-            f"diagram with {row_count(diagram)} rows does not lie on {k} lines"
-        )
-    if not is_horizontally_pure(diagram, k):
+    if not is_horizontally_pure(diagram):
         raise ValueError(
             f"diagram {diagram} on {k} lines is not horizontally pure"
         )
@@ -215,13 +212,9 @@ def _candidate_subs(obj: MonomialObject):
         yield from _rank_one_subs("horizontal", d, n, t, 1, row_count(d))
         yield from _rank_one_subs("vertical", transpose(d), n, t, 1, col_count(d))
     elif isinstance(obj, RankZero):
-        if row_count(d) == obj.k:
-            yield from _rank_one_subs(
-                "vertical", transpose(d), n, t, full_col_count(d), col_count(d)
-            )
-        else:
-            # padded support: only the ambient line-bundle kernel splits off
-            yield ("vertical", 0), (1, t, t * t - 2 * n)
+        yield from _rank_one_subs(
+            "vertical", transpose(d), n, t, full_col_count(d), col_count(d)
+        )
     else:
         yield from _rank_zero_subs("horizontal", d, n, t, full_row_count(d), obj.k)
         yield from _rank_zero_subs(
@@ -293,26 +286,24 @@ def _sequence_parts(obj: MonomialObject, cut: Cut) -> tuple[MonomialObject, Mono
         if direction == "horizontal":
             return (
                 rank_one(slice_above(d, index), t - index),
-                rank_zero(slice_below(d, index), index, t),
+                rank_zero(slice_below(d, index), t),
             )
         return (
             rank_one(slice_right(d, index), t - index),
-            rank_zero(transpose(slice_left(d, index)), index, t),
+            rank_zero(transpose(slice_left(d, index)), t),
         )
     if isinstance(obj, RankZero):
-        if index == 0:
-            return rank_one(d, t), ShiftedLineBundle(t - obj.k)
         return (
             rank_one(slice_right(d, index), t - index),
             rank_minus_one(slice_left(d, index), t),
         )
     if direction == "horizontal":
         return (
-            rank_zero(slice_above(d, index), obj.k - index, t - index),
+            rank_zero(slice_above(d, index), t - index),
             rank_minus_one(slice_below(d, index), t),
         )
     return (
-        rank_zero(transpose(slice_right(d, index)), obj.i - index, t - index),
+        rank_zero(transpose(slice_right(d, index)), t - index),
         rank_minus_one(slice_left(d, index), t),
     )
 
@@ -360,18 +351,9 @@ def internal_nodes(tree: DecompositionTree) -> list[DecompositionTree]:
 
 def mu_opt(obj: MonomialObject) -> Fraction:
     """The optimal (destabilizing) slope of a nontrivial object."""
-    return _optimal_invariants(obj)[0]
-
-
-def delta_opt(obj: MonomialObject) -> Fraction:
-    """The optimal discriminant of a nontrivial object."""
-    return _optimal_invariants(obj)[1]
-
-
-def _optimal_invariants(obj: MonomialObject) -> tuple[Fraction, Fraction]:
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no optimal invariants")
-    return orthogonal_invariants(destabilizing_sequence(obj).wall)
+    return orthogonal_invariants(destabilizing_sequence(obj).wall)[0]
 
 
 def derived_dual(obj: RankMinusOne) -> tuple[Diagram, int]:
@@ -453,7 +435,10 @@ def object_from_dict(data: dict) -> MonomialObject:
     if kind == "rank1":
         return rank_one(data["diagram"], data["twist"])
     if kind == "rank0":
-        return rank_zero(data["diagram"], data["lines"], data["twist"])
+        diagram, k = as_diagram(data["diagram"]), data["lines"]
+        if row_count(diagram) != k:
+            raise ValueError(f"diagram {diagram} does not lie on exactly {k} lines")
+        return rank_zero(diagram, data["twist"])
     if kind == "rank-1":
         diagram, k, i = as_diagram(data["diagram"]), data["lines"], data["colines"]
         if (row_count(diagram), col_count(diagram)) != (k, i):

@@ -157,7 +157,7 @@ def _check_purity(node: DecompositionTree) -> Iterator[str]:
         yield f"quotient of {text_name(obj)} is not a rank-0 object"
     if isinstance(obj, RankMinusOne) and not isinstance(node.sequence.sub, RankZero):
         yield f"sub of {text_name(obj)} is not a rank-0 object"
-    if isinstance(obj, RankZero) and not is_horizontally_pure(obj.diagram, obj.k):
+    if isinstance(obj, RankZero) and not is_horizontally_pure(obj.diagram):
         yield f"{text_name(obj)} is not horizontally pure"
 
 

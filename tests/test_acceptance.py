@@ -193,7 +193,7 @@ def test_criterion_09_resolution_check():
 
 
 def test_criterion_10_misprint_regressions():
-    node = rank_zero((9, 9, 7, 7, 6), 5)
+    node = rank_zero((9, 9, 7, 7, 6))
     wall = destabilizing_sequence(node).wall
     assert wall == potential_wall(chern_of(rank_one((2, 2), -7)), chern_of(node))
     assert wall.radius_sq == Fraction(161, 100), (

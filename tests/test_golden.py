@@ -5,8 +5,11 @@ contract, so a change of arithmetic must leave the bytes alone.  Each test
 hashes, with sha256, the stdout of one ``cli.main`` command over every
 nonempty diagram up to degree 9 (96 diagrams, as ``rows:`` text), or of
 ``verify --check all --max-degree 8``, and compares it with a digest
-recorded from the code before the integer arithmetic cores.  Change a
-digest only together with an intended change of output.
+recorded from the code before the integer arithmetic cores.  The rank -1
+trees on the bounding boxes, which ``verify`` walks but no command prints,
+are hashed as serialized trees against a digest recorded before the padded
+rank-0 path was removed.  Change a digest only together with an intended
+change of output.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from staircase import cli
 from staircase.diagram import enumerate_diagrams_upto
+from staircase.objects import decompose, is_trivial, rank_minus_one, serialize_tree
 
 DIAGRAMS = [d for d in enumerate_diagrams_upto(9) if d]
 
@@ -54,6 +58,9 @@ GOLDEN = {
 }
 VERIFY_ARGV = ("verify", "--check", "all", "--max-degree", "8")
 VERIFY_SHA256 = "6bfde21a9fa8dfaba177ddff4c78c5e87c95d9e4324fb5c61f34d1a96467a657"
+# sha256 of serialize_tree(decompose(rank_minus_one(d))) plus a newline, for
+# every diagram of DIAGRAMS that does not fill its bounding box
+BOX_TREES_SHA256 = "8acbe3459ae77b2f945225bf49db9873ee9d793041207d03bf501108a4023c20"
 
 
 def stdout_of(argv) -> str:
@@ -78,3 +85,12 @@ def test_verify_report_matches_golden_digest(monkeypatch):
     monkeypatch.delenv(cli.REPORT_PATH_VAR, raising=False)
     text = stdout_of(VERIFY_ARGV)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SHA256
+
+
+def test_box_trees_match_golden_digest():
+    digest = hashlib.sha256()
+    for d in DIAGRAMS:
+        box = rank_minus_one(d)
+        if not is_trivial(box):
+            digest.update(serialize_tree(decompose(box)).encode() + b"\n")
+    assert digest.hexdigest() == BOX_TREES_SHA256

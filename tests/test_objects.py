@@ -38,7 +38,6 @@ from staircase.objects import (
     candidate_walls,
     chern_of,
     decompose,
-    delta_opt,
     derived_dual,
     destabilizing_sequence,
     internal_nodes,
@@ -75,7 +74,7 @@ def all_test_objects(bound):
     for d in enumerate_diagrams_upto(bound):
         yield rank_one(d)
         bottom, k = pure_bottom(d)
-        yield rank_zero(bottom, k)
+        yield rank_zero(bottom)
         obj = rank_minus_one(d)
         if not is_trivial(obj):
             yield obj
@@ -93,15 +92,17 @@ def test_factory_normalization():
 
 
 def test_factory_validation():
-    with pytest.raises(ValueError):
-        rank_zero((2,), 2)  # two collinear points on a double line: impure
-    with pytest.raises(ValueError):
-        rank_zero((3, 3), 3)
-    with pytest.raises(ValueError):
-        rank_zero((1, 1, 1), 2)  # too many rows
+    with pytest.raises(ValueError, match="not horizontally pure"):
+        rank_zero((3, 1))  # the bottom row alone has the larger slope
+    with pytest.raises(ValueError, match="not horizontally pure"):
+        rank_zero((5, 5, 1))
+    with pytest.raises(ValueError, match="need at least one supporting line"):
+        rank_zero(())
     with pytest.raises(ValueError, match="got 0 x 0"):
         rank_minus_one(())  # the empty scheme has no bounding box
-    assert isinstance(rank_zero((1,), 3), RankZero)  # padding is allowed
+    # k is the row count; a second positional argument is the twist
+    assert rank_zero((1,), 3) == RankZero((1,), 1, 3)
+    assert rank_zero((3, 3)) == RankZero((3, 3), 2, 0)
 
 
 def test_chern_of_pinned():
@@ -109,7 +110,7 @@ def test_chern_of_pinned():
     assert tuple(chern_of(LineBundle(-8))) == (1, -8, 32)
     assert tuple(chern_of(ShiftedLineBundle(-2))) == (-1, 2, -2)
     assert tuple(chern_of(rank_one((4, 3, 3), -5))) == (1, -5, Fraction(5, 2))
-    assert tuple(chern_of(rank_zero((9, 9, 7, 7, 6), 5))) == (0, 5, Fraction(-101, 2))
+    assert tuple(chern_of(rank_zero((9, 9, 7, 7, 6)))) == (0, 5, Fraction(-101, 2))
     assert tuple(chern_of(rank_minus_one((7, 7, 7, 7, 6)))) == (-1, 12, -71)
 
 
@@ -126,7 +127,7 @@ def test_candidate_walls_rank1_big():
 
 
 def test_candidate_walls_rank0_pinned_table():
-    obj = rank_zero((9, 9, 7, 7, 6), 5)
+    obj = rank_zero((9, 9, 7, 7, 6))
     candidates = candidate_walls(obj)
     assert [cut[1] for cut, _ in candidates] == [6, 7, 8, 9]
     deltas = {}
@@ -295,29 +296,17 @@ def test_empty_scheme_is_a_leaf():
 
 
 def test_degenerate_rank0_on_empty_diagram():
-    """O_{kL}-type objects split off the ambient line bundle (degenerate cut)."""
-    for k in (1, 2, 3):
-        seq = destabilizing_sequence(rank_zero((), k, 0))
-        assert seq.cut == ("vertical", 0)
-        assert seq.sub == LineBundle(0)
-        assert seq.quotient == ShiftedLineBundle(-k)
-        assert seq.wall.center == Fraction(-k, 2)
-        assert seq.wall.radius_sq == Fraction(k * k, 4)
+    """The empty diagram has no rows, so no rank-0 object lies on it."""
+    for twist in (0, 2, -3):
+        with pytest.raises(ValueError, match="need at least one supporting line, got k=0"):
+            rank_zero((), twist)
 
 
 def test_padded_rank0_decomposes_through_its_ideal():
-    obj = rank_zero((1,), 3, 0)
-    seq = destabilizing_sequence(obj)
-    assert seq.cut == ("vertical", 0)
-    assert seq.sub == RankOne((1,), 0)
-    assert seq.quotient == ShiftedLineBundle(-3)
-    tree = decompose(obj)
-    assert [l for l in leaves(tree)] == [
-        LineBundle(-1),
-        LineBundle(-1),
-        ShiftedLineBundle(-2),
-        ShiftedLineBundle(-3),
-    ]
+    """A rank-0 node on more lines than its rows is rejected, not decomposed."""
+    padded = {"type": "rank0", "diagram": [1], "lines": 3, "twist": 0}
+    with pytest.raises(ValueError, match="does not lie on exactly 3 lines"):
+        parse_tree(json.dumps({"object": padded}))
 
 
 def test_big_tree_leaf_multiset():
@@ -393,7 +382,7 @@ def test_candidate_centers_match_closed_forms():
 def test_rank0_candidates_concentric_with_delta_formula():
     for d in enumerate_diagrams_upto(8):
         bottom, k = pure_bottom(d)
-        obj = rank_zero(bottom, k)
+        obj = rank_zero(bottom)
         n = degree(bottom)
         mu_k = Fraction(n, k) + Fraction(k - 3, 2)
         for (direction, i), wall in candidate_walls(obj):
@@ -402,11 +391,16 @@ def test_rank0_candidates_concentric_with_delta_formula():
             assert orthogonal_invariants(wall)[1] == hilbert_P(mu_k - i) - w_prime
 
 
+def delta_of_wall(obj):
+    """Delta_opt: the discriminant of the destabilizing wall, as ``interp`` reads it."""
+    return orthogonal_invariants(destabilizing_sequence(obj).wall)[1]
+
+
 def test_mu_delta_opt_pinned():
     assert mu_opt(rank_one(BIG)) == Fraction(43, 5)
-    assert delta_opt(rank_one(BIG)) == Fraction(72, 25)
-    assert mu_opt(rank_zero((9, 9, 7, 7, 6), 5)) == Fraction(43, 5)
-    assert delta_opt(rank_zero((9, 9, 7, 7, 6), 5)) == Fraction(17, 25)
+    assert delta_of_wall(rank_one(BIG)) == Fraction(72, 25)
+    assert mu_opt(rank_zero((9, 9, 7, 7, 6))) == Fraction(43, 5)
+    assert delta_of_wall(rank_zero((9, 9, 7, 7, 6))) == Fraction(17, 25)
     assert mu_opt(rank_minus_one((7, 7, 7, 7, 6))) == 9
     with pytest.raises(ValueError):
         mu_opt(LineBundle(0))
@@ -416,14 +410,14 @@ def test_mu_delta_opt_closed_forms_exhaustive():
     for d in enumerate_diagrams_upto(8):
         one = rank_one(d)
         assert mu_opt(one) == scheme_slope(d).value
-        assert delta_opt(one) == hilbert_P(mu_opt(one)) - degree(d)
+        assert delta_of_wall(one) == hilbert_P(mu_opt(one)) - degree(d)
         bottom, k = pure_bottom(d)
-        zero = rank_zero(bottom, k)
+        zero = rank_zero(bottom)
         assert mu_opt(zero) == Fraction(degree(bottom), k) + Fraction(k - 3, 2)
         deltas = [
             orthogonal_invariants(wall)[1] for _, wall in candidate_walls(zero)
         ]
-        assert delta_opt(zero) == max(deltas)
+        assert delta_of_wall(zero) == max(deltas)
         minus = rank_minus_one(d)
         if not is_trivial(minus):
             slopes = [
@@ -437,10 +431,10 @@ def test_mu_opt_twist_covariance():
     # moves by -m while the orthogonal discriminant is unchanged.
     for d in ((1,), (3, 1), (4, 3, 3)):
         base = mu_opt(rank_one(d))
-        base_delta = delta_opt(rank_one(d))
+        base_delta = delta_of_wall(rank_one(d))
         for m in (-5, 2):
             assert mu_opt(rank_one(d, m)) == base - m
-            assert delta_opt(rank_one(d, m)) == base_delta
+            assert delta_of_wall(rank_one(d, m)) == base_delta
 
 
 def test_derived_dual_pinned():
@@ -471,7 +465,7 @@ def test_termination_measure():
             elif isinstance(node.node, RankOne):
                 assert _obj_degree(seq.sub) < n
                 assert _obj_degree(seq.quotient) <= n
-            elif isinstance(node.node, RankZero) and row_count(node.node.diagram) == node.node.k:
+            elif isinstance(node.node, RankZero):
                 assert _obj_degree(seq.sub) < n
                 assert _obj_degree(seq.quotient) <= n
 
@@ -487,7 +481,8 @@ def test_purity_propagation():
         for node in internal_nodes(decompose(obj)):
             for child in (node.sequence.sub, node.sequence.quotient):
                 if isinstance(child, RankZero):
-                    assert is_horizontally_pure(child.diagram, child.k)
+                    assert child.k == row_count(child.diagram)
+                    assert is_horizontally_pure(child.diagram)
 
 
 def test_gieseker_two_criteria_agree():
@@ -524,6 +519,16 @@ def test_parse_tree_rejects_a_rank_minus_one_box_that_is_not_the_bounding_box():
             parse_tree(json.dumps(data))
 
 
+def test_parse_tree_rejects_a_rank_zero_whose_lines_are_not_its_row_count():
+    text = serialize_tree(decompose(rank_zero((9, 9, 7, 7, 6))))
+    assert parse_tree(text).node == rank_zero((9, 9, 7, 7, 6))
+    for lines in (6, 4, 1):
+        data = json.loads(text)
+        data["object"].update(lines=lines)
+        with pytest.raises(ValueError, match=f"does not lie on exactly {lines} lines"):
+            parse_tree(json.dumps(data))
+
+
 def test_dot_export_structure():
     dot = tree_to_dot(decompose(rank_one((1,))))
     assert dot.startswith("digraph")
@@ -536,7 +541,7 @@ def test_dot_export_structure():
 def test_text_names():
     assert text_name(rank_one(BIG)) == "I(9,9,7,7,6,4,3,3)"
     assert text_name(rank_one((4, 3, 3), -5)) == "I(4,3,3)(-5)"
-    assert text_name(rank_zero((9, 9, 7, 7, 6), 5)) == "I(9,9,7,7,6 in 5L)"
+    assert text_name(rank_zero((9, 9, 7, 7, 6))) == "I(9,9,7,7,6 in 5L)"
     assert text_name(rank_minus_one((7, 7, 7, 7, 6))) == "F(7,7,7,7,6 in 5x7)"
     assert text_name(LineBundle(-8)) == "O(-8)"
     assert text_name(ShiftedLineBundle(-11)) == "O(-11)[1]"

@@ -344,7 +344,7 @@ def test_tree_roots_are_read_from_the_rank_one_tree(monkeypatch):
     for d in oracle._diagrams(14):
         best = slopes.scheme_slope(d)
         base = transpose(d) if best.orientation == "vertical" else d
-        quotient = rank_zero(slice_below(base, best.index), best.index)
+        quotient = rank_zero(slice_below(base, best.index))
         assert quotient == decompose(rank_one(d)).quotient.node
         box = rank_minus_one(d)
         expected = [rank_one(d)] if is_trivial(box) else [rank_one(d), box]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase import oracle
-from staircase.diagram import as_diagram, degree, transpose
+from staircase.diagram import as_diagram, degree, row_count, slice_above, transpose
 from staircase.ktheory import (
     CentralChargeValue,
     ChernCharacter,
@@ -33,9 +33,11 @@ from staircase.objects import (
     decompose,
     destabilizing_sequence,
     leaves,
+    rank_minus_one,
     rank_one,
+    walk,
 )
-from staircase.slopes import scheme_slope
+from staircase.slopes import is_horizontally_pure, scheme_slope, slope_table
 from staircase.walls import SemicircleWall, VerticalWall, orthogonal_invariants, potential_wall
 
 
@@ -104,6 +106,23 @@ def test_root_wall_is_fixed_by_the_scheme_slope(diagram):
     center = -best.value - Fraction(3, 2)
     assert seq.cut == (best.orientation, best.index)
     assert (seq.wall.center, seq.wall.radius_sq) == (center, center * center - 2 * degree(diagram))
+
+
+@settings(max_examples=10, deadline=None)
+@given(skewed_diagrams())
+def test_rank_zero_nodes_lie_on_exactly_their_rows(diagram):
+    """Every rank-0 node of the trees of I_Z and of its box has k = r(D) and is pure."""
+    for root in (rank_one(diagram), rank_minus_one(diagram)):
+        for node, _, _ in walk(decompose(root)):
+            if isinstance(node.node, RankZero):
+                assert node.node.k == row_count(node.node.diagram)
+                assert is_horizontally_pure(node.node.diagram)
+    for family, rows in zip(slope_table(diagram), (diagram, transpose(diagram))):
+        n = degree(rows)
+        assert family == tuple(
+            Fraction(n - degree(slice_above(rows, k)), k) + Fraction(k - 3, 2)
+            for k in range(1, row_count(rows) + 1)
+        )
 
 
 # -- the integer cores of ktheory and walls against their Fraction formulas --

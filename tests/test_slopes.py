@@ -13,13 +13,10 @@ from staircase.diagram import (
     transpose,
 )
 from staircase.slopes import (
-    horizontal_slope,
     in_stable_base_locus,
     is_horizontally_pure,
-    padded_horizontal_slope,
     scheme_slope,
     slope_table,
-    vertical_slope,
 )
 
 BOUND = 12
@@ -39,9 +36,10 @@ def checker_slope(diagram, k) -> Fraction:
 
 def test_pinned_slope_values():
     d = (7, 6, 6, 2, 1)
-    assert vertical_slope(d, 1) == 4
-    assert vertical_slope(d, 6) == 5
-    assert horizontal_slope(d, 3) == Fraction(19, 3)
+    horizontal, vertical = slope_table(d)
+    assert vertical[0] == 4
+    assert vertical[5] == 5
+    assert horizontal[2] == Fraction(19, 3)
     assert scheme_slope(d) == (Fraction(19, 3), "horizontal", 3)
     assert scheme_slope(d).value == Fraction(19, 3)
     assert in_stable_base_locus(d, 6)
@@ -49,20 +47,16 @@ def test_pinned_slope_values():
 
 
 def test_out_of_range_indices_rejected():
-    with pytest.raises(ValueError):
-        horizontal_slope((3, 1), 3)
-    with pytest.raises(ValueError):
-        horizontal_slope((3, 1), 0)
-    with pytest.raises(ValueError):
-        vertical_slope((3, 1), 4)
+    # the table holds mu_k for 1 <= k <= r and mu'_i for 1 <= i <= c only
+    horizontal, vertical = slope_table((3, 1))
+    assert (len(horizontal), len(vertical)) == (2, 3)
+    assert slope_table(()) == ((), ())
     with pytest.raises(ValueError):
         scheme_slope(())
 
 
 def test_both_slope_formulas_agree_with_checker_recount():
     for d in enumerate_diagrams_upto(BOUND):
-        for k in range(1, row_count(d) + 3):
-            assert padded_horizontal_slope(d, k) == checker_slope(d, k)
         horizontal, vertical = slope_table(d)
         t = transpose(d)
         for k, value in enumerate(horizontal, start=1):
@@ -95,26 +89,26 @@ def test_slices_are_horizontally_pure_at_their_cut():
         k = best.index
         bottom = d[:k]
         assert is_horizontally_pure(bottom)
-        assert horizontal_slope(bottom, k) == best.value
+        assert slope_table(bottom)[0][k - 1] == best.value
 
 
 def test_purity_with_padding():
-    assert is_horizontally_pure((), 4)
-    assert is_horizontally_pure((1,), 1)
-    # a single box on three lines: padded slopes 0, 0, 1/3 stay below the top
-    assert is_horizontally_pure((1,), 3)
-    assert not is_horizontally_pure((3, 3), 3)
-    with pytest.raises(ValueError):
-        is_horizontally_pure((3, 3), 1)
+    """Purity is taken on the diagram's own rows; no padded line count is accepted."""
+    assert is_horizontally_pure(())
+    assert is_horizontally_pure((1,))
+    assert is_horizontally_pure((3, 3))
+    assert not is_horizontally_pure((3, 1))
+    with pytest.raises(TypeError):
+        is_horizontally_pure((1,), 3)
 
 
 def test_purity_matches_padded_slope_definition():
+    """Purity is mu_j <= mu_r for j <= r = r(D), on checker-recounted slopes."""
     for d in enumerate_diagrams_upto(BOUND):
-        for k in range(row_count(d), row_count(d) + 3):
-            top = padded_horizontal_slope(d, k) if k else None
-            expected = all(padded_horizontal_slope(d, j) <= top for j in range(1, k))
-            assert is_horizontally_pure(d, k) == expected
-        assert is_horizontally_pure(d) == is_horizontally_pure(d, row_count(d))
+        r = row_count(d)
+        top = checker_slope(d, r) if r else None
+        expected = all(checker_slope(d, j) <= top for j in range(1, r))
+        assert is_horizontally_pure(d) == expected
 
 
 def test_checker_identity_relating_slices():
@@ -123,13 +117,10 @@ def test_checker_identity_relating_slices():
         r = row_count(d)
         for k in range(1, r):
             above = slice_above(d, k)
+            slopes, above_slopes = slope_table(d)[0], slope_table(above)[0]
             for i in range(1, r - k + 1):
-                left = (i + k) * horizontal_slope(d, i + k)
-                right = (
-                    k * horizontal_slope(d, k)
-                    + i * horizontal_slope(above, i)
-                    + i * k
-                )
+                left = (i + k) * slopes[i + k - 1]
+                right = k * slopes[k - 1] + i * above_slopes[i - 1] + i * k
                 assert left == right
 
 
@@ -138,13 +129,15 @@ def test_vertical_slopes_shift_under_horizontal_slicing():
     for d in enumerate_diagrams_upto(BOUND):
         for k in range(1, row_count(d)):
             above = slice_above(d, k)
+            vertical, above_vertical = slope_table(d)[1], slope_table(above)[1]
             for i in range(1, col_count(above) + 1):
-                assert vertical_slope(above, i) == vertical_slope(d, i) - k
+                assert above_vertical[i - 1] == vertical[i - 1] - k
 
 
 def test_closed_form_matches_definition():
     for d in enumerate_diagrams_upto(10):
         n = degree(d)
+        horizontal = slope_table(d)[0]
         for k in range(1, row_count(d) + 1):
             w = degree(slice_above(d, k))
-            assert horizontal_slope(d, k) == Fraction(n - w, k) + Fraction(k - 3, 2)
+            assert horizontal[k - 1] == Fraction(n - w, k) + Fraction(k - 3, 2)
