@@ -54,14 +54,14 @@ def _parse_nonempty(text: str):
 
 def _cmd_slope(args) -> int:
     diagram = _parse_nonempty(args.ideal)
+    horizontal, vertical = slope_table(diagram)
+    best = scheme_slope(diagram)
     print(f"Z: rows {','.join(map(str, diagram))} (degree {degree(diagram)})")
     print(f"ideal: {render_ideal(diagram)}")
-    horizontal, vertical = slope_table(diagram)
     for k, value in enumerate(horizontal, start=1):
         print(f"  mu_{k} = {_fmt(value, args.approx)}")
     for i, value in enumerate(vertical, start=1):
         print(f"  mu'_{i} = {_fmt(value, args.approx)}")
-    best = scheme_slope(diagram)
     print(f"mu(Z) = {_fmt(best.value, args.approx)} ({best.orientation}, k={best.index})")
     return 0
 
@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except RecursionError:
         limit = sys.getrecursionlimit()
         print(f"error: input too deep for the recursion limit ({limit})", file=sys.stderr)
+        return 3
+    except OverflowError as error:
+        print(f"error: input too large ({error})", file=sys.stderr)
         return 3
 
 

@@ -13,7 +13,9 @@ integer numerators over one common denominator, computes with plain ints,
 and builds each rational result with a single ``Fraction(num, den)``.
 Characters keep their ``Fraction`` fields, so they print as ``str(Fraction)``.
 Characters of monomial objects have 2*ch2 integral and are built from that
-integer form, ``(r, c1, 2*ch2)``, by :func:`from_integers`.
+integer form, ``(r, c1, 2*ch2)``, by :func:`from_integers`.  The rank-0
+and rank -1 functions take only the diagram D: a rank-0 scheme lies on the
+k = r(D) lines of its rows, and a rank -1 complex on D's k x i bounding box.
 """
 
 from __future__ import annotations
@@ -131,25 +133,19 @@ def chern_of_ideal(diagram: Diagram) -> ChernCharacter:
     return from_integers(1, 0, -2 * degree(diagram))
 
 
-def chern_of_rank0(diagram: Diagram, k: int) -> ChernCharacter:
-    """ch I_{Z in kL} = (0, k, -k^2/2 - n) for Z supported on k lines."""
+def chern_of_rank0(diagram: Diagram) -> ChernCharacter:
+    """ch I_{Z in kL} = (0, k, -k^2/2 - n) for Z on the k = r(D) lines of its rows."""
+    k = row_count(diagram)
     if k < 1:
         raise ValueError(f"need at least one supporting line, got {k}")
-    if row_count(diagram) > k:
-        raise ValueError(
-            f"diagram with {row_count(diagram)} rows does not lie on {k} lines"
-        )
     return from_integers(0, k, -k * k - 2 * degree(diagram))
 
 
-def chern_of_rank_minus1(diagram: Diagram, k: int, i: int) -> ChernCharacter:
-    """ch of the complex O(-k) + O(-i) -> I_Z: (-1, k+i, -(k^2+i^2)/2 - n)."""
-    if k < 1 or i < 1:
+def chern_of_rank_minus1(diagram: Diagram) -> ChernCharacter:
+    """ch of O(-k) + O(-i) -> I_Z on Z's k x i box: (-1, k+i, -(k^2+i^2)/2 - n)."""
+    k, i = row_count(diagram), col_count(diagram)
+    if k < 1:
         raise ValueError(f"box dimensions must be positive, got {k} x {i}")
-    if row_count(diagram) > k or col_count(diagram) > i:
-        raise ValueError(
-            f"diagram {diagram} does not fit in a {k} x {i} box"
-        )
     return from_integers(-1, k + i, -(k * k + i * i) - 2 * degree(diagram))
 
 
@@ -202,17 +198,13 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
     )
 
 
-def rank0_hilbert_polynomial(diagram: Diagram, k: int) -> tuple[Fraction, Fraction]:
-    """Hilbert polynomial of I_{Z in kL} as (leading, constant): kx - (n + (k^2-3k)/2)."""
-    if row_count(diagram) > k:
-        raise ValueError(
-            f"diagram with {row_count(diagram)} rows does not lie on {k} lines"
-        )
-    n = degree(diagram)
-    return Fraction(k), -(n + Fraction(k * k - 3 * k, 2))
+def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
+    """Hilbert polynomial of I_{Z in kL} as (leading, constant): kx - (n + (k^2-3k)/2), k = r(D)."""
+    k = row_count(diagram)
+    return Fraction(k), -(degree(diagram) + Fraction(k * k - 3 * k, 2))
 
 
-def reduced_rank0_hilbert_polynomial(diagram: Diagram, k: int) -> tuple[Fraction, Fraction]:
-    """The monic form x - mu_k, with mu_k taken on D padded to k rows."""
-    leading, constant = rank0_hilbert_polynomial(diagram, k)
+def reduced_rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
+    """The monic form x - mu_k of :func:`rank0_hilbert_polynomial`, k = r(D)."""
+    leading, constant = rank0_hilbert_polynomial(diagram)
     return Fraction(1), constant / leading

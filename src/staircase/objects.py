@@ -3,12 +3,12 @@
 Three kinds of nontrivial objects occur:
 
 * ``RankOne(D, twist)`` — twisted ideal sheaf I_Z(twist);
-* ``RankZero(D, k, twist)`` — I_{Z in kL}(twist), a scheme lying on the k
-  lines of its k rows; construction requires horizontal purity, and ``k``
-  is kept for names and serialization;
-* ``RankMinusOne(D, k, i, twist)`` — the two-term complex
-  O(-k) + O(-i) -> I_Z (twisted) on the k x i bounding box of D; the box is
-  fixed by D, and ``k``, ``i`` are kept for names and serialization.
+* ``RankZero(D, twist)`` — I_{Z in kL}(twist), a scheme lying on the k
+  lines of its k rows; construction requires horizontal purity, and the
+  read-only ``k`` is the row count of D;
+* ``RankMinusOne(D, twist)`` — the two-term complex
+  O(-k) + O(-i) -> I_Z (twisted) on the k x i bounding box of D; the
+  read-only ``k`` and ``i`` are the row count and bottom-row length of D.
 
 Trivial objects are the leaves ``LineBundle(m)`` = O(m) and
 ``ShiftedLineBundle(m)`` = O(m)[1]; the factory functions normalize the
@@ -91,16 +91,25 @@ class RankOne:
 @dataclass(frozen=True)
 class RankZero:
     diagram: Diagram
-    k: int
     twist: int = 0
+
+    @property
+    def k(self) -> int:
+        return len(self.diagram)
 
 
 @dataclass(frozen=True)
 class RankMinusOne:
     diagram: Diagram
-    k: int
-    i: int
     twist: int = 0
+
+    @property
+    def k(self) -> int:
+        return len(self.diagram)
+
+    @property
+    def i(self) -> int:
+        return self.diagram[0]
 
 
 MonomialObject = LineBundle | ShiftedLineBundle | RankOne | RankZero | RankMinusOne
@@ -144,7 +153,7 @@ def rank_zero(diagram, twist: int = 0) -> RankZero:
         raise ValueError(
             f"diagram {diagram} on {k} lines is not horizontally pure"
         )
-    return RankZero(diagram, k, twist)
+    return RankZero(diagram, twist)
 
 
 def rank_minus_one(diagram, twist: int = 0) -> ShiftedLineBundle | RankMinusOne:
@@ -155,7 +164,7 @@ def rank_minus_one(diagram, twist: int = 0) -> ShiftedLineBundle | RankMinusOne:
         raise ValueError(f"box dimensions must be positive, got {k} x {i}")
     if diagram == (i,) * k:
         return ShiftedLineBundle(twist - k - i)
-    return RankMinusOne(diagram, k, i, twist)
+    return RankMinusOne(diagram, twist)
 
 
 def is_trivial(obj: MonomialObject) -> bool:
@@ -171,9 +180,9 @@ def chern_of(obj: MonomialObject) -> ChernCharacter:
     if isinstance(obj, RankOne):
         return twist_chern(chern_of_ideal(obj.diagram), obj.twist)
     if isinstance(obj, RankZero):
-        return twist_chern(chern_of_rank0(obj.diagram, obj.k), obj.twist)
+        return twist_chern(chern_of_rank0(obj.diagram), obj.twist)
     if isinstance(obj, RankMinusOne):
-        return twist_chern(chern_of_rank_minus1(obj.diagram, obj.k, obj.i), obj.twist)
+        return twist_chern(chern_of_rank_minus1(obj.diagram), obj.twist)
     raise TypeError(f"not a monomial object: {obj!r}")
 
 
@@ -427,23 +436,25 @@ def object_to_dict(obj: MonomialObject) -> dict:
 
 
 def object_from_dict(data: dict) -> MonomialObject:
-    kind = data["type"]
+    kind, twist = data["type"], data["twist"]
+    if type(twist) is not int:  # bool is an int subclass, and is rejected too
+        raise ValueError(f"twist must be an integer, got {twist!r}")
     if kind == "line_bundle":
-        return LineBundle(data["twist"])
+        return LineBundle(twist)
     if kind == "shifted_line_bundle":
-        return ShiftedLineBundle(data["twist"])
+        return ShiftedLineBundle(twist)
     if kind == "rank1":
-        return rank_one(data["diagram"], data["twist"])
+        return rank_one(data["diagram"], twist)
     if kind == "rank0":
         diagram, k = as_diagram(data["diagram"]), data["lines"]
         if row_count(diagram) != k:
             raise ValueError(f"diagram {diagram} does not lie on exactly {k} lines")
-        return rank_zero(diagram, data["twist"])
+        return rank_zero(diagram, twist)
     if kind == "rank-1":
         diagram, k, i = as_diagram(data["diagram"]), data["lines"], data["colines"]
         if (row_count(diagram), col_count(diagram)) != (k, i):
             raise ValueError(f"diagram {diagram} does not fill a {k} x {i} bounding box")
-        return rank_minus_one(diagram, data["twist"])
+        return rank_minus_one(diagram, twist)
     raise ValueError(f"unknown object type {kind!r}")
 
 

@@ -312,9 +312,9 @@ def _check_gieseker(diagram: Diagram) -> Iterator[str]:
     """Purity agrees with the reduced Hilbert-polynomial comparisons."""
     k = row_count(diagram)
     pure = is_horizontally_pure(diagram)
-    _, const_k = reduced_rank0_hilbert_polynomial(diagram, k)
+    _, const_k = reduced_rank0_hilbert_polynomial(diagram)
     compared = all(
-        reduced_rank0_hilbert_polynomial(slice_below(diagram, j), j)[1] >= const_k
+        reduced_rank0_hilbert_polynomial(slice_below(diagram, j))[1] >= const_k
         for j in range(1, k)
     )
     if pure != compared:

@@ -77,12 +77,12 @@ def test_criterion_02_big_example_tree_prefix():
     root = destabilizing_sequence(rank_one(BIG))
     assert root.sub == RankOne(parse_ideal("x^4,x^3y,y^3"), -5)
     assert root.sub.diagram == (4, 3, 3)
-    assert root.quotient == RankZero(parse_ideal("x^9,x^7y^2,x^6y^4,y^5"), 5, 0)
+    assert root.quotient == RankZero(parse_ideal("x^9,x^7y^2,x^6y^4,y^5"), 0)
     assert root.quotient.diagram == (9, 9, 7, 7, 6)
     step2 = destabilizing_sequence(root.quotient)
     assert step2.sub == RankOne(parse_ideal("x^2,y^2"), -7)
     assert step2.sub.diagram == (2, 2)
-    assert step2.quotient == RankMinusOne((7, 7, 7, 7, 6), 5, 7, 0)
+    assert step2.quotient == RankMinusOne((7, 7, 7, 7, 6), 0)
 
 
 # The reference description of the worked example says the first
@@ -201,7 +201,7 @@ def test_criterion_10_misprint_regressions():
         " the cross term and is not a wall radius"
     )
     assert wall.radius_sq != Fraction(561, 100)
-    poly = rank0_hilbert_polynomial((9, 9, 7, 7, 6), 5)
+    poly = rank0_hilbert_polynomial((9, 9, 7, 7, 6))
     assert poly == (5, -43), (
         "chi(I_{Z in 5L}(m)) = 5m - (n + (k^2 - 3k)/2) = 5m - 43 at n = 38;"
         " 5m - 49 would need the constant (k^2 - 3)/2, which fails additivity"

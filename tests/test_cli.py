@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from staircase import cli, objects
 from staircase.objects import decompose, destabilizing_sequence, parse_tree, rank_one
 from staircase.oracle import (
@@ -217,6 +219,24 @@ def test_too_deep_input_is_a_domain_error(capsys):
         assert out == ""
         assert err.startswith("error: input too deep")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slope", "x^99999999999999999999,y"),
+        ("wall", "x^99999999999999999999,y"),
+        ("interp", "x^99999999999999999999,y"),
+        ("decompose", "x^99999999999999999999,y"),
+        ("slope", "rows:99999999999999999999"),
+    ],
+)
+def test_exponent_too_large_to_index_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: input too large")
+    assert err.count("\n") == 1
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

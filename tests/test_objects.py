@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -101,8 +102,21 @@ def test_factory_validation():
     with pytest.raises(ValueError, match="got 0 x 0"):
         rank_minus_one(())  # the empty scheme has no bounding box
     # k is the row count; a second positional argument is the twist
-    assert rank_zero((1,), 3) == RankZero((1,), 1, 3)
-    assert rank_zero((3, 3)) == RankZero((3, 3), 2, 0)
+    assert rank_zero((1,), 3) == RankZero((1,), 3)
+    assert rank_zero((3, 3)) == RankZero((3, 3), 0)
+
+
+def test_rank_zero_and_minus_one_are_their_diagram_and_twist():
+    """k and i are read from the diagram, so no object disagrees with its diagram."""
+    assert [f.name for f in fields(RankZero)] == ["diagram", "twist"]
+    assert [f.name for f in fields(RankMinusOne)] == ["diagram", "twist"]
+    assert RankZero((9, 9, 7, 7, 6)).k == 5
+    box = RankMinusOne((7, 7, 7, 7, 6))
+    assert (box.k, box.i) == (5, 7)
+    with pytest.raises(TypeError):
+        RankZero((1,), 3, 0)  # the padded shape: one row on three lines
+    with pytest.raises(TypeError):
+        RankMinusOne((3, 1), 1, 3, 0)
 
 
 def test_chern_of_pinned():
@@ -169,18 +183,15 @@ def slice_candidates(obj):
         for i in range(1, col_count(d) + 1):
             yield ("vertical", i), twist(chern_of_ideal(slice_right(d, i)), t - i)
     elif isinstance(obj, RankZero):
-        if row_count(d) == obj.k:
-            for i in range(full_col_count(d), col_count(d) + 1):
-                yield ("vertical", i), twist(chern_of_ideal(slice_right(d, i)), t - i)
-        else:
-            yield ("vertical", 0), twist(chern_of_ideal(d), t)
+        for i in range(full_col_count(d), col_count(d) + 1):
+            yield ("vertical", i), twist(chern_of_ideal(slice_right(d, i)), t - i)
     else:
         k, i = obj.k, obj.i
         for j in range(full_row_count(d), k):
-            yield ("horizontal", j), twist(chern_of_rank0(slice_above(d, j), k - j), t - j)
+            yield ("horizontal", j), twist(chern_of_rank0(slice_above(d, j)), t - j)
         for j in range(full_col_count(d), i):
             yield ("vertical", j), twist(
-                chern_of_rank0(transpose(slice_right(d, j)), i - j), t - j
+                chern_of_rank0(transpose(slice_right(d, j))), t - j
             )
 
 
@@ -243,18 +254,18 @@ def test_destabilizing_sequence_big_chain():
     root = destabilizing_sequence(rank_one(BIG))
     assert root.cut == ("horizontal", 5)
     assert root.sub == RankOne((4, 3, 3), -5)
-    assert root.quotient == RankZero((9, 9, 7, 7, 6), 5, 0)
+    assert root.quotient == RankZero((9, 9, 7, 7, 6), 0)
     assert root.wall == SemicircleWall(Fraction(-101, 10), Fraction(601, 100))
 
     step2 = destabilizing_sequence(root.quotient)
     assert step2.cut == ("vertical", 7)
     assert step2.sub == RankOne((2, 2), -7)
-    assert step2.quotient == RankMinusOne((7, 7, 7, 7, 6), 5, 7, 0)
+    assert step2.quotient == RankMinusOne((7, 7, 7, 7, 6), 0)
     assert step2.wall == SemicircleWall(Fraction(-101, 10), Fraction(161, 100))
 
     step3 = destabilizing_sequence(step2.quotient)
     assert step3.cut == ("horizontal", 4)
-    assert step3.sub == RankZero((6,), 1, -4)
+    assert step3.sub == RankZero((6,), -4)
     assert step3.quotient == ShiftedLineBundle(-11)
     assert step3.wall == SemicircleWall(Fraction(-21, 2), Fraction(1, 4))
 
@@ -267,10 +278,10 @@ def test_complete_intersection_sequence():
             assert seq.sub == LineBundle(-a)
             if a == b:
                 assert seq.cut == ("horizontal", a)
-                assert seq.quotient == RankZero((a,) * a, a, 0)
+                assert seq.quotient == RankZero((a,) * a, 0)
             else:
                 assert seq.cut == ("vertical", a)
-                assert seq.quotient == RankZero((b,) * a, a, 0)
+                assert seq.quotient == RankZero((b,) * a, 0)
             assert seq.wall.center == Fraction(-a, 2) - b
             assert seq.wall.radius_sq == Fraction((a - 2 * b) ** 2, 4)
 
@@ -280,7 +291,7 @@ def test_single_point_tree_golden():
     assert tree.sequence.cut == ("horizontal", 1)
     assert tree.sequence.wall == SemicircleWall(Fraction(-3, 2), Fraction(1, 4))
     assert tree.sub.node == LineBundle(-1)
-    assert tree.quotient.node == RankZero((1,), 1, 0)
+    assert tree.quotient.node == RankZero((1,), 0)
     inner = tree.quotient
     assert inner.sequence.cut == ("vertical", 1)
     assert inner.sequence.wall == SemicircleWall(Fraction(-3, 2), Fraction(1, 4))
@@ -307,6 +318,23 @@ def test_padded_rank0_decomposes_through_its_ideal():
     padded = {"type": "rank0", "diagram": [1], "lines": 3, "twist": 0}
     with pytest.raises(ValueError, match="does not lie on exactly 3 lines"):
         parse_tree(json.dumps({"object": padded}))
+
+
+@pytest.mark.parametrize("bad", ["a", 1.5, 2.0, True, False, None, [1], "3"])
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"type": "line_bundle"},
+        {"type": "shifted_line_bundle"},
+        {"type": "rank1", "diagram": [2, 1]},
+        {"type": "rank0", "diagram": [2, 2], "lines": 2},
+        {"type": "rank-1", "diagram": [2, 1], "lines": 2, "colines": 2},
+    ],
+)
+def test_parse_tree_rejects_a_twist_that_is_not_an_integer(node, bad):
+    text = json.dumps({"object": dict(node, twist=bad)})
+    with pytest.raises(ValueError, match="twist must be an integer"):
+        parse_tree(text)
 
 
 def test_big_tree_leaf_multiset():
@@ -489,9 +517,9 @@ def test_gieseker_two_criteria_agree():
     for d in enumerate_diagrams_upto(BOUND):
         k = row_count(d)
         pure = is_horizontally_pure(d)
-        _, const_k = reduced_rank0_hilbert_polynomial(d, k)
+        _, const_k = reduced_rank0_hilbert_polynomial(d)
         comparisons = all(
-            reduced_rank0_hilbert_polynomial(slice_below(d, j), j)[1] >= const_k
+            reduced_rank0_hilbert_polynomial(slice_below(d, j))[1] >= const_k
             for j in range(1, k)
         )
         assert pure == comparisons

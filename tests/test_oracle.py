@@ -228,7 +228,7 @@ def shifted_wall(obj, seq):
 
 
 # an object whose node the trees of many diagrams share
-SHARED = RankZero((5,), 1, 0)
+SHARED = RankZero((5,), 0)
 SHARED_BOUND = 9
 
 
@@ -296,7 +296,7 @@ def test_a_re_parsed_tree_is_checked_on_its_own(monkeypatch):
     """A tree over the same objects as the memo's nodes is not the same tree."""
     real = oracle.decompose
     # the box root of (4, 3), and a node in the box trees of (4, 3, 1) and (4, 3, 1, 1)
-    box = RankMinusOne((4, 3), 2, 4, 0)
+    box = RankMinusOne((4, 3), 0)
     assert box == rank_minus_one((4, 3))
 
     def reparsed(obj):

@@ -1,6 +1,7 @@
 """Property tests beyond the exhaustive degree bound.
 
-Skewed partitions of 50-200 rows and columns, twists in -50..50; rational
+Skewed partitions of 50-200 rows and columns, twists in -50..50; the leaf
+twists of I_Z's tree against its minimal free resolution; rational
 Chern characters of rank -3..3 against the Fraction formulas of the
 integer arithmetic cores; row lists of mixed types for ``as_diagram``.
 """
@@ -26,8 +27,10 @@ from staircase.ktheory import (
     twist,
 )
 from staircase.objects import (
+    LineBundle,
     RankOne,
     RankZero,
+    ShiftedLineBundle,
     candidate_walls,
     chern_of,
     decompose,
@@ -37,6 +40,7 @@ from staircase.objects import (
     rank_one,
     walk,
 )
+from staircase.resolution import minimal_free_resolution
 from staircase.slopes import is_horizontally_pure, scheme_slope, slope_table
 from staircase.walls import SemicircleWall, VerticalWall, orthogonal_invariants, potential_wall
 
@@ -96,6 +100,19 @@ def test_leaf_characters_sum_to_the_ideal(diagram):
     for leaf in leaves(decompose(rank_one(diagram))):
         total = [a + b for a, b in zip(total, chern_of(leaf))]
     assert chern(*total) == chern(1, 0, -degree(diagram))
+
+
+@settings(max_examples=8, deadline=None)
+@given(skewed_diagrams())
+def test_leaf_twists_are_the_minimal_free_resolution(diagram):
+    """The O(a) leaves are the generator twists, the O(b)[1] leaves the syzygy twists."""
+    tree_leaves = leaves(decompose(rank_one(diagram)))
+    res = minimal_free_resolution(diagram)
+    line_bundles = [leaf.twist for leaf in tree_leaves if isinstance(leaf, LineBundle)]
+    shifted = [leaf.twist for leaf in tree_leaves if isinstance(leaf, ShiftedLineBundle)]
+    assert len(line_bundles) + len(shifted) == len(tree_leaves)
+    assert sorted(line_bundles) == sorted(res.generator_twists)
+    assert sorted(shifted) == sorted(res.syzygy_twists)
 
 
 @settings(max_examples=15, deadline=None)
