@@ -201,6 +201,8 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
 def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
     """Hilbert polynomial of I_{Z in kL} as (leading, constant): kx - (n + (k^2-3k)/2), k = r(D)."""
     k = row_count(diagram)
+    if k < 1:
+        raise ValueError(f"need at least one supporting line, got {k}")
     return Fraction(k), -(degree(diagram) + Fraction(k * k - 3 * k, 2))
 
 

@@ -435,10 +435,15 @@ def object_to_dict(obj: MonomialObject) -> dict:
     }
 
 
+def _integer(data: dict, key: str) -> int:
+    value = data[key]
+    if type(value) is not int:  # bool is an int subclass, and is rejected too
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def object_from_dict(data: dict) -> MonomialObject:
-    kind, twist = data["type"], data["twist"]
-    if type(twist) is not int:  # bool is an int subclass, and is rejected too
-        raise ValueError(f"twist must be an integer, got {twist!r}")
+    kind, twist = data["type"], _integer(data, "twist")
     if kind == "line_bundle":
         return LineBundle(twist)
     if kind == "shifted_line_bundle":
@@ -446,12 +451,13 @@ def object_from_dict(data: dict) -> MonomialObject:
     if kind == "rank1":
         return rank_one(data["diagram"], twist)
     if kind == "rank0":
-        diagram, k = as_diagram(data["diagram"]), data["lines"]
+        diagram, k = as_diagram(data["diagram"]), _integer(data, "lines")
         if row_count(diagram) != k:
             raise ValueError(f"diagram {diagram} does not lie on exactly {k} lines")
         return rank_zero(diagram, twist)
     if kind == "rank-1":
-        diagram, k, i = as_diagram(data["diagram"]), data["lines"], data["colines"]
+        diagram = as_diagram(data["diagram"])
+        k, i = _integer(data, "lines"), _integer(data, "colines")
         if (row_count(diagram), col_count(diagram)) != (k, i):
             raise ValueError(f"diagram {diagram} does not fill a {k} x {i} bounding box")
         return rank_minus_one(diagram, twist)

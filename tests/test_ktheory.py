@@ -54,6 +54,10 @@ def test_twist_dual_negate():
 def test_domain_checks():
     with pytest.raises(ValueError, match="need at least one supporting line, got 0"):
         chern_of_rank0(())
+    with pytest.raises(ValueError, match="need at least one supporting line, got 0"):
+        rank0_hilbert_polynomial(())
+    with pytest.raises(ValueError, match="need at least one supporting line, got 0"):
+        reduced_rank0_hilbert_polynomial(())
     with pytest.raises(ValueError, match="got 0 x 0"):
         chern_of_rank_minus1(())
     with pytest.raises(ValueError):

@@ -337,6 +337,24 @@ def test_parse_tree_rejects_a_twist_that_is_not_an_integer(node, bad):
         parse_tree(text)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "node, key",
+    [
+        ({"type": "rank0", "diagram": [3], "lines": 1}, "lines"),
+        ({"type": "rank0", "diagram": [2, 2], "lines": 2}, "lines"),
+        ({"type": "rank-1", "diagram": [3, 1], "lines": 2, "colines": 3}, "lines"),
+        ({"type": "rank-1", "diagram": [3, 1], "lines": 2, "colines": 3}, "colines"),
+    ],
+)
+def test_parse_tree_rejects_a_line_count_that_is_not_an_integer(node, key, bad):
+    # each node parses as written; a bool or float count, even one equal to it, does not
+    parse_tree(json.dumps({"object": dict(node, twist=0)}))
+    text = json.dumps({"object": dict(node, **{key: bad}, twist=0)})
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        parse_tree(text)
+
+
 def test_big_tree_leaf_multiset():
     tree = decompose(rank_one(BIG))
     got = sorted(

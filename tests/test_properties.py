@@ -1,7 +1,8 @@
 """Property tests beyond the exhaustive degree bound.
 
 Skewed partitions of 50-200 rows and columns, twists in -50..50; the leaf
-twists of I_Z's tree against its minimal free resolution; rational
+twists of I_Z's tree against its minimal free resolution; the integer
+slope comparisons against the Fraction rule; the derived dual; rational
 Chern characters of rank -3..3 against the Fraction formulas of the
 integer arithmetic cores; row lists of mixed types for ``as_diagram``.
 """
@@ -11,11 +12,18 @@ from __future__ import annotations
 from dataclasses import fields, replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from staircase import oracle
-from staircase.diagram import as_diagram, degree, row_count, slice_above, transpose
+from staircase.diagram import (
+    as_diagram,
+    complement_rotate,
+    degree,
+    row_count,
+    slice_above,
+    transpose,
+)
 from staircase.ktheory import (
     CentralChargeValue,
     ChernCharacter,
@@ -28,14 +36,17 @@ from staircase.ktheory import (
 )
 from staircase.objects import (
     LineBundle,
+    RankMinusOne,
     RankOne,
     RankZero,
     ShiftedLineBundle,
     candidate_walls,
     chern_of,
     decompose,
+    derived_dual,
     destabilizing_sequence,
     leaves,
+    mu_opt,
     rank_minus_one,
     rank_one,
     walk,
@@ -140,6 +151,41 @@ def test_rank_zero_nodes_lie_on_exactly_their_rows(diagram):
             Fraction(n - degree(slice_above(rows, k)), k) + Fraction(k - 3, 2)
             for k in range(1, row_count(rows) + 1)
         )
+
+
+def fraction_pure(diagram):
+    """Horizontal purity in Fraction arithmetic: mu_j <= mu_r for every j."""
+    horizontal = slope_table(diagram)[0]
+    return all(mu <= horizontal[-1] for mu in horizontal)
+
+
+@settings(max_examples=25, deadline=None)
+@given(skewed_diagrams())
+def test_integer_slope_comparisons_follow_the_fraction_rule(diagram):
+    """scheme_slope is the first maximum of the table; purity is mu_j <= mu_r."""
+    horizontal, vertical = slope_table(diagram)
+    cuts = [(mu, "horizontal", k) for k, mu in enumerate(horizontal, 1)]
+    cuts += [(mu, "vertical", i) for i, mu in enumerate(vertical, 1)]
+    top = max(mu for mu, _, _ in cuts)
+    best = scheme_slope(diagram)
+    assert tuple(best) == next(cut for cut in cuts if cut[0] == top)
+    assert type(best.value) is Fraction
+    assert is_horizontally_pure(diagram) == fraction_pure(diagram)
+    if best.orientation == "horizontal":
+        # the bottom rows up to the best cut end on their largest slope: pure
+        below = diagram[: best.index]
+        assert is_horizontally_pure(below) == fraction_pure(below) is True
+
+
+@settings(max_examples=15, deadline=None)
+@given(skewed_diagrams(), TWISTS)
+def test_derived_dual_is_an_involution_with_the_slope_identity(diagram, t):
+    box = rank_minus_one(diagram, t)
+    assume(isinstance(box, RankMinusOne))  # Z fills its box: a trivial object
+    dual, dual_twist = derived_dual(box)
+    assert dual_twist == box.k + box.i - t
+    assert complement_rotate(dual, box.k, box.i) == diagram
+    assert mu_opt(box) + t == -mu_opt(rank_one(dual)) + box.i + box.k - 3
 
 
 # -- the integer cores of ktheory and walls against their Fraction formulas --
