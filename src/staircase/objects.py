@@ -134,6 +134,18 @@ class DecompositionTree:
     def is_leaf(self) -> bool:
         return self.sequence is None
 
+    def __eq__(self, other):
+        """Node by node along both preorder walks, not bounded by the recursion limit.
+
+        Equal sequences give equal shapes, so the walks end together.
+        """
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            a.node == b.node and a.sequence == b.sequence
+            for (a, _, _), (b, _, _) in zip(walk(self), walk(other))
+        )
+
 
 def rank_one(diagram, twist: int = 0) -> LineBundle | RankOne:
     """I_Z(twist), normalized to O(twist) for the empty scheme."""
@@ -412,27 +424,34 @@ def render_tree(tree: DecompositionTree) -> str:
     return "".join(lines)
 
 
-def object_to_dict(obj: MonomialObject) -> dict:
-    if isinstance(obj, LineBundle):
-        return {"type": "line_bundle", "twist": obj.twist}
-    if isinstance(obj, ShiftedLineBundle):
-        return {"type": "shifted_line_bundle", "twist": obj.twist}
-    if isinstance(obj, RankOne):
-        return {"type": "rank1", "diagram": list(obj.diagram), "twist": obj.twist}
-    if isinstance(obj, RankZero):
-        return {
-            "type": "rank0",
-            "diagram": list(obj.diagram),
-            "lines": obj.k,
-            "twist": obj.twist,
-        }
-    return {
-        "type": "rank-1",
-        "diagram": list(obj.diagram),
-        "lines": obj.k,
-        "colines": obj.i,
-        "twist": obj.twist,
-    }
+_TYPE_NAMES = {
+    LineBundle: "line_bundle",
+    ShiftedLineBundle: "shifted_line_bundle",
+    RankOne: "rank1",
+    RankZero: "rank0",
+    RankMinusOne: "rank-1",
+}
+
+
+def _json_block(brackets: str, items, nl: str, step: str) -> str:
+    """JSON ``items`` in ``brackets``, each on its own line at ``nl + step``."""
+    inner = nl + step
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _object_json(obj: MonomialObject, nl: str, step: str, colon: str) -> str:
+    """The object's JSON, keys sorted: colines, diagram, lines, twist, type."""
+    members = []
+    if not is_trivial(obj):
+        if isinstance(obj, RankMinusOne):
+            members.append(f'"colines"{colon}{obj.i}')
+        diagram = _json_block("[]", map(str, obj.diagram), nl + step, step)
+        members.append(f'"diagram"{colon}{diagram}')
+        if not isinstance(obj, RankOne):
+            members.append(f'"lines"{colon}{obj.k}')
+    members.append(f'"twist"{colon}{obj.twist}')
+    members.append(f'"type"{colon}"{_TYPE_NAMES[type(obj)]}"')
+    return _json_block("{}", members, nl, step)
 
 
 def _integer(data: dict, key: str) -> int:
@@ -464,40 +483,57 @@ def object_from_dict(data: dict) -> MonomialObject:
     raise ValueError(f"unknown object type {kind!r}")
 
 
-def tree_to_dict(tree: DecompositionTree) -> dict:
-    data: dict = {"object": object_to_dict(tree.node)}
-    if not tree.is_leaf:
-        seq = tree.sequence
-        data["cut"] = [seq.cut[0], seq.cut[1]]
-        data["wall"] = {
-            "center": str(seq.wall.center),
-            "radius_sq": str(seq.wall.radius_sq),
-        }
-        data["sub"] = tree_to_dict(tree.sub)
-        data["quotient"] = tree_to_dict(tree.quotient)
-    return data
-
-
 def tree_from_dict(data: dict) -> DecompositionTree:
     node = object_from_dict(data["object"])
     if "cut" not in data:
         return DecompositionTree(node)
+    direction, index = data["cut"]
+    # serialize_tree writes both as they are, unescaped
+    if direction not in ("horizontal", "vertical") or type(index) is not int:
+        raise ValueError(f"cut must be a direction and an integer index, got {data['cut']!r}")
     sub = tree_from_dict(data["sub"])
     quotient = tree_from_dict(data["quotient"])
     wall = SemicircleWall(
         Fraction(data["wall"]["center"]), Fraction(data["wall"]["radius_sq"])
     )
-    sequence = DestabilizingSequence(
-        sub.node, quotient.node, wall, (data["cut"][0], data["cut"][1])
-    )
+    sequence = DestabilizingSequence(sub.node, quotient.node, wall, (direction, index))
     return DecompositionTree(node, sequence, sub, quotient)
 
 
 def serialize_tree(tree: DecompositionTree, pretty: bool = False) -> str:
-    """Canonical JSON text of a tree; byte-identical for equal trees."""
-    if pretty:
-        return json.dumps(tree_to_dict(tree), sort_keys=True, indent=2)
-    return json.dumps(tree_to_dict(tree), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text of a tree; byte-identical for equal trees.
+
+    The text is what ``json.dumps(..., sort_keys=True)`` gives for the nested
+    members, compact or with ``indent=2`` (every member and list element on
+    its own line).  A node's keys sort as ``cut``, ``object``, ``quotient``,
+    ``sub``, ``wall``, so the quotient subtree is written before the sub.
+    One pass with an explicit stack of subtrees and pending text writes it,
+    so tree depth is not bounded by the recursion limit.
+    """
+    step, colon = ("  ", ": ") if pretty else ("", ":")
+    parts = []
+    # (subtree, newline and indent of its closing brace), or text to emit
+    stack: list = [(tree, "\n" if pretty else "")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        t, nl = item
+        inner = nl + step
+        obj = _object_json(t.node, inner, step, colon)
+        if t.is_leaf:
+            parts.append(f'{{{inner}"object"{colon}{obj}{nl}}}')
+            continue
+        (direction, index), wall = t.sequence.cut, t.sequence.wall
+        cut = _json_block("[]", (f'"{direction}"', str(index)), inner, step)
+        members = (f'"center"{colon}"{wall.center}"', f'"radius_sq"{colon}"{wall.radius_sq}"')
+        parts.append(f'{{{inner}"cut"{colon}{cut},{inner}"object"{colon}{obj},{inner}"quotient"{colon}')
+        stack.append(f',{inner}"wall"{colon}{_json_block("{}", members, inner, step)}{nl}}}')
+        stack.append((t.sub, inner))
+        stack.append(f',{inner}"sub"{colon}')
+        stack.append((t.quotient, inner))
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> DecompositionTree:

@@ -355,6 +355,18 @@ def test_parse_tree_rejects_a_line_count_that_is_not_an_integer(node, key, bad):
         parse_tree(text)
 
 
+@pytest.mark.parametrize(
+    "cut",
+    [["diagonal", 1], ['horizontal"', 1], ["horizontal", True], ["vertical", 1.0], ["vertical", "1"]],
+)
+def test_parse_tree_rejects_a_cut_that_is_not_a_direction_and_an_integer(cut):
+    data = json.loads(serialize_tree(decompose(rank_one((1,)))))
+    parse_tree(json.dumps(data))
+    data["cut"] = cut
+    with pytest.raises(ValueError, match="cut must be a direction and an integer index"):
+        parse_tree(json.dumps(data))
+
+
 def test_big_tree_leaf_multiset():
     tree = decompose(rank_one(BIG))
     got = sorted(
@@ -553,6 +565,19 @@ def test_serialization_round_trip_and_determinism():
         assert serialize_tree(parse_tree(text)) == text
     pretty = serialize_tree(decompose(rank_one((1,))), pretty=True)
     assert parse_tree(pretty) == decompose(rank_one((1,)))
+
+
+def test_deep_trees_round_trip_and_compare_equal_under_the_recursion_limit():
+    """Tree equality walks both trees, so it reaches as deep as decompose does."""
+    tree = decompose(rank_one(tuple(range(450, 0, -1))))
+    for pretty in (False, True):
+        again = parse_tree(serialize_tree(tree, pretty))
+        assert again is not tree
+        assert again == tree
+        assert hash(again) == hash(tree)
+    assert tree != decompose(rank_one(tuple(range(449, 0, -1))))
+    assert tree != tree.sub
+    assert tree != tree.node
 
 
 def test_parse_tree_rejects_a_rank_minus_one_box_that_is_not_the_bounding_box():

@@ -2,16 +2,21 @@
 
 Skewed partitions of 50-200 rows and columns, twists in -50..50; the leaf
 twists of I_Z's tree against its minimal free resolution; the integer
-slope comparisons against the Fraction rule; the derived dual; rational
-Chern characters of rank -3..3 against the Fraction formulas of the
-integer arithmetic cores; row lists of mixed types for ``as_diagram``.
+slope comparisons against the Fraction rule; the derived dual; the tree
+writer against ``json.dumps`` of a reference dict (also exhaustively to
+degree 11), and the text round-trips of trees and ideals; rational Chern
+characters of rank -3..3 against the Fraction formulas of the integer
+arithmetic cores; row lists of mixed types for ``as_diagram``.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +25,9 @@ from staircase.diagram import (
     as_diagram,
     complement_rotate,
     degree,
+    enumerate_diagrams_upto,
+    parse_ideal,
+    render_ideal,
     row_count,
     slice_above,
     transpose,
@@ -47,8 +55,10 @@ from staircase.objects import (
     destabilizing_sequence,
     leaves,
     mu_opt,
+    parse_tree,
     rank_minus_one,
     rank_one,
+    serialize_tree,
     walk,
 )
 from staircase.resolution import minimal_free_resolution
@@ -186,6 +196,83 @@ def test_derived_dual_is_an_involution_with_the_slope_identity(diagram, t):
     assert dual_twist == box.k + box.i - t
     assert complement_rotate(dual, box.k, box.i) == diagram
     assert mu_opt(box) + t == -mu_opt(rank_one(dual)) + box.i + box.k - 3
+
+
+# -- the tree writer against json.dumps, and the text round-trips --
+
+
+def reference_object(obj):
+    """The members of an object's JSON, as a dict for ``json.dumps``."""
+    if isinstance(obj, LineBundle):
+        return {"type": "line_bundle", "twist": obj.twist}
+    if isinstance(obj, ShiftedLineBundle):
+        return {"type": "shifted_line_bundle", "twist": obj.twist}
+    if isinstance(obj, RankOne):
+        return {"type": "rank1", "diagram": list(obj.diagram), "twist": obj.twist}
+    if isinstance(obj, RankZero):
+        return {"type": "rank0", "diagram": list(obj.diagram), "lines": obj.k, "twist": obj.twist}
+    return {
+        "type": "rank-1",
+        "diagram": list(obj.diagram),
+        "lines": obj.k,
+        "colines": obj.i,
+        "twist": obj.twist,
+    }
+
+
+def reference_tree(tree):
+    """The members of a tree's JSON, as a nested dict for ``json.dumps``."""
+    data = {"object": reference_object(tree.node)}
+    if not tree.is_leaf:
+        seq = tree.sequence
+        data["cut"] = [seq.cut[0], seq.cut[1]]
+        data["wall"] = {"center": str(seq.wall.center), "radius_sq": str(seq.wall.radius_sq)}
+        data["sub"] = reference_tree(tree.sub)
+        data["quotient"] = reference_tree(tree.quotient)
+    return data
+
+
+def assert_written_as_json_dumps(tree):
+    data = reference_tree(tree)
+    for pretty, want in (
+        (False, json.dumps(data, sort_keys=True, separators=(",", ":"))),
+        (True, json.dumps(data, sort_keys=True, indent=2)),
+    ):
+        got = serialize_tree(tree, pretty)
+        if got != want:  # pytest's own diff of texts this long takes seconds per example
+            at = len(os.path.commonprefix((got, want)))
+            pytest.fail(f"pretty={pretty}, at {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
+
+
+def test_tree_writer_is_json_dumps_to_degree_11_and_on_staircases():
+    for diagram in enumerate_diagrams_upto(11):
+        for root in oracle._tree_roots(diagram):
+            assert_written_as_json_dumps(decompose(root))
+    for rows in (40, 150):
+        assert_written_as_json_dumps(decompose(rank_one(tuple(range(rows, 0, -1)))))
+
+
+@settings(max_examples=10, deadline=None)
+@given(skewed_diagrams())
+def test_tree_writer_is_json_dumps(diagram):
+    for root in oracle._tree_roots(diagram):
+        assert_written_as_json_dumps(decompose(root))
+
+
+@settings(max_examples=10, deadline=None)
+@given(skewed_diagrams())
+def test_trees_round_trip_through_their_text(diagram):
+    tree = decompose(rank_one(diagram))
+    for pretty in (False, True):
+        text = serialize_tree(tree, pretty)
+        assert parse_tree(text) == tree
+        assert serialize_tree(parse_tree(text), pretty) == text
+
+
+@settings(max_examples=25, deadline=None)
+@given(skewed_diagrams())
+def test_ideals_round_trip_through_their_text(diagram):
+    assert parse_ideal(render_ideal(diagram)) == diagram
 
 
 # -- the integer cores of ktheory and walls against their Fraction formulas --

@@ -1,9 +1,12 @@
-"""The README's "Library use" example runs as written from a checkout."""
+"""The README's "Library use" example runs as written from a checkout, and its
+"Tree serialization" example is what the command it names prints."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
+
+from staircase import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +16,11 @@ def test_library_use_block_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
     assert len(blocks) == 1, "expected one python block, the Library use example"
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_tree_serialization_block_is_the_printed_json(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, "expected one json block, the Tree serialization example"
+    assert cli.main(["decompose", "rows: 1", "--format", "json"]) == 0
+    assert capsys.readouterr().out == blocks[0]
