@@ -13,8 +13,13 @@ Three kinds of nontrivial objects occur:
 Trivial objects are the leaves ``LineBundle(m)`` = O(m) and
 ``ShiftedLineBundle(m)`` = O(m)[1]; the factory functions normalize the
 degenerate unions (empty diagram, full rectangle) to them so leaf multisets
-compare canonically.  Vertically supported rank-0 objects are stored with
-the diagram transposed, which changes none of the invariants.
+compare canonically.  A vertical cut is a horizontal cut of the transpose:
+a cut family is a list of ``lengths``, the rows of D or its columns
+``transpose(D)``, and cut ``j`` puts ``lengths[j:]`` in the sub, twisted by
+``-j``, and ``lengths[:j]`` in the quotient.  A rank-0 part keeps the sliced
+lengths as its diagram, so vertically supported rank-0 objects are stored
+transposed, which changes none of the invariants; a rank +-1 part of a
+vertical cut is transposed back to rows.
 
 Destabilization picks the largest candidate wall: most negative center for
 rank 1, largest squared radius among the concentric rank-0 candidates, least
@@ -46,10 +51,6 @@ from .diagram import (
     full_col_count,
     full_row_count,
     row_count,
-    slice_above,
-    slice_below,
-    slice_left,
-    slice_right,
     transpose,
 )
 from .ktheory import (
@@ -225,38 +226,30 @@ def _candidate_subs(obj: MonomialObject):
     first of several equal walls is the preferred cut.  Every character is
     integral after doubling ch2: a subobject I_{Z'}(m) is ``(1, m, m^2 - 2n')``
     and I_{Z' in KL}(m) is ``(0, K, -K^2 - 2n' + 2Km)``, where ``n'`` is ``n``
-    minus the boxes cut off, a running sum over the rows or the columns.
+    minus the boxes cut off, a running sum over ``lengths``, and ``K`` is
+    ``len(lengths) - j``.
     """
     d, t = obj.diagram, obj.twist
     n = degree(d)
     if isinstance(obj, RankOne):
-        yield from _rank_one_subs("horizontal", d, n, t, 1, row_count(d))
-        yield from _rank_one_subs("vertical", transpose(d), n, t, 1, col_count(d))
+        families = ("horizontal", d, 1, row_count(d)), ("vertical", transpose(d), 1, col_count(d))
     elif isinstance(obj, RankZero):
-        yield from _rank_one_subs(
-            "vertical", transpose(d), n, t, full_col_count(d), col_count(d)
-        )
+        families = (("vertical", transpose(d), full_col_count(d), col_count(d)),)
     else:
-        yield from _rank_zero_subs("horizontal", d, n, t, full_row_count(d), obj.k)
-        yield from _rank_zero_subs(
-            "vertical", transpose(d), n, t, full_col_count(d), obj.i
+        families = (
+            ("horizontal", d, full_row_count(d), obj.k - 1),
+            ("vertical", transpose(d), full_col_count(d), obj.i - 1),
         )
-
-
-def _rank_one_subs(direction: str, lengths: Diagram, n: int, t: int, first: int, last: int):
-    """I(slice past cut j)(t - j) for j = first..last; ``lengths`` are rows or columns."""
-    cut_off = [0, *accumulate(lengths)]
-    for j in range(first, last + 1):
-        m = t - j
-        yield (direction, j), (1, m, m * m - 2 * (n - cut_off[j]))
-
-
-def _rank_zero_subs(direction: str, lengths: Diagram, n: int, t: int, first: int, lines: int):
-    """I(slice past cut j in (lines - j)L)(t - j) for j = first..lines - 1."""
-    cut_off = [0, *accumulate(lengths)]
-    for j in range(first, lines):
-        k, m = lines - j, t - j
-        yield (direction, j), (0, k, -k * k - 2 * (n - cut_off[j]) + 2 * k * m)
+    rank_zero_sub = isinstance(obj, RankMinusOne)
+    for direction, lengths, first, last in families:
+        cut_off = [0, *accumulate(lengths)]
+        for j in range(first, last + 1):
+            m, left = t - j, n - cut_off[j]
+            if rank_zero_sub:
+                k = len(lengths) - j
+                yield (direction, j), (0, k, -k * k - 2 * left + 2 * k * m)
+            else:
+                yield (direction, j), (1, m, m * m - 2 * left)
 
 
 def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
@@ -301,32 +294,17 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
 
 
 def _sequence_parts(obj: MonomialObject, cut: Cut) -> tuple[MonomialObject, MonomialObject]:
-    direction, index = cut
+    """(sub, quotient) at ``cut``, by the transpose rule of the module docstring."""
+    direction, j = cut
     d, t = obj.diagram, obj.twist
+    vertical = direction == "vertical"
+    lengths = transpose(d) if vertical else d
+    rows = transpose if vertical else tuple  # lengths back to rows; tuple() keeps a tuple
     if isinstance(obj, RankOne):
-        if direction == "horizontal":
-            return (
-                rank_one(slice_above(d, index), t - index),
-                rank_zero(slice_below(d, index), t),
-            )
-        return (
-            rank_one(slice_right(d, index), t - index),
-            rank_zero(transpose(slice_left(d, index)), t),
-        )
+        return rank_one(rows(lengths[j:]), t - j), rank_zero(lengths[:j], t)
     if isinstance(obj, RankZero):
-        return (
-            rank_one(slice_right(d, index), t - index),
-            rank_minus_one(slice_left(d, index), t),
-        )
-    if direction == "horizontal":
-        return (
-            rank_zero(slice_above(d, index), t - index),
-            rank_minus_one(slice_below(d, index), t),
-        )
-    return (
-        rank_zero(transpose(slice_right(d, index)), t - index),
-        rank_minus_one(slice_left(d, index), t),
-    )
+        return rank_one(rows(lengths[j:]), t - j), rank_minus_one(rows(lengths[:j]), t)
+    return rank_zero(lengths[j:], t - j), rank_minus_one(rows(lengths[:j]), t)
 
 
 @lru_cache(maxsize=None)
@@ -454,29 +432,48 @@ def _object_json(obj: MonomialObject, nl: str, step: str, colon: str) -> str:
     return _json_block("{}", members, nl, step)
 
 
-def _integer(data: dict, key: str) -> int:
-    value = data[key]
-    if type(value) is not int:  # bool is an int subclass, and is rejected too
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+_KINDS = {dict: "an object", int: "an integer", list: "a list", str: "a string"}
+
+
+def _member(data, key: str, kind: type):
+    """``data[key]`` of exactly type ``kind``: bool, an int subclass, is no integer."""
+    if type(data) is not dict or key not in data:
+        raise ValueError(f"expected a JSON object with the member {key!r}")
+    if type(data[key]) is not kind:
+        raise ValueError(f"{key} must be {_KINDS[kind]}, got {data[key]!r}")
+    return data[key]
+
+
+def _diagram(data: dict) -> Diagram:
+    rows = _member(data, "diagram", list)
+    if any(type(h) is not int for h in rows):  # the rule of _member, row by row
+        raise ValueError(f"diagram rows must be integers, got {rows!r}")
+    return as_diagram(rows)
+
+
+def _fraction(data: dict, key: str) -> Fraction:
+    try:
+        return Fraction(_member(data, key, str))  # serialize_tree writes exact fraction text
+    except ZeroDivisionError:
+        raise ValueError(f"{key} has a zero denominator") from None
 
 
 def object_from_dict(data: dict) -> MonomialObject:
-    kind, twist = data["type"], _integer(data, "twist")
+    kind, twist = _member(data, "type", str), _member(data, "twist", int)
     if kind == "line_bundle":
         return LineBundle(twist)
     if kind == "shifted_line_bundle":
         return ShiftedLineBundle(twist)
     if kind == "rank1":
-        return rank_one(data["diagram"], twist)
+        return rank_one(_diagram(data), twist)
     if kind == "rank0":
-        diagram, k = as_diagram(data["diagram"]), _integer(data, "lines")
+        diagram, k = _diagram(data), _member(data, "lines", int)
         if row_count(diagram) != k:
             raise ValueError(f"diagram {diagram} does not lie on exactly {k} lines")
         return rank_zero(diagram, twist)
     if kind == "rank-1":
-        diagram = as_diagram(data["diagram"])
-        k, i = _integer(data, "lines"), _integer(data, "colines")
+        diagram = _diagram(data)
+        k, i = _member(data, "lines", int), _member(data, "colines", int)
         if (row_count(diagram), col_count(diagram)) != (k, i):
             raise ValueError(f"diagram {diagram} does not fill a {k} x {i} bounding box")
         return rank_minus_one(diagram, twist)
@@ -484,19 +481,18 @@ def object_from_dict(data: dict) -> MonomialObject:
 
 
 def tree_from_dict(data: dict) -> DecompositionTree:
-    node = object_from_dict(data["object"])
+    node = object_from_dict(_member(data, "object", dict))
     if "cut" not in data:
         return DecompositionTree(node)
-    direction, index = data["cut"]
+    cut = tuple(_member(data, "cut", list))
     # serialize_tree writes both as they are, unescaped
-    if direction not in ("horizontal", "vertical") or type(index) is not int:
-        raise ValueError(f"cut must be a direction and an integer index, got {data['cut']!r}")
-    sub = tree_from_dict(data["sub"])
-    quotient = tree_from_dict(data["quotient"])
-    wall = SemicircleWall(
-        Fraction(data["wall"]["center"]), Fraction(data["wall"]["radius_sq"])
-    )
-    sequence = DestabilizingSequence(sub.node, quotient.node, wall, (direction, index))
+    if len(cut) != 2 or cut[0] not in ("horizontal", "vertical") or type(cut[1]) is not int:
+        raise ValueError(f"cut must be a direction and an integer index, got {list(cut)!r}")
+    sub = tree_from_dict(_member(data, "sub", dict))
+    quotient = tree_from_dict(_member(data, "quotient", dict))
+    wall = _member(data, "wall", dict)
+    wall = SemicircleWall(_fraction(wall, "center"), _fraction(wall, "radius_sq"))
+    sequence = DestabilizingSequence(sub.node, quotient.node, wall, cut)
     return DecompositionTree(node, sequence, sub, quotient)
 
 

@@ -43,6 +43,7 @@ from staircase.oracle import run_check
 from staircase.resolution import minimal_free_resolution
 from staircase.slopes import scheme_slope, slope_table
 from staircase.walls import orthogonal_invariants, potential_wall
+from tree_asserts import assert_same_text
 
 CHECKER_IDEAL = "x^7,x^6y,x^2y^3,xy^4,y^5"
 BIG_IDEAL = "x^9,x^7y^2,x^6y^4,x^4y^5,x^3y^6,y^8"
@@ -217,7 +218,7 @@ def test_criterion_11_tie_determinism():
     assert destabilizing_sequence(obj).cut == ("horizontal", 4)
     first = serialize_tree(decompose(rank_one(BIG)))
     second = serialize_tree(parse_tree(first))
-    assert first == second  # byte-identical across independent constructions
+    assert_same_text(second, first)  # byte-identical across independent constructions
     decompose.cache_clear()
     cold = run_check("nesting", 10)
     warm = run_check("nesting", 10)

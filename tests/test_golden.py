@@ -8,8 +8,10 @@ nonempty diagram up to degree 9 (96 diagrams, as ``rows:`` text), or of
 recorded from the code before the integer arithmetic cores.  The rank -1
 trees on the bounding boxes, which ``verify`` walks but no command prints,
 are hashed as serialized trees against a digest recorded before the padded
-rank-0 path was removed.  Change a digest only together with an intended
-change of output.
+rank-0 path was removed.  Every tree that ``verify`` walks to degree 12,
+plus the 40- and 150-row staircases, is hashed the same way against a
+digest recorded before the cut families were stated once.  Change a digest
+only together with an intended change of output.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from staircase import cli
+from staircase import cli, oracle
 from staircase.diagram import enumerate_diagrams_upto
-from staircase.objects import decompose, is_trivial, rank_minus_one, serialize_tree
+from staircase.objects import decompose, is_trivial, rank_minus_one, rank_one, serialize_tree
 
 DIAGRAMS = [d for d in enumerate_diagrams_upto(9) if d]
 
@@ -61,6 +63,9 @@ VERIFY_SHA256 = "6bfde21a9fa8dfaba177ddff4c78c5e87c95d9e4324fb5c61f34d1a96467a65
 # sha256 of serialize_tree(decompose(rank_minus_one(d))) plus a newline, for
 # every diagram of DIAGRAMS that does not fill its bounding box
 BOX_TREES_SHA256 = "8acbe3459ae77b2f945225bf49db9873ee9d793041207d03bf501108a4023c20"
+# the same over every oracle._tree_roots tree of a nonempty diagram of degree
+# <= 12, then the 40- and 150-row staircases
+DEGREE_12_TREES_SHA256 = "5ad94a90dee27c9f7d75e32f0569445d59233f0f18ebf23e2112f7b38ed5241f"
 
 
 def stdout_of(argv) -> str:
@@ -94,3 +99,12 @@ def test_box_trees_match_golden_digest():
         if not is_trivial(box):
             digest.update(serialize_tree(decompose(box)).encode() + b"\n")
     assert digest.hexdigest() == BOX_TREES_SHA256
+
+
+def test_degree_12_trees_match_golden_digest():
+    roots = [root for d in enumerate_diagrams_upto(12) if d for root in oracle._tree_roots(d)]
+    roots += [rank_one(tuple(range(rows, 0, -1))) for rows in (40, 150)]
+    digest = hashlib.sha256()
+    for root in roots:
+        digest.update(serialize_tree(decompose(root)).encode() + b"\n")
+    assert digest.hexdigest() == DEGREE_12_TREES_SHA256

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +17,7 @@ from staircase.diagram import (
     full_row_count,
     slice_above,
     slice_below,
+    slice_left,
     slice_right,
     transpose,
 )
@@ -56,6 +57,7 @@ from staircase.objects import (
 )
 from staircase.slopes import is_horizontally_pure, scheme_slope
 from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall
+from tree_asserts import assert_same_text, assert_same_tree
 
 BOUND = 10
 
@@ -195,6 +197,36 @@ def slice_candidates(obj):
             )
 
 
+def slice_parts(obj, cut):
+    """(sub, quotient) at ``cut``, sliced out by rows and columns."""
+    direction, index = cut
+    d, t = obj.diagram, obj.twist
+    if isinstance(obj, RankOne):
+        if direction == "horizontal":
+            return (
+                rank_one(slice_above(d, index), t - index),
+                rank_zero(slice_below(d, index), t),
+            )
+        return (
+            rank_one(slice_right(d, index), t - index),
+            rank_zero(transpose(slice_left(d, index)), t),
+        )
+    if isinstance(obj, RankZero):
+        return (
+            rank_one(slice_right(d, index), t - index),
+            rank_minus_one(slice_left(d, index), t),
+        )
+    if direction == "horizontal":
+        return (
+            rank_zero(slice_above(d, index), t - index),
+            rank_minus_one(slice_below(d, index), t),
+        )
+    return (
+        rank_zero(transpose(slice_right(d, index)), t - index),
+        rank_minus_one(slice_left(d, index), t),
+    )
+
+
 def reference_step(obj):
     """The first minimum of candidate_walls under the documented key."""
     if isinstance(obj, RankOne):
@@ -222,6 +254,29 @@ def test_integer_selection_matches_the_reference_on_every_tree_node():
                     (cut, chern(r, c1, Fraction(ch2_twice, 2)))
                     for cut, (r, c1, ch2_twice) in scaled
                 ] == list(slice_candidates(obj))
+
+
+def parts_or_error(parts, obj, cut):
+    try:
+        return parts(obj, cut)
+    except ValueError as error:  # a rank-0 part that is not horizontally pure
+        return type(error)
+
+
+def test_every_candidate_cut_splits_as_the_row_and_column_slices():
+    nodes = {
+        node.node
+        for d in enumerate_diagrams_upto(12)
+        for root in oracle._tree_roots(d)
+        for node in internal_nodes(decompose(root))
+    }
+    raised = 0
+    for obj in nodes:
+        for cut, _ in slice_candidates(obj):
+            want = parts_or_error(slice_parts, obj, cut)
+            assert parts_or_error(objects._sequence_parts, obj, cut) == want, (obj, cut)
+            raised += want is ValueError
+    assert raised  # some candidate cuts have an impure rank-0 part
 
 
 def test_selection_raises_like_the_reference_on_a_degenerate_candidate(monkeypatch):
@@ -365,6 +420,42 @@ def test_parse_tree_rejects_a_cut_that_is_not_a_direction_and_an_integer(cut):
     data["cut"] = cut
     with pytest.raises(ValueError, match="cut must be a direction and an integer index"):
         parse_tree(json.dumps(data))
+
+
+def test_parse_tree_rejects_json_of_the_wrong_shape():
+    text = serialize_tree(decompose(rank_one((1,))))
+    assert_same_tree(parse_tree(text), decompose(rank_one((1,))))
+
+    def edited(edit):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+
+    texts = [
+        "[]",
+        "3",
+        '{"object": 3}',
+        '{"cut": ["horizontal", 1]}',
+        edited(lambda data: data.pop("sub")),
+        edited(lambda data: data["object"].pop("diagram")),
+        edited(lambda data: data.update(cut=5)),
+        edited(lambda data: data.update(cut=["horizontal", 1, 2])),
+        edited(lambda data: data.update(wall=[1])),
+        edited(lambda data: data["wall"].pop("center")),
+        edited(lambda data: data["wall"].update(center=None)),
+        edited(lambda data: data["wall"].update(center=-1.5)),
+        edited(lambda data: data["wall"].update(radius_sq="1/0")),
+        edited(lambda data: data["wall"].update(radius_sq="1/00")),
+        edited(lambda data: data.update(sub=[])),
+        edited(lambda data: data["object"].update(type=["rank1"])),
+        edited(lambda data: data["object"].update(diagram=[True])),
+        edited(lambda data: data["object"].update(diagram=[2.0])),
+        edited(lambda data: data["object"].update(diagram=3)),
+        edited(lambda data: data["quotient"]["object"].update(diagram=[1.0])),
+    ]
+    for bad in texts:
+        with pytest.raises(ValueError):
+            parse_tree(bad)
 
 
 def test_big_tree_leaf_multiset():
@@ -560,11 +651,23 @@ def test_serialization_round_trip_and_determinism():
         tree = decompose(rank_one(d))
         text = serialize_tree(tree)
         again = serialize_tree(decompose(rank_one(d)))
-        assert text == again
-        assert parse_tree(text) == tree
-        assert serialize_tree(parse_tree(text)) == text
+        assert_same_text(again, text)
+        assert_same_tree(parse_tree(text), tree)
+        assert_same_text(serialize_tree(parse_tree(text)), text)
     pretty = serialize_tree(decompose(rank_one((1,))), pretty=True)
-    assert parse_tree(pretty) == decompose(rank_one((1,)))
+    assert_same_tree(parse_tree(pretty), decompose(rank_one((1,))))
+
+
+def test_tree_asserts_name_the_first_difference():
+    tree = decompose(rank_one((1,)))
+    inner = tree.quotient  # preorder: root, its sub leaf, then this node
+    moved = replace(inner.sequence, wall=SemicircleWall(Fraction(-2), Fraction(1, 4)))
+    other = replace(tree, quotient=replace(inner, sequence=moved))
+    assert_same_tree(tree, tree)
+    with pytest.raises(pytest.fail.Exception, match=r"preorder node 2 \(quotient, depth 1\)"):
+        assert_same_tree(other, tree)
+    with pytest.raises(pytest.fail.Exception, match="at 2: 'd' != 'c'"):
+        assert_same_text("abd", "abc")
 
 
 def test_deep_trees_round_trip_and_compare_equal_under_the_recursion_limit():
@@ -573,6 +676,7 @@ def test_deep_trees_round_trip_and_compare_equal_under_the_recursion_limit():
     for pretty in (False, True):
         again = parse_tree(serialize_tree(tree, pretty))
         assert again is not tree
+        assert_same_tree(again, tree)
         assert again == tree
         assert hash(again) == hash(tree)
     assert tree != decompose(rank_one(tuple(range(449, 0, -1))))

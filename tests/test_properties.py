@@ -12,11 +12,9 @@ arithmetic cores; row lists of mixed types for ``as_diagram``.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import fields, replace
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +62,7 @@ from staircase.objects import (
 from staircase.resolution import minimal_free_resolution
 from staircase.slopes import is_horizontally_pure, scheme_slope, slope_table
 from staircase.walls import SemicircleWall, VerticalWall, orthogonal_invariants, potential_wall
+from tree_asserts import assert_same_text, assert_same_tree
 
 
 @st.composite
@@ -238,10 +237,7 @@ def assert_written_as_json_dumps(tree):
         (False, json.dumps(data, sort_keys=True, separators=(",", ":"))),
         (True, json.dumps(data, sort_keys=True, indent=2)),
     ):
-        got = serialize_tree(tree, pretty)
-        if got != want:  # pytest's own diff of texts this long takes seconds per example
-            at = len(os.path.commonprefix((got, want)))
-            pytest.fail(f"pretty={pretty}, at {at}: {got[at:at + 60]!r} != {want[at:at + 60]!r}")
+        assert_same_text(serialize_tree(tree, pretty), want, f"pretty={pretty}, ")
 
 
 def test_tree_writer_is_json_dumps_to_degree_11_and_on_staircases():
@@ -265,8 +261,8 @@ def test_trees_round_trip_through_their_text(diagram):
     tree = decompose(rank_one(diagram))
     for pretty in (False, True):
         text = serialize_tree(tree, pretty)
-        assert parse_tree(text) == tree
-        assert serialize_tree(parse_tree(text), pretty) == text
+        assert_same_tree(parse_tree(text), tree)
+        assert_same_text(serialize_tree(parse_tree(text), pretty), text)
 
 
 @settings(max_examples=25, deadline=None)
