@@ -128,25 +128,40 @@ def discriminant(xi: ChernCharacter) -> Fraction:
     return mu * mu / 2 - Fraction(xi.ch2, xi.r)
 
 
-def chern_of_ideal(diagram: Diagram) -> ChernCharacter:
-    """ch I_Z = (1, 0, -n)."""
-    return from_integers(1, 0, -2 * degree(diagram))
+def ideal_integers(diagram: Diagram) -> tuple[int, int, int]:
+    """(r, c1, 2*ch2) of I_Z: (1, 0, -2n)."""
+    return 1, 0, -2 * degree(diagram)
 
 
-def chern_of_rank0(diagram: Diagram) -> ChernCharacter:
-    """ch I_{Z in kL} = (0, k, -k^2/2 - n) for Z on the k = r(D) lines of its rows."""
+def rank0_integers(diagram: Diagram) -> tuple[int, int, int]:
+    """(r, c1, 2*ch2) of I_{Z in kL}, Z on the k = r(D) lines of its rows: (0, k, -k^2 - 2n)."""
     k = row_count(diagram)
     if k < 1:
         raise ValueError(f"need at least one supporting line, got {k}")
-    return from_integers(0, k, -k * k - 2 * degree(diagram))
+    return 0, k, -k * k - 2 * degree(diagram)
 
 
-def chern_of_rank_minus1(diagram: Diagram) -> ChernCharacter:
-    """ch of O(-k) + O(-i) -> I_Z on Z's k x i box: (-1, k+i, -(k^2+i^2)/2 - n)."""
+def rank_minus1_integers(diagram: Diagram) -> tuple[int, int, int]:
+    """(r, c1, 2*ch2) of O(-k) + O(-i) -> I_Z on Z's k x i box: (-1, k+i, -(k^2+i^2) - 2n)."""
     k, i = row_count(diagram), col_count(diagram)
     if k < 1:
         raise ValueError(f"box dimensions must be positive, got {k} x {i}")
-    return from_integers(-1, k + i, -(k * k + i * i) - 2 * degree(diagram))
+    return -1, k + i, -(k * k + i * i) - 2 * degree(diagram)
+
+
+def chern_of_ideal(diagram: Diagram) -> ChernCharacter:
+    """ch I_Z = (1, 0, -n)."""
+    return from_integers(*ideal_integers(diagram))
+
+
+def chern_of_rank0(diagram: Diagram) -> ChernCharacter:
+    """ch I_{Z in kL} = (0, k, -k^2/2 - n)."""
+    return from_integers(*rank0_integers(diagram))
+
+
+def chern_of_rank_minus1(diagram: Diagram) -> ChernCharacter:
+    """ch of O(-k) + O(-i) -> I_Z: (-1, k+i, -(k^2+i^2)/2 - n)."""
+    return from_integers(*rank_minus1_integers(diagram))
 
 
 def hilbert_P(m) -> Fraction:

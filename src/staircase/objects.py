@@ -25,12 +25,13 @@ Destabilization picks the largest candidate wall: most negative center for
 rank 1, largest squared radius among the concentric rank-0 candidates, least
 negative center for rank -1.  Ties prefer the horizontal family, then the
 smallest cut index.  The cut is picked exactly from integer data: every
-candidate character is ``(r, c1, 2*ch2)`` in plain ints, built from running
-row and column sums, and walls compare by cross-multiplication.  Only the
-chosen cut's wall is computed, by the general :func:`potential_wall`, and
-stored.  :func:`candidate_walls` evaluates :func:`potential_wall` on every
-candidate and stays the reference that the selection is tested against.
-Decomposing recursively yields a finite tree whose leaves are trivial.
+character is ``(r, c1, 2*ch2)`` in plain ints, the object's from the fast
+path :func:`integer_character` (the oracle checks it against the
+``Fraction`` twist) and each candidate's from running row and column sums.
+Walls compare by cross-multiplication; only the chosen cut's wall is
+computed, by the general :func:`wall_from_parts`, and stored, and
+:func:`candidate_walls`, the reference the selection is tested against,
+evaluates it on every candidate.  Decomposing yields a finite tree of trivial leaves.
 """
 
 from __future__ import annotations
@@ -55,16 +56,14 @@ from .diagram import (
 )
 from .ktheory import (
     ChernCharacter,
-    chern_of_ideal,
-    chern_of_rank0,
-    chern_of_rank_minus1,
     from_integers,
-    line_bundle,
-    negate,
-    twist as twist_chern,
+    ideal_integers,
+    rank0_integers,
+    rank_minus1_integers,
 )
 from .slopes import is_horizontally_pure
-from .walls import SemicircleWall, is_empty, orthogonal_invariants, potential_wall
+from .walls import SemicircleWall, is_empty, orthogonal_invariants, wall_from_parts
+from .walls import potential_wall  # noqa: F401  kept bound here: perfbench's tracer test patches it
 
 Cut = tuple[str, int]  # ("horizontal" | "vertical", index)
 
@@ -147,6 +146,10 @@ class DecompositionTree:
             for (a, _, _), (b, _, _) in zip(walk(self), walk(other))
         )
 
+    def __hash__(self):
+        """The root's; equal trees have equal roots, so this agrees with ``__eq__``."""
+        return hash((self.node, self.sequence))
+
 
 def rank_one(diagram, twist: int = 0) -> LineBundle | RankOne:
     """I_Z(twist), normalized to O(twist) for the empty scheme."""
@@ -184,43 +187,50 @@ def is_trivial(obj: MonomialObject) -> bool:
     return isinstance(obj, (LineBundle, ShiftedLineBundle))
 
 
+def integer_character(obj: MonomialObject) -> tuple[int, int, int]:
+    """``(r, c1, 2*ch2)`` of any monomial object: its type's ints, twisted to c1 + r*t, 2*ch2 + 2*c1*t + r*t^2."""
+    if isinstance(obj, RankOne):
+        r, c1, ch2_twice = ideal_integers(obj.diagram)
+    elif isinstance(obj, RankZero):
+        r, c1, ch2_twice = rank0_integers(obj.diagram)
+    elif isinstance(obj, RankMinusOne):
+        r, c1, ch2_twice = rank_minus1_integers(obj.diagram)
+    else:
+        r, c1, ch2_twice = (1 if isinstance(obj, LineBundle) else -1), 0, 0
+    t = obj.twist
+    return r, c1 + r * t, ch2_twice + 2 * c1 * t + r * t * t
+
+
 def chern_of(obj: MonomialObject) -> ChernCharacter:
     """The Chern character of any monomial object."""
-    if isinstance(obj, LineBundle):
-        return line_bundle(obj.twist)
-    if isinstance(obj, ShiftedLineBundle):
-        return negate(line_bundle(obj.twist))
-    if isinstance(obj, RankOne):
-        return twist_chern(chern_of_ideal(obj.diagram), obj.twist)
-    if isinstance(obj, RankZero):
-        return twist_chern(chern_of_rank0(obj.diagram), obj.twist)
-    if isinstance(obj, RankMinusOne):
-        return twist_chern(chern_of_rank_minus1(obj.diagram), obj.twist)
-    raise TypeError(f"not a monomial object: {obj!r}")
+    return from_integers(*integer_character(obj))
 
 
 def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
     """Every candidate destabilizing cut with its wall: the reference path.
 
-    Walls come from :func:`potential_wall` between the candidate subobject's
-    character and the object's own, never from specialized radius formulas.
-    :func:`destabilizing_sequence` picks its cut without these walls, and
-    the tests compare the two.
+    Walls come from the general formula :func:`wall_from_parts` between the
+    candidate subobject's integer character and the object's own, never from
+    specialized radius formulas.  :func:`destabilizing_sequence` picks its
+    cut without these walls, and the tests compare the two.
     """
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
-    target = chern_of(obj)
-    candidates = []
-    for cut, sub in _candidate_subs(obj):
-        wall = potential_wall(from_integers(*sub), target)
-        if not isinstance(wall, SemicircleWall):
-            raise AssertionError(f"candidate wall at {cut} is not a semicircle")
-        candidates.append((cut, wall))
-    return candidates
+    target = integer_character(obj)
+    return [(cut, _candidate_wall(cut, sub, target)) for cut, sub, _ in _candidate_subs(obj)]
+
+
+def _candidate_wall(cut: Cut, sub, target) -> SemicircleWall:
+    """The wall of two ``(r, c1, 2*ch2)`` characters; raises unless a semicircle."""
+    (r1, c1, e1), (r2, c2, e2) = sub, target
+    wall = wall_from_parts(r1, c1, 1, e1, 2, r2, c2, 1, e2, 2)
+    if not isinstance(wall, SemicircleWall):
+        raise AssertionError(f"candidate wall at {cut} is not a semicircle")
+    return wall
 
 
 def _candidate_subs(obj: MonomialObject):
-    """(cut, (r, c1, 2*ch2)) of every candidate subobject, in preference order.
+    """(cut, (r, c1, 2*ch2), lengths) of every candidate subobject, in preference order.
 
     The order is horizontal before vertical, then ascending index, so the
     first of several equal walls is the preferred cut.  Every character is
@@ -247,9 +257,9 @@ def _candidate_subs(obj: MonomialObject):
             m, left = t - j, n - cut_off[j]
             if rank_zero_sub:
                 k = len(lengths) - j
-                yield (direction, j), (0, k, -k * k - 2 * left + 2 * k * m)
+                yield (direction, j), (0, k, -k * k - 2 * left + 2 * k * m), lengths
             else:
-                yield (direction, j), (1, m, m * m - 2 * left)
+                yield (direction, j), (1, m, m * m - 2 * left), lengths
 
 
 def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
@@ -261,23 +271,21 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     from the integer characters of :func:`_candidate_subs` by cross-multiplied
     comparisons, so it is the first minimum of :func:`candidate_walls` (the
     reference) under the key ``center``, ``-radius_sq`` or ``-center``.  The
-    stored wall is :func:`potential_wall` of the chosen candidate's own
-    integer character and the object, computed once; the oracle's ``chern``
-    check compares it with the walls of the sliced sub and quotient.
+    stored wall is :func:`wall_from_parts` of the chosen candidate's integer
+    character and the object's, computed once; the oracle's ``chern`` check
+    compares it with the walls of the sliced sub and quotient.
     """
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
-    target = chern_of(obj)
-    r2, c2, e2 = target.r, int(target.c1), int(2 * target.ch2)
-    best_cut, best_sub, best_p, best_q = None, None, 0, 1
-    for cut, sub in _candidate_subs(obj):
+    target = r2, c2, e2 = integer_character(obj)
+    best, best_p, best_q = None, 0, 1
+    for cut, sub, lengths in _candidate_subs(obj):
         r1, c1, e1 = sub
         # center = num/den and radius_sq = (num^2 + 2*den*cross)/den^2,
-        # the formulas of potential_wall with 2*ch2 in place of ch2
+        # the formulas of wall_from_parts with 2*ch2 in place of ch2
         den = 2 * (c1 * r2 - c2 * r1)
         if den == 0:
-            potential_wall(from_integers(*sub), target)  # raises if dependent
-            raise AssertionError(f"candidate wall at {cut} is not a semicircle")
+            _candidate_wall(cut, sub, target)  # dependent or of one slope: raises
         num = e1 * r2 - e2 * r1
         # the cut minimizes p/q, q > 0: -radius_sq for rank 0, and
         # r2 * center for rank r2 = +-1 (most or least negative center)
@@ -285,21 +293,20 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
             p, q = -(num * num + 2 * den * (c1 * e2 - c2 * e1)), den * den
         else:
             p, q = (r2 * num, den) if den > 0 else (-r2 * num, -den)
-        if best_cut is None or p * best_q < best_p * q:
-            best_cut, best_sub, best_p, best_q = cut, sub, p, q
-    wall = potential_wall(from_integers(*best_sub), target)
+        if best is None or p * best_q < best_p * q:
+            best, best_p, best_q = (cut, sub, lengths), p, q
+    cut, sub, lengths = best
+    wall = _candidate_wall(cut, sub, target)
     if is_empty(wall):
-        raise AssertionError(f"selected wall at {best_cut} for {obj!r} is empty")
-    return DestabilizingSequence(*_sequence_parts(obj, best_cut), wall, best_cut)
+        raise AssertionError(f"selected wall at {cut} for {obj!r} is empty")
+    return DestabilizingSequence(*_sequence_parts(obj, cut, lengths), wall, cut)
 
 
-def _sequence_parts(obj: MonomialObject, cut: Cut) -> tuple[MonomialObject, MonomialObject]:
-    """(sub, quotient) at ``cut``, by the transpose rule of the module docstring."""
+def _sequence_parts(obj: MonomialObject, cut: Cut, lengths) -> tuple[MonomialObject, MonomialObject]:
+    """(sub, quotient) at ``cut`` of its family ``lengths``, by the transpose rule of the module docstring."""
     direction, j = cut
-    d, t = obj.diagram, obj.twist
-    vertical = direction == "vertical"
-    lengths = transpose(d) if vertical else d
-    rows = transpose if vertical else tuple  # lengths back to rows; tuple() keeps a tuple
+    t = obj.twist
+    rows = transpose if direction == "vertical" else tuple  # lengths back to rows; tuple() keeps a tuple
     if isinstance(obj, RankOne):
         return rank_one(rows(lengths[j:]), t - j), rank_zero(lengths[:j], t)
     if isinstance(obj, RankZero):

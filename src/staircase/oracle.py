@@ -19,11 +19,12 @@ wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
 ``duality`` is the only fresh step.  The ``chern`` check recomputes each node
 wall with :func:`potential_wall` from the Chern characters of the sliced sub,
 node and quotient, and the chosen cut with :func:`candidate_walls`, which
-calls :func:`potential_wall` on every candidate, so the general wall formula
-stays the reference against which every tree is checked.  The characters,
-walls, pairings and central charges it compares come from the integer cores
-of ``ktheory`` and ``walls``, one ``Fraction`` per result; the resolution
-clause sums integer ``(r, c1, 2*ch2)`` triples.
+evaluates the integer core :func:`wall_from_parts` on every candidate, so
+the general wall formula stays the reference for every tree, as the general
+``Fraction`` twist does for each node's fast :func:`integer_character`.  The
+characters, walls, pairings and central charges it compares come from the
+integer cores of ``ktheory`` and ``walls``, one ``Fraction`` per result; the
+resolution clause sums integer ``(r, c1, 2*ch2)`` triples.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ from .ktheory import (
     ChernCharacter,
     central_charge,
     chern_of_ideal,
+    chern_of_rank0,
+    chern_of_rank_minus1,
     euler_char,
     from_integers,
     from_slope_discriminant,
     reduced_rank0_hilbert_polynomial,
     ring_product,
+    twist,
 )
 from .objects import (
     DecompositionTree,
@@ -183,11 +187,14 @@ def _check_duality(node: DecompositionTree) -> Iterator[str]:
 
 
 def _check_chern(node: DecompositionTree) -> Iterator[str]:
-    """Chern additivity, wall agreement, largest cut, orthogonality on a nonempty wall."""
-    seq = node.sequence
-    total = chern_of(node.node)
+    """Twist agreement, Chern additivity, wall agreement, largest cut, orthogonality on a nonempty wall."""
+    seq, obj = node.sequence, node.node
+    total = chern_of(obj)
     sub = chern_of(seq.sub)
     quot = chern_of(seq.quotient)
+    untwisted = {RankOne: chern_of_ideal, RankZero: chern_of_rank0, RankMinusOne: chern_of_rank_minus1}
+    if total != twist(untwisted[type(obj)](obj.diagram), obj.twist):
+        yield f"integer character differs from the general twist at {text_name(obj)}"
     if ChernCharacter(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
         yield f"chern additivity fails at {text_name(node.node)}"
     # the stored wall came from the cut's integer character, not from this slice

@@ -7,9 +7,10 @@ or a semicircle; semicircles store the exact center and squared radius, so a
 semicircular wall corresponds to a unique rank-1 orthogonal class through
 mu = -s - 3/2 and 2*Delta = rho^2 - 1/4.
 
-Wall arithmetic has an integer core, as in :mod:`staircase.ktheory`: the
+Wall arithmetic has integer cores, as in :mod:`staircase.ktheory`: the
 inputs go to integer numerators over one common denominator, and each
-center, squared radius or invariant is built with one ``Fraction``.
+center, squared radius or invariant is built with one ``Fraction``;
+:func:`wall_from_parts` states the wall formula once, on integer parts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ktheory import ChernCharacter, integer_parts, mumford_slope
+from .ktheory import ChernCharacter, integer_parts
 
 
 @dataclass(frozen=True)
@@ -41,19 +42,19 @@ def is_empty(wall: Wall) -> bool:
 
 
 def potential_wall(xi1: ChernCharacter, xi2: ChernCharacter) -> Wall:
-    """The potential wall W(xi1, xi2).
+    """The potential wall W(xi1, xi2): :func:`wall_from_parts` of their integer parts."""
+    return wall_from_parts(*integer_parts(xi1), *integer_parts(xi2))
 
-    The two characters must be linearly independent.  When both have rank 0
-    the alignment locus is empty (both slopes infinite) and no wall of the
-    supported shapes exists; that pairing is rejected.
 
-    With c1 and ch2 of both characters scaled by q, the least common
-    multiple of their four denominators, the 2 x 2 minors c (of r, c1),
-    n (of r, ch2) and cross (of c1, ch2) are integers, and
-    ``center = n/c``, ``radius_sq = (q n^2 + 2 c cross)/(q c^2)``.
+def wall_from_parts(r1, a1, p1, b1, q1, r2, a2, p2, b2, q2) -> Wall:
+    """The wall of two characters as (r, a, p, b, q) parts: c1 = a/p, ch2 = b/q, p, q > 0.
+
+    Lowest terms are not needed, so ``(r, c1, 2*ch2)`` enters as ``(r, c1, 1, 2*ch2, 2)``.
+    The characters must be linearly independent and not both of rank 0 (an
+    empty locus).  With c1 and ch2 scaled by q, the lcm of the denominators,
+    the minors c (of r, c1), n (of r, ch2) and cross (of c1, ch2) are
+    integers: ``center = n/c``, ``radius_sq = (q n^2 + 2 c cross)/(q c^2)``.
     """
-    r1, a1, p1, b1, q1 = integer_parts(xi1)
-    r2, a2, p2, b2, q2 = integer_parts(xi2)
     q = lcm(p1, q1, p2, q2)
     a1, b1, a2, b2 = a1 * (q // p1), b1 * (q // q1), a2 * (q // p2), b2 * (q // q2)
     c = a1 * r2 - a2 * r1
@@ -64,7 +65,7 @@ def potential_wall(xi1: ChernCharacter, xi2: ChernCharacter) -> Wall:
     if c == 0:
         if r1 == 0 and r2 == 0:
             raise ValueError("two rank-0 characters share no wall (empty locus)")
-        return VerticalWall(mumford_slope(xi1 if r1 != 0 else xi2))
+        return VerticalWall(Fraction(a1, q * r1) if r1 != 0 else Fraction(a2, q * r2))
     return SemicircleWall(Fraction(n, c), Fraction(q * n * n + 2 * c * cross, q * c * c))
 
 

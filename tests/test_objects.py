@@ -56,7 +56,7 @@ from staircase.objects import (
     tree_to_dot,
 )
 from staircase.slopes import is_horizontally_pure, scheme_slope
-from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall
+from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall, wall_from_parts
 from tree_asserts import assert_same_text, assert_same_tree
 
 BOUND = 10
@@ -249,16 +249,22 @@ def test_integer_selection_matches_the_reference_on_every_tree_node():
                 seq = destabilizing_sequence(obj)
                 assert (seq.cut, seq.wall) == reference_step(obj)
                 scaled = list(objects._candidate_subs(obj))
-                assert all(type(x) is int for _, sub in scaled for x in sub)
+                assert all(type(x) is int for _, sub, _ in scaled for x in sub)
+                assert all(lengths == family(obj, cut) for cut, _, lengths in scaled)
                 assert [
                     (cut, chern(r, c1, Fraction(ch2_twice, 2)))
-                    for cut, (r, c1, ch2_twice) in scaled
+                    for cut, (r, c1, ch2_twice), _ in scaled
                 ] == list(slice_candidates(obj))
 
 
-def parts_or_error(parts, obj, cut):
+def family(obj, cut):
+    """The lengths a cut slices: the rows of D, or its columns for a vertical cut."""
+    return transpose(obj.diagram) if cut[0] == "vertical" else obj.diagram
+
+
+def parts_or_error(parts, *args):
     try:
-        return parts(obj, cut)
+        return parts(*args)
     except ValueError as error:  # a rank-0 part that is not horizontally pure
         return type(error)
 
@@ -274,7 +280,8 @@ def test_every_candidate_cut_splits_as_the_row_and_column_slices():
     for obj in nodes:
         for cut, _ in slice_candidates(obj):
             want = parts_or_error(slice_parts, obj, cut)
-            assert parts_or_error(objects._sequence_parts, obj, cut) == want, (obj, cut)
+            got = parts_or_error(objects._sequence_parts, obj, cut, family(obj, cut))
+            assert got == want, (obj, cut)
             raised += want is ValueError
     assert raised  # some candidate cuts have an impure rank-0 part
 
@@ -284,7 +291,8 @@ def test_selection_raises_like_the_reference_on_a_degenerate_candidate(monkeypat
     own = (1, -5, 5)  # the object's own character: linearly dependent
     same_slope = (1, -5, 7)  # independent but of equal slope: a vertical wall
     for sub, error in ((own, ValueError), (same_slope, AssertionError)):
-        monkeypatch.setattr(objects, "_candidate_subs", lambda _: iter([(("horizontal", 1), sub)]))
+        candidates = [(("horizontal", 1), sub, obj.diagram)]
+        monkeypatch.setattr(objects, "_candidate_subs", lambda _: iter(candidates))
         with pytest.raises(error):
             candidate_walls(obj)
         with pytest.raises(error):
@@ -292,14 +300,15 @@ def test_selection_raises_like_the_reference_on_a_degenerate_candidate(monkeypat
 
 
 def test_one_potential_wall_per_tree_node(monkeypatch):
+    """One evaluation of the general wall formula per internal node: the stored wall."""
     calls = 0
 
-    def counting(xi1, xi2):
+    def counting(*parts):
         nonlocal calls
         calls += 1
-        return potential_wall(xi1, xi2)
+        return wall_from_parts(*parts)
 
-    monkeypatch.setattr(objects, "potential_wall", counting)
+    monkeypatch.setattr(objects, "wall_from_parts", counting)
     decompose.cache_clear()
     tree = decompose(rank_one(tuple(range(150, 0, -1))))
     assert calls == len(internal_nodes(tree))
@@ -678,7 +687,7 @@ def test_deep_trees_round_trip_and_compare_equal_under_the_recursion_limit():
         assert again is not tree
         assert_same_tree(again, tree)
         assert again == tree
-        assert hash(again) == hash(tree)
+        assert hash(again) == hash(tree) == hash((tree.node, tree.sequence))
     assert tree != decompose(rank_one(tuple(range(449, 0, -1))))
     assert tree != tree.sub
     assert tree != tree.node
@@ -731,6 +740,7 @@ def test_tree_walks_are_not_bounded_by_the_recursion_limit():
         sequence = DestabilizingSequence(sub.node, tree.node, wall, ("horizontal", 1))
         tree = DecompositionTree(RankOne((1,), m), sequence, sub, tree)
     assert len(internal_nodes(tree)) == depth
+    assert hash(tree) == hash((tree.node, tree.sequence))
     assert leaves(tree)[:2] == [LineBundle(-depth), LineBundle(1 - depth)]
     assert len(leaves(tree)) == depth + 1
     assert render_tree(tree).count("\n") == 4 * depth + 1

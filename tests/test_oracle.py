@@ -36,7 +36,7 @@ from staircase.oracle import (
     render_reports,
     run_check,
 )
-from staircase.walls import SemicircleWall, potential_wall
+from staircase.walls import SemicircleWall, potential_wall, wall_from_parts
 
 BOUND = 12
 
@@ -321,7 +321,7 @@ def test_chern_reports_a_cut_that_is_not_the_largest(tamper):
     assert wall != best.wall
 
     def smaller_cut(obj, seq):
-        sub, quotient = objects._sequence_parts(obj, cut)
+        sub, quotient = objects._sequence_parts(obj, cut, transpose(obj.diagram))
         assert potential_wall(chern_of(sub), chern_of(obj)) == wall
         return DestabilizingSequence(sub, quotient, wall, cut)
 
@@ -376,7 +376,7 @@ def test_rootwall_reports_a_root_cut_that_is_not_the_scheme_slope_cut(tamper):
     cut = ("vertical", 3)  # a real step, on a smaller wall
 
     def smaller_cut(obj, seq):
-        sub, quotient = objects._sequence_parts(obj, cut)
+        sub, quotient = objects._sequence_parts(obj, cut, transpose(obj.diagram))
         return DestabilizingSequence(sub, quotient, dict(candidate_walls(obj))[cut], cut)
 
     tamper(obj, smaller_cut)
@@ -415,10 +415,10 @@ def test_chern_evaluates_potential_wall_on_every_candidate(monkeypatch):
     walls, per_call = 0, []
     candidates = oracle.candidate_walls
 
-    def counting_wall(xi1, xi2):
+    def counting_wall(*parts):
         nonlocal walls
         walls += 1
-        return potential_wall(xi1, xi2)
+        return wall_from_parts(*parts)
 
     def counting_candidates(obj):
         before = walls
@@ -426,7 +426,7 @@ def test_chern_evaluates_potential_wall_on_every_candidate(monkeypatch):
         per_call.append((len(result), walls - before))
         return result
 
-    monkeypatch.setattr(objects, "potential_wall", counting_wall)
+    monkeypatch.setattr(objects, "wall_from_parts", counting_wall)
     monkeypatch.setattr(oracle, "candidate_walls", counting_candidates)
     assert run_check("chern", BOUND).passed
     assert all(count == calls for count, calls in per_call)

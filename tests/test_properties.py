@@ -2,11 +2,12 @@
 
 Skewed partitions of 50-200 rows and columns, twists in -50..50; the leaf
 twists of I_Z's tree against its minimal free resolution; the integer
-slope comparisons against the Fraction rule; the derived dual; the tree
-writer against ``json.dumps`` of a reference dict (also exhaustively to
-degree 11), and the text round-trips of trees and ideals; rational Chern
-characters of rank -3..3 against the Fraction formulas of the integer
-arithmetic cores; row lists of mixed types for ``as_diagram``.
+slope comparisons against the Fraction rule; the derived dual; the integer
+characters of objects, twisted in -300..300, against the Fraction twist;
+the tree writer against ``json.dumps`` of a reference dict (also
+exhaustively to degree 11), and the text round-trips of trees and ideals;
+rational Chern characters of rank -3..3 against the Fraction formulas of
+the integer arithmetic cores; row lists of mixed types for ``as_diagram``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 from dataclasses import fields, replace
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from staircase import oracle
@@ -35,8 +36,14 @@ from staircase.ktheory import (
     ChernCharacter,
     central_charge,
     chern,
+    chern_of_ideal,
+    chern_of_rank0,
+    chern_of_rank_minus1,
     euler_char,
     from_slope_discriminant,
+    integer_parts,
+    line_bundle,
+    negate,
     ring_product,
     twist,
 )
@@ -61,7 +68,13 @@ from staircase.objects import (
 )
 from staircase.resolution import minimal_free_resolution
 from staircase.slopes import is_horizontally_pure, scheme_slope, slope_table
-from staircase.walls import SemicircleWall, VerticalWall, orthogonal_invariants, potential_wall
+from staircase.walls import (
+    SemicircleWall,
+    VerticalWall,
+    orthogonal_invariants,
+    potential_wall,
+    wall_from_parts,
+)
 from tree_asserts import assert_same_text, assert_same_tree
 
 
@@ -195,6 +208,33 @@ def test_derived_dual_is_an_involution_with_the_slope_identity(diagram, t):
     assert dual_twist == box.k + box.i - t
     assert complement_rotate(dual, box.k, box.i) == diagram
     assert mu_opt(box) + t == -mu_opt(rank_one(dual)) + box.i + box.k - 3
+
+
+def fraction_character(obj):
+    """The Chern character by the general Fraction twist of the object's type."""
+    if isinstance(obj, LineBundle):
+        return line_bundle(obj.twist)
+    if isinstance(obj, ShiftedLineBundle):
+        return negate(line_bundle(obj.twist))
+    untwisted = {RankOne: chern_of_ideal, RankZero: chern_of_rank0, RankMinusOne: chern_of_rank_minus1}
+    return twist(untwisted[type(obj)](obj.diagram), obj.twist)
+
+
+@settings(max_examples=25, deadline=None)
+@given(skewed_diagrams(), st.integers(-300, 300))
+def test_integer_characters_are_the_fraction_twist(diagram, t):
+    """All five kinds: I_Z, its box, the parts of their root steps, and both leaf kinds."""
+    box = rank_minus_one(diagram)
+    assume(isinstance(box, RankMinusOne))  # Z fills its box: a trivial object
+    found = [LineBundle(0), ShiftedLineBundle(0)]
+    for root in (rank_one(diagram), box):
+        seq = destabilizing_sequence(root)
+        found += [root, seq.sub, seq.quotient]
+    assert {type(obj) for obj in found} == {LineBundle, ShiftedLineBundle, RankOne, RankZero, RankMinusOne}
+    for obj in found:
+        obj = replace(obj, twist=t)
+        assert chern_of(obj) == fraction_character(obj)
+        assert_fraction_fields(chern_of(obj))
 
 
 # -- the tree writer against json.dumps, and the text round-trips --
@@ -344,6 +384,25 @@ def test_potential_wall_matches_the_fraction_formula(pair):
         mu, delta = orthogonal_invariants(wall)
         assert (mu, delta) == (-wall.center - Fraction(3, 2), wall.radius_sq / 2 - Fraction(1, 8))
         assert type(mu) is type(delta) is Fraction
+
+
+def scaled_parts(xi, a_scale, b_scale):
+    """(r, a, p, b, q) of a character with c1 = a/p and ch2 = b/q not in lowest terms."""
+    r, a, p, b, q = integer_parts(xi)
+    return r, a * a_scale, p * a_scale, b * b_scale, q * b_scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(wall_pairs(), st.lists(st.integers(1, 6), min_size=4, max_size=4))
+@example((chern(1, Fraction(2, 3), 0), chern(0, 0, Fraction(5, 7))), [2, 1, 3, 5])
+@example((chern(3, Fraction(2, 5), Fraction(1, 7)), chern(-3, Fraction(-2, 5), 0)), [1, 4, 2, 3])
+@example((chern(1, Fraction(2, 3), Fraction(3, 7)), chern(2, Fraction(4, 3), Fraction(6, 7))), [3, 1, 1, 2])
+@example((chern(0, Fraction(2, 9), 3), chern(0, 4, Fraction(5, 11))), [1, 1, 6, 6])
+def test_integer_wall_core_agrees_with_potential_wall(pair, scales):
+    """Vertical walls and both errors included, on parts in and out of lowest terms."""
+    xi1, xi2 = pair
+    parts = scaled_parts(xi1, *scales[:2]) + scaled_parts(xi2, *scales[2:])
+    assert outcome(wall_from_parts, *parts) == outcome(potential_wall, xi1, xi2)
 
 
 @settings(max_examples=150, deadline=None)
