@@ -21,17 +21,23 @@ lengths as its diagram, so vertically supported rank-0 objects are stored
 transposed, which changes none of the invariants; a rank +-1 part of a
 vertical cut is transposed back to rows.
 
-Destabilization picks the largest candidate wall: most negative center for
-rank 1, largest squared radius among the concentric rank-0 candidates, least
-negative center for rank -1.  Ties prefer the horizontal family, then the
-smallest cut index.  The cut is picked exactly from integer data: every
-character is ``(r, c1, 2*ch2)`` in plain ints, the object's from the fast
-path :func:`integer_character` (the oracle checks it against the
-``Fraction`` twist) and each candidate's from running row and column sums.
-Walls compare by cross-multiplication; only the chosen cut's wall is
-computed, by the general :func:`wall_from_parts`, and stored, and
-:func:`candidate_walls`, the reference the selection is tested against,
-evaluates it on every candidate.  Decomposing yields a finite tree of trivial leaves.
+Destabilization picks the largest candidate wall; ties prefer the
+horizontal family, then the smallest cut index.  Each family is walked once
+with the boxes cut off, ``w_j = sum(lengths[:j])``, and each cut is scored
+by one integer key read off the general wall formula, ``m = t - j`` and
+``n' = n - w_j``:
+
+* rank 1, most negative center ``t - (j^2 + 2w_j)/2j``: the first maximum
+  of ``(j^2 + 2w_j)/j``, the interpolation slope's key; the twist drops out;
+* rank 0 ``(0, K, E)``, largest radius_sq ``(E^2 - 4Kx)/4K^2`` about the
+  one center ``E/2K``: the first minimum of ``x = mE - K(m^2 - 2n')``;
+* rank -1, least negative center ``-(K'^2 + 2n' - 2K'm)/2K'`` with
+  ``K' = len(lengths) - j``: the first minimum of ``(K'^2 + 2n' - 2K'm)/K'``.
+
+Only the chosen cut's wall is computed, by the general
+:func:`wall_from_parts`, and stored; :func:`candidate_walls` evaluates it on
+every candidate and stays the reference the selection is tested against.
+Decomposing yields a finite tree of trivial leaves.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator
 
 from .diagram import (
@@ -229,74 +235,88 @@ def _candidate_wall(cut: Cut, sub, target) -> SemicircleWall:
     return wall
 
 
-def _candidate_subs(obj: MonomialObject):
-    """(cut, (r, c1, 2*ch2), lengths) of every candidate subobject, in preference order.
+def _families(obj: MonomialObject) -> tuple[tuple[str, Diagram, int, int], ...]:
+    """(direction, lengths, first, last) of each cut family, horizontal first.
 
-    The order is horizontal before vertical, then ascending index, so the
-    first of several equal walls is the preferred cut.  Every character is
-    integral after doubling ch2: a subobject I_{Z'}(m) is ``(1, m, m^2 - 2n')``
-    and I_{Z' in KL}(m) is ``(0, K, -K^2 - 2n' + 2Km)``, where ``n'`` is ``n``
-    minus the boxes cut off, a running sum over ``lengths``, and ``K`` is
-    ``len(lengths) - j``.
+    Cut ``j`` runs from ``first >= 1`` to ``last``, and a rank -1 family
+    stops at ``len(lengths) - 1``, so every selection key has a positive
+    denominator.
     """
-    d, t = obj.diagram, obj.twist
-    n = degree(d)
+    d = obj.diagram
     if isinstance(obj, RankOne):
-        families = ("horizontal", d, 1, row_count(d)), ("vertical", transpose(d), 1, col_count(d))
-    elif isinstance(obj, RankZero):
-        families = (("vertical", transpose(d), full_col_count(d), col_count(d)),)
-    else:
-        families = (
-            ("horizontal", d, full_row_count(d), obj.k - 1),
-            ("vertical", transpose(d), full_col_count(d), obj.i - 1),
-        )
-    rank_zero_sub = isinstance(obj, RankMinusOne)
-    for direction, lengths, first, last in families:
+        return ("horizontal", d, 1, row_count(d)), ("vertical", transpose(d), 1, col_count(d))
+    if isinstance(obj, RankZero):
+        return (("vertical", transpose(d), full_col_count(d), col_count(d)),)
+    return (
+        ("horizontal", d, full_row_count(d), obj.k - 1),
+        ("vertical", transpose(d), full_col_count(d), obj.i - 1),
+    )
+
+
+def _sub_character(obj: MonomialObject, lengths: Diagram, j: int, left: int) -> tuple[int, int, int]:
+    """(r, c1, 2*ch2) of the sub at cut ``j`` keeping n' = ``left`` boxes, all ints.
+
+    I_{Z'}(m), m = t - j, is ``(1, m, m^2 - 2n')``, and I_{Z' in KL}(m) with
+    ``K = len(lengths) - j`` is ``(0, K, -K^2 - 2n' + 2Km)``.
+    """
+    m = obj.twist - j
+    if isinstance(obj, RankMinusOne):
+        k = len(lengths) - j
+        return 0, k, -k * k - 2 * left + 2 * k * m
+    return 1, m, m * m - 2 * left
+
+
+def _candidate_subs(obj: MonomialObject):
+    """(cut, (r, c1, 2*ch2), lengths) of every candidate subobject, in preference order."""
+    n = degree(obj.diagram)
+    for direction, lengths, first, last in _families(obj):
         cut_off = [0, *accumulate(lengths)]
         for j in range(first, last + 1):
-            m, left = t - j, n - cut_off[j]
-            if rank_zero_sub:
-                k = len(lengths) - j
-                yield (direction, j), (0, k, -k * k - 2 * left + 2 * k * m), lengths
-            else:
-                yield (direction, j), (1, m, m * m - 2 * left), lengths
+            yield (direction, j), _sub_character(obj, lengths, j, n - cut_off[j]), lengths
 
 
 def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     """The sequence along the largest candidate wall.
 
     Largest means: most negative center (rank 1), largest squared radius
-    (rank 0, all candidates concentric), least negative center (rank -1).
-    Ties prefer horizontal cuts, then the smallest index.  The cut is chosen
-    from the integer characters of :func:`_candidate_subs` by cross-multiplied
-    comparisons, so it is the first minimum of :func:`candidate_walls` (the
-    reference) under the key ``center``, ``-radius_sq`` or ``-center``.  The
-    stored wall is :func:`wall_from_parts` of the chosen candidate's integer
-    character and the object's, computed once; the oracle's ``chern`` check
-    compares it with the walls of the sliced sub and quotient.
+    (rank 0, all candidates concentric), least negative center (rank -1);
+    the first cut of :func:`_families` wins a tie.  Each family is walked
+    once with ``w_j = sum(lengths[:j])``, and each cut scored by one integer
+    key, read off :func:`wall_from_parts` with ``m = t - j``, ``n' = n - w_j``:
+
+    * rank 1: center ``t - (j^2 + 2w_j)/2j``, so the first maximum of
+      ``(j^2 + 2w_j)/j``, the slope key, as ``mu_j = (j^2 + 2w_j)/2j - 3/2``;
+    * rank 0 ``(0, K, E)``: center ``E/2K`` and radius_sq ``(E^2 - 4Kx)/4K^2``
+      with ``x = mE - K(m^2 - 2n')``, so the first minimum of ``x``;
+    * rank -1, ``K' = len(lengths) - j``: center ``-(K'^2 + 2n' - 2K'm)/2K'``,
+      so the first minimum of ``(K'^2 + 2n' - 2K'm)/K'``.
+
+    Keys compare by cross-multiplication.  Only the chosen cut gets its
+    character and its wall, from :func:`wall_from_parts`, so a dependent,
+    vertical or empty wall raises there.  :func:`candidate_walls` stays the
+    reference; the oracle's ``chern`` check compares every node's cut with it.
     """
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
-    target = r2, c2, e2 = integer_character(obj)
-    best, best_p, best_q = None, 0, 1
-    for cut, sub, lengths in _candidate_subs(obj):
-        r1, c1, e1 = sub
-        # center = num/den and radius_sq = (num^2 + 2*den*cross)/den^2,
-        # the formulas of wall_from_parts with 2*ch2 in place of ch2
-        den = 2 * (c1 * r2 - c2 * r1)
-        if den == 0:
-            _candidate_wall(cut, sub, target)  # dependent or of one slope: raises
-        num = e1 * r2 - e2 * r1
-        # the cut minimizes p/q, q > 0: -radius_sq for rank 0, and
-        # r2 * center for rank r2 = +-1 (most or least negative center)
-        if r2 == 0:
-            p, q = -(num * num + 2 * den * (c1 * e2 - c2 * e1)), den * den
-        else:
-            p, q = (r2 * num, den) if den > 0 else (-r2 * num, -den)
-        if best is None or p * best_q < best_p * q:
-            best, best_p, best_q = (cut, sub, lengths), p, q
-    cut, sub, lengths = best
-    wall = _candidate_wall(cut, sub, target)
+    target = r, big_k, e = integer_character(obj)
+    t, n = obj.twist, degree(obj.diagram)
+    best, bp, bq = None, 1, 0  # the least key p/q, q > 0; 1/0 is above every key
+    for family in _families(obj):
+        _, lengths, first, last = family
+        # (j, w_j) for j = first..last
+        for j, w in enumerate(islice(accumulate(lengths[:last]), first - 1, None), first):
+            if r == 1:  # minus (j^2 + 2w_j)/j; the twist drops out
+                p, q = -j * j - 2 * w, j
+            elif r == 0:
+                p, q = (t - j) * e - big_k * ((t - j) ** 2 - 2 * (n - w)), 1
+            else:
+                k = len(lengths) - j
+                p, q = k * k + 2 * (n - w) - 2 * k * (t - j), k
+            if p * bq < bp * q:
+                best, bp, bq = (family, j), p, q
+    (direction, lengths, _, _), j = best
+    cut = direction, j
+    wall = _candidate_wall(cut, _sub_character(obj, lengths, j, n - sum(lengths[:j])), target)
     if is_empty(wall):
         raise AssertionError(f"selected wall at {cut} for {obj!r} is empty")
     return DestabilizingSequence(*_sequence_parts(obj, cut, lengths), wall, cut)

@@ -286,7 +286,7 @@ def test_every_candidate_cut_splits_as_the_row_and_column_slices():
     assert raised  # some candidate cuts have an impure rank-0 part
 
 
-def test_selection_raises_like_the_reference_on_a_degenerate_candidate(monkeypatch):
+def test_candidate_walls_raise_on_a_degenerate_candidate(monkeypatch):
     obj = rank_one((4, 3, 3), -5)
     own = (1, -5, 5)  # the object's own character: linearly dependent
     same_slope = (1, -5, 7)  # independent but of equal slope: a vertical wall
@@ -295,8 +295,17 @@ def test_selection_raises_like_the_reference_on_a_degenerate_candidate(monkeypat
         monkeypatch.setattr(objects, "_candidate_subs", lambda _: iter(candidates))
         with pytest.raises(error):
             candidate_walls(obj)
-        with pytest.raises(error):
-            destabilizing_sequence(obj)
+
+
+def test_every_cut_family_keeps_the_key_denominators_positive():
+    """The selection keys divide by j (rank 1) and by len(lengths) - j (rank -1)."""
+    for d in enumerate_diagrams_upto(12):
+        for root in oracle._tree_roots(d):
+            for node in internal_nodes(decompose(root)):
+                for _, lengths, first, last in objects._families(node.node):
+                    assert first >= 1, node.node
+                    if isinstance(node.node, RankMinusOne):
+                        assert last <= len(lengths) - 1, node.node
 
 
 def test_one_potential_wall_per_tree_node(monkeypatch):

@@ -1,7 +1,8 @@
 """Property tests beyond the exhaustive degree bound.
 
-Skewed partitions of 50-200 rows and columns, twists in -50..50; the leaf
-twists of I_Z's tree against its minimal free resolution; the integer
+Skewed partitions of 50-200 rows and columns, twists in -50..50; the cut
+of every rank-1 tree node, twisted in -300..300, against the scheme slope;
+the leaf twists of I_Z's tree against its minimal free resolution; the integer
 slope comparisons against the Fraction rule; the derived dual; the integer
 characters of objects, twisted in -300..300, against the Fraction twist;
 the tree writer against ``json.dumps`` of a reference dict (also
@@ -110,10 +111,23 @@ def first_minimum(obj):
 @settings(max_examples=15, deadline=None)
 @given(skewed_diagrams(), TWISTS)
 def test_integer_selection_is_the_candidate_wall_minimum(diagram, t):
-    for root in oracle._tree_roots(diagram):
+    rank_zero_root = decompose(rank_one(diagram)).sequence.quotient
+    for root in (*oracle._tree_roots(diagram), rank_zero_root):
         obj = replace(root, twist=t)
         seq = destabilizing_sequence(obj)
         assert (seq.cut, seq.wall) == first_minimum(obj)
+
+
+@settings(max_examples=10, deadline=None)
+@given(skewed_diagrams(), st.integers(-300, 300))
+def test_rank_one_nodes_cut_where_the_scheme_slope_is_attained(diagram, t):
+    """The rank-1 key is the slope key, and the twist drops out of it."""
+    for node, _, _ in walk(decompose(rank_one(diagram))):
+        if isinstance(node.node, RankOne):
+            best = scheme_slope(node.node.diagram)
+            assert node.sequence.cut == (best.orientation, best.index)
+            retwisted = destabilizing_sequence(replace(node.node, twist=t))
+            assert retwisted.cut == (best.orientation, best.index)
 
 
 @settings(max_examples=25, deadline=None)
