@@ -204,8 +204,9 @@ def main(argv=None) -> int:
         limit = sys.getrecursionlimit()
         print(f"error: input too deep for the recursion limit ({limit})", file=sys.stderr)
         return 3
-    except OverflowError as error:
-        print(f"error: input too large ({error})", file=sys.stderr)
+    except (OverflowError, MemoryError) as error:
+        # a failed allocation carries no message of its own
+        print(f"error: input too large ({str(error) or 'out of memory'})", file=sys.stderr)
         return 3
 
 

@@ -3,16 +3,19 @@
 A check is a node predicate, a diagram predicate or both, folded over the
 deterministic instance enumeration; each detail a predicate yields becomes
 a witness in the report.  A node predicate tests one internal tree node and
-its two children.  :func:`run_check` owns the only tree walk: per diagram,
-the internal nodes of its :func:`_tree_roots` trees in preorder, then the
+its two children.  Per diagram, a check reports the details of the internal
+nodes of its :func:`_tree_roots` trees in preorder, then those of the
 diagram predicate.  The roots are I_Z and its box's rank -1 object; the
 rank-0 quotient of I_Z's root step is checked inside I_Z's tree.  Trees
-share subtrees, so each distinct node is checked once per run and later
-visits replay its details; the witnesses and the ``FAILURE_CAP`` cut stay
-those of checking every visit.  An index range ``[start, stop)`` of the
-instances splits a run into shards by hand; each shard checks its own
-distinct nodes, and :func:`merge_reports` folds the fragments, in index
-order, into the report of one serial run.
+share subtrees, so :func:`run_check` folds each distinct subtree once per
+run, in :func:`_fold`, the only tree walk here: its details are the node
+predicate's on its root, then its sub subtree's, then its quotient
+subtree's, kept in a memo for the run.  A diagram then costs one memo read
+per root, and the witnesses and the ``FAILURE_CAP`` cut stay those of
+checking every visit.  An index range ``[start, stop)`` of the instances
+splits a run into shards by hand; each shard folds its own subtrees, and
+:func:`merge_reports` folds the fragments, in index order, into the report
+of one serial run.
 
 Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
 wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
@@ -65,7 +68,6 @@ from .objects import (
     chern_of,
     decompose,
     derived_dual,
-    internal_nodes,
     is_trivial,
     mu_opt,
     rank_minus_one,
@@ -135,23 +137,26 @@ def _check_nesting(node: DecompositionTree) -> Iterator[str]:
             continue
         child_wall = child.sequence.wall
         child_mu, child_delta = orthogonal_invariants(child_wall)
-        where = f"{role} {text_name(child.node)} of {text_name(node.node)}"
+        broken = []
         if isinstance(child.node, RankZero):
             if child_mu != mu:
-                yield f"{where}: mu_opt {child_mu} != {mu}"
+                broken.append(f"mu_opt {child_mu} != {mu}")
             if child_delta > delta:
-                yield f"{where}: Delta_opt {child_delta} > {delta}"
+                broken.append(f"Delta_opt {child_delta} > {delta}")
             side = "left"
         elif isinstance(child.node, RankOne):
             if child_mu > mu:
-                yield f"{where}: mu_opt {child_mu} > {mu}"
+                broken.append(f"mu_opt {child_mu} > {mu}")
             side = "left"
         else:
             if child_mu < mu:
-                yield f"{where}: mu_opt {child_mu} < {mu}"
+                broken.append(f"mu_opt {child_mu} < {mu}")
             side = "right"
         if not is_nested(child_wall, wall, side):
-            yield f"{where}: wall {child_wall} not nested in {wall}"
+            broken.append(f"wall {child_wall} not nested in {wall}")
+        # the names are built only for a failing clause
+        for clause in broken:
+            yield f"{role} {text_name(child.node)} of {text_name(node.node)}: {clause}"
 
 
 def _check_purity(node: DecompositionTree) -> Iterator[str]:
@@ -354,10 +359,44 @@ _CHECKS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
+def _fold(tree: DecompositionTree, node_check: Callable, folded: dict) -> tuple[str, ...]:
+    """The details of ``tree``'s internal nodes in preorder, read from ``folded``.
+
+    A leaf has none; an internal subtree's details are ``node_check`` of its
+    root, then those of its sub subtree, then those of its quotient subtree.
+    One explicit-stack postorder adds every subtree missing from ``folded``,
+    children first, and never descends into a subtree already there.  Only
+    the first ``FAILURE_CAP`` details are kept, all that a report can show.
+    """
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        if id(node) in folded:
+            stack.pop()
+        elif node.is_leaf:
+            folded[id(node)] = node, ()
+        elif id(node.sub) not in folded or id(node.quotient) not in folded:
+            stack += (node.quotient, node.sub)
+        else:
+            details = tuple(node_check(node))
+            sub_details = folded[id(node.sub)][1]
+            quotient_details = folded[id(node.quotient)][1]
+            if sub_details or quotient_details:
+                details = (details + sub_details + quotient_details)[:FAILURE_CAP]
+            folded[id(node)] = node, details
+    return folded[id(tree)][1]
+
+
 def run_check(
     name: str, n_max: int | None = None, start: int = 0, stop: int | None = None
 ) -> VerificationReport:
-    """Run one named check over an index range of its instance list."""
+    """Run one named check over an index range of its instance list.
+
+    The subtree memo lives for this call only: each distinct subtree of the
+    range's trees is folded once, and each diagram reads the folded details
+    of its roots, so a later run, or a tree re-built over the same objects,
+    is checked afresh.
+    """
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
     if n_max is None:
@@ -367,17 +406,14 @@ def run_check(
     enumerate_instances, node_check, item_check = _CHECKS[name]
     instances = enumerate_instances(n_max)[start:stop]
     begin = time.perf_counter()
-    # id(node) -> (node, details); holding the node keeps its id unique
-    checked: dict[int, tuple[DecompositionTree, tuple[str, ...]]] = {}
+    # id(subtree) -> (subtree, details); holding the subtree keeps its id unique
+    folded: dict[int, tuple[DecompositionTree, tuple[str, ...]]] = {}
     failures = []
     for item in instances:
         details = []
         if node_check:
             for root in _tree_roots(item):
-                for node in internal_nodes(decompose(root)):
-                    if id(node) not in checked:
-                        checked[id(node)] = node, tuple(node_check(node))
-                    details += checked[id(node)][1]
+                details += _fold(decompose(root), node_check, folded)
         if item_check:
             details += item_check(item)
         for detail in details:

@@ -240,6 +240,15 @@ def test_exponent_too_large_to_index_is_a_domain_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["wall", "slope", "interp", "decompose"])
+def test_a_diagram_too_large_to_allocate_is_a_domain_error(capsys, command):
+    """Transposing a row of width 10^15 fails its allocation at once."""
+    code, out, err = run(capsys, command, "rows:1000000000000000")
+    assert code == 3
+    assert out == ""
+    assert err == "error: input too large (out of memory)\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     broken = VerificationReport(
         "nesting", 6, 3, (Failure((2, 1), "made-up failure"),), 0.0

@@ -257,6 +257,23 @@ def test_integer_selection_matches_the_reference_on_every_tree_node():
                 ] == list(slice_candidates(obj))
 
 
+def test_rank_zero_selection_is_the_first_largest_radius_on_every_pure_diagram():
+    """Tree nodes of rank 0 mostly have one cut; every pure diagram exercises the key."""
+    checked = 0
+    for d in enumerate_diagrams_upto(18):
+        if not d or not is_horizontally_pure(d):
+            continue
+        for t in (0, -5, 7):
+            obj = rank_zero(d, t)
+            candidates = candidate_walls(obj)
+            if len(candidates) < 2:
+                continue
+            seq = destabilizing_sequence(obj)
+            assert (seq.cut, seq.wall) == max(candidates, key=lambda item: item[1].radius_sq), obj
+            checked += 1
+    assert checked == 1884
+
+
 def family(obj, cut):
     """The lengths a cut slices: the rows of D, or its columns for a vertical cut."""
     return transpose(obj.diagram) if cut[0] == "vertical" else obj.diagram

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 from staircase import cli, objects, oracle, slopes
 from staircase.diagram import enumerate_diagrams_upto, slice_below, transpose
 from staircase.objects import (
+    DecompositionTree,
     DestabilizingSequence,
+    LineBundle,
     RankMinusOne,
+    RankOne,
     RankZero,
     candidate_walls,
     chern_of,
@@ -227,6 +232,14 @@ def shifted_wall(obj, seq):
     return replace(seq, wall=SemicircleWall(seq.wall.center - 1, seq.wall.radius_sq))
 
 
+def emptied_wall(obj, seq):
+    return replace(seq, wall=SemicircleWall(seq.wall.center, -seq.wall.radius_sq))
+
+
+def swapped_parts(obj, seq):
+    return replace(seq, sub=seq.quotient, quotient=seq.sub)
+
+
 # an object whose node the trees of many diagrams share
 SHARED = RankZero((5,), 0)
 SHARED_BOUND = 9
@@ -246,24 +259,38 @@ def unmemoized_failures(name, n_max):
 
 
 def test_node_predicates_run_once_per_distinct_node(monkeypatch):
-    calls = 0
-    euler_char = oracle.euler_char
-
-    def counting(ch):
-        nonlocal calls
-        calls += 1
-        return euler_char(ch)
-
-    monkeypatch.setattr(oracle, "euler_char", counting)
     distinct = {
         id(node): node
         for d in oracle._diagrams(BOUND)
         for root in oracle._tree_roots(d)
         for node in internal_nodes(decompose(root))
     }
-    assert run_check("chern", BOUND).passed
     assert len(distinct) == 611
-    assert calls == 3 * len(distinct)  # three pairings per node, in chern only
+    pairings = 0
+    euler_char = oracle.euler_char
+
+    def counting_pairing(ch):
+        nonlocal pairings
+        pairings += 1
+        return euler_char(ch)
+
+    monkeypatch.setattr(oracle, "euler_char", counting_pairing)
+    node_checks = [name for name in CHECK_NAMES if oracle._CHECKS[name][1]]
+    assert node_checks == ["nesting", "purity", "duality", "chern", "triviality"]
+    for name in node_checks:
+        enumerate_instances, node_check, item_check = oracle._CHECKS[name]
+        runs = []
+
+        def counting_check(node, node_check=node_check):
+            runs.append(id(node))
+            yield from node_check(node)
+
+        monkeypatch.setitem(oracle._CHECKS, name, (enumerate_instances, counting_check, item_check))
+        pairings = 0
+        assert run_check(name, BOUND).passed
+        assert sorted(runs) == sorted(distinct), name
+        # three pairings per node, in chern only
+        assert pairings == (3 * len(distinct) if name == "chern" else 0), name
 
 
 @pytest.mark.parametrize("name", ["nesting", "chern"])
@@ -275,6 +302,77 @@ def test_a_tampered_shared_node_is_replayed_at_every_visit(tamper, name):
     assert len({failure.diagram for failure in report.failures}) > 1
     if name == "chern":
         assert len(expected) > FAILURE_CAP
+
+
+# a rank-1 node that the trees of I_Z and of the box both reach
+SHARED_RANK_ONE = RankOne((1,), -2)
+# the box root of (4, 3), and a node below the box roots of (4, 3, 1) and (4, 3, 1, 1)
+SHARED_BOX = RankMinusOne((4, 3), 0)
+
+
+@pytest.mark.parametrize(
+    "name, target, change",
+    [
+        ("triviality", SHARED, emptied_wall),
+        ("triviality", SHARED_RANK_ONE, emptied_wall),
+        ("duality", SHARED_BOX, shifted_wall),
+        ("purity", SHARED_BOX, swapped_parts),
+        ("purity", SHARED_RANK_ONE, swapped_parts),
+        ("nesting", SHARED_BOX, shifted_wall),
+        ("chern", SHARED_RANK_ONE, shifted_wall),
+    ],
+)
+def test_every_node_check_reports_a_tampered_shared_node_as_an_unmemoized_walk(
+    tamper, name, target, change
+):
+    tamper(target, change)
+    expected = unmemoized_failures(name, SHARED_BOUND)
+    report = run_check(name, SHARED_BOUND)
+    assert report.failures == tuple(expected[:FAILURE_CAP])
+    assert len({failure.diagram for failure in report.failures}) > 1
+    if target != SHARED:  # the node also lies below the box root of a witness
+        boxes = {rank_minus_one(failure.diagram) for failure in report.failures}
+        assert any(
+            target in (node.node for node in internal_nodes(decompose(box))[1:])
+            for box in boxes
+            if not is_trivial(box)
+        )
+
+
+def test_a_check_failing_at_every_node_reports_every_visit_in_preorder(monkeypatch):
+    """Uncapped, the witnesses are those of walking every tree of every diagram."""
+
+    def naming(node):
+        yield f"{text_name(node.node)} cut at {node.sequence.cut}"
+
+    monkeypatch.setitem(oracle._CHECKS, "naming", (oracle._diagrams, naming, None))
+    monkeypatch.setattr(oracle, "FAILURE_CAP", 10**6)
+    expected = unmemoized_failures("naming", BOUND)
+    assert len(expected) == 1930
+    assert run_check("naming", BOUND).failures == tuple(expected)
+    left, right = run_check("naming", BOUND, 0, 100), run_check("naming", BOUND, 100)
+    assert left.failures + right.failures == tuple(expected)
+
+
+def test_fold_keeps_the_first_details_of_a_tree_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    wall = SemicircleWall(Fraction(-3), Fraction(1))
+    tree = DecompositionTree(LineBundle(0))
+    for m in range(1, depth + 1):
+        sub = DecompositionTree(LineBundle(-m))
+        sequence = DestabilizingSequence(sub.node, tree.node, wall, ("horizontal", 1))
+        tree = DecompositionTree(RankOne((1,), m), sequence, sub, tree)
+
+    def twist(node):
+        yield f"twist {node.node.twist}"
+
+    folded = {}
+    details = oracle._fold(tree, twist, folded)
+    # preorder: each node, its leaf sub, then the node below it
+    assert details == tuple(f"twist {m}" for m in range(depth, depth - FAILURE_CAP, -1))
+    assert len(folded) == 2 * depth + 1
+    below = oracle._fold(tree.quotient, twist, folded)
+    assert below == details[1:] + (f"twist {depth - FAILURE_CAP}",)
 
 
 def test_each_witness_of_a_tampered_shared_node_is_reported_once(tamper):
@@ -386,10 +484,6 @@ def test_rootwall_reports_a_root_cut_that_is_not_the_scheme_slope_cut(tamper):
         f"root cut {cut} is not {best.orientation} at k={best.index}"
         in {failure.detail for failure in report.failures}
     )
-
-
-def emptied_wall(obj, seq):
-    return replace(seq, wall=SemicircleWall(seq.wall.center, -seq.wall.radius_sq))
 
 
 def test_an_empty_node_wall_is_a_witness_not_an_abort(tamper, monkeypatch, capsys):
