@@ -56,6 +56,13 @@ def from_integers(r: int, c1: int, ch2_twice: int) -> ChernCharacter:
     return ChernCharacter(r, Fraction(c1), Fraction(ch2_twice, 2))
 
 
+def _ratio(x) -> tuple[int, int]:
+    """``Fraction(x).as_integer_ratio()``, read directly from an int or a Fraction."""
+    if type(x) is int or type(x) is Fraction:
+        return x.as_integer_ratio()
+    return Fraction(x).as_integer_ratio()
+
+
 def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int, int]:
     """(r, a, p, b, q) with c1 = a/p and ch2 = b/q in lowest terms."""
     return (xi.r, *xi.c1.as_integer_ratio(), *xi.ch2.as_integer_ratio())
@@ -68,8 +75,8 @@ def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
     if r != int(r):
         raise ValueError(f"rank must be an integer, got {r!r}")
     r = int(r)
-    a, p = Fraction(mu).as_integer_ratio()
-    b, q = Fraction(delta).as_integer_ratio()
+    a, p = _ratio(mu)
+    b, q = _ratio(delta)
     # ch2 = r (mu^2/2 - delta) over the common denominator 2 p^2 q
     return ChernCharacter(
         r, Fraction(r * a, p), Fraction(r * (a * a * q - 2 * p * p * b), 2 * p * p * q)
@@ -201,8 +208,8 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
     both components are exact rationals.
     """
     r, a, p, b, q = integer_parts(xi)
-    sn, sd = Fraction(s).as_integer_ratio()
-    tn, td = Fraction(t2).as_integer_ratio()
+    sn, sd = _ratio(s)
+    tn, td = _ratio(t2)
     if tn <= 0:
         raise ValueError(f"t^2 must be positive, got {Fraction(tn, td)}")
     # real = -ch2 + s c1 - (s^2 - t^2) r/2 over the common denominator 2 p q d
@@ -214,14 +221,16 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
 
 
 def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
-    """Hilbert polynomial of I_{Z in kL} as (leading, constant): kx - (n + (k^2-3k)/2), k = r(D)."""
-    k = row_count(diagram)
-    if k < 1:
-        raise ValueError(f"need at least one supporting line, got {k}")
-    return Fraction(k), -(degree(diagram) + Fraction(k * k - 3 * k, 2))
+    """Hilbert polynomial of I_{Z in kL} as (leading, constant): kx - (n + (k^2-3k)/2), k = r(D).
+
+    By Riemann-Roch it is chi of the twists of ``(0, k, 2*ch2) = rank0_integers(D)``:
+    kx + (3k + 2*ch2)/2.
+    """
+    _, k, ch2_twice = rank0_integers(diagram)
+    return Fraction(k), Fraction(3 * k + ch2_twice, 2)
 
 
 def reduced_rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
-    """The monic form x - mu_k of :func:`rank0_hilbert_polynomial`, k = r(D)."""
-    leading, constant = rank0_hilbert_polynomial(diagram)
-    return Fraction(1), constant / leading
+    """The monic form x - mu_k of :func:`rank0_hilbert_polynomial`, k = r(D): x - (2n + k^2 - 3k)/2k."""
+    _, k, ch2_twice = rank0_integers(diagram)
+    return Fraction(1), Fraction(3 * k + ch2_twice, 2 * k)

@@ -12,7 +12,11 @@ run, in :func:`_fold`, the only tree walk here: its details are the node
 predicate's on its root, then its sub subtree's, then its quotient
 subtree's, kept in a memo for the run.  A diagram then costs one memo read
 per root, and the witnesses and the ``FAILURE_CAP`` cut stay those of
-checking every visit.  An index range ``[start, stop)`` of the instances
+checking every visit.  The instance lists and each diagram's root objects
+are pure data, cached once per process by :func:`_diagrams`,
+:func:`_rectangles` and :func:`_tree_roots`; trees are never cached here,
+so every run takes its trees from :func:`decompose` and folds them into a
+memo of its own.  An index range ``[start, stop)`` of the instances
 splits a run into shards by hand; each shard folds its own subtrees, and
 :func:`merge_reports` folds the fragments, in index order, into the report
 of one serial run.
@@ -35,6 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator
 
 from .diagram import (
@@ -61,6 +66,7 @@ from .ktheory import (
 )
 from .objects import (
     DecompositionTree,
+    MonomialObject,
     RankMinusOne,
     RankOne,
     RankZero,
@@ -117,15 +123,15 @@ def merge_reports(first: VerificationReport, second: VerificationReport) -> Veri
     )
 
 
-def _tree_roots(diagram: Diagram):
+@cache
+def _tree_roots(diagram: Diagram) -> tuple[MonomialObject, ...]:
     """I_Z and, unless Z fills its box, the box's rank -1 object.
 
     I_Z's rank-0 quotient I_{Z_k in kL} is checked as its quotient subtree.
+    The objects are built once per process; their trees are not kept here.
     """
-    yield rank_one(diagram)
-    full = rank_minus_one(diagram)
-    if not is_trivial(full):
-        yield full
+    ideal, full = rank_one(diagram), rank_minus_one(diagram)
+    return (ideal,) if is_trivial(full) else (ideal, full)
 
 
 def _check_nesting(node: DecompositionTree) -> Iterator[str]:
@@ -253,7 +259,7 @@ def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:
 def _check_root_wall(diagram: Diagram) -> Iterator[str]:
     """The root step of I_Z cuts, centers and sizes its wall by the scheme slope."""
     best = scheme_slope(diagram)
-    seq = decompose(rank_one(diagram)).sequence
+    seq = decompose(_tree_roots(diagram)[0]).sequence
     center = -best.value - Fraction(3, 2)
     if seq.cut != (best.orientation, best.index):
         yield f"root cut {seq.cut} is not {best.orientation} at k={best.index}"
@@ -336,12 +342,14 @@ def _check_gieseker(diagram: Diagram) -> Iterator[str]:
         )
 
 
-def _diagrams(n_max: int) -> list[Diagram]:
-    return [d for d in enumerate_diagrams_upto(n_max) if d]
+@cache
+def _diagrams(n_max: int) -> tuple[Diagram, ...]:
+    return tuple(d for d in enumerate_diagrams_upto(n_max) if d)
 
 
-def _rectangles(a_max: int) -> list[Diagram]:
-    return [(a,) * b for a in range(1, a_max + 1) for b in range(a, a_max + 1)]
+@cache
+def _rectangles(a_max: int) -> tuple[Diagram, ...]:
+    return tuple((a,) * b for a in range(1, a_max + 1) for b in range(a, a_max + 1))
 
 
 # name -> (instances, node predicate, diagram predicate); None means no such part
@@ -392,10 +400,12 @@ def run_check(
 ) -> VerificationReport:
     """Run one named check over an index range of its instance list.
 
-    The subtree memo lives for this call only: each distinct subtree of the
-    range's trees is folded once, and each diagram reads the folded details
-    of its roots, so a later run, or a tree re-built over the same objects,
-    is checked afresh.
+    The instance list and the root objects come from the per-process
+    caches; the trees come from ``decompose`` at each call.  The subtree
+    memo lives for this call only: each distinct subtree of the range's
+    trees is folded once, and each diagram reads the folded details of its
+    roots, so a later run, or a tree re-built over the same objects, is
+    checked afresh.
     """
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")

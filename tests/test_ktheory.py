@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -156,6 +159,43 @@ def test_central_charge_values():
     value = central_charge(xi, 2, 5)
     assert value.real == Fraction(7, 2) + 6
     assert value.imag_coeff == 3
+
+
+RATIONAL_ARGUMENTS = (
+    3, -2, 0, True, False, Fraction(-7, 4), Fraction(9), 2.5, -0.125, float("nan"), float("inf"),
+    Decimal("1.25"), Decimal("-3"), Decimal("NaN"), "3/4", "-1.5", " 2 ", "1/0", "x", None, [1],
+)
+
+
+def outcome(func, *args):
+    """The value, or the exception type and message, of one call."""
+    try:
+        return func(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("x", RATIONAL_ARGUMENTS, ids=repr)
+def test_rational_arguments_read_as_their_fraction(x):
+    """An argument gives the value, or the error, of the same call on Fraction(x)."""
+    charge = partial(central_charge, chern(2, Fraction(1, 3), Fraction(-5, 2)))
+    from_slope = partial(from_slope_discriminant, 3)
+    for func, *args in (
+        (charge, x, 2),
+        (charge, Fraction(1, 2), x),
+        (from_slope, x, Fraction(1, 8)),
+        (from_slope, -1, x),
+    ):
+        try:
+            converted = [Fraction(a) for a in args]
+        except Exception as error:
+            expected = type(error), str(error)
+        else:
+            expected = outcome(func, *converted)
+        value = outcome(func, *args)
+        assert value == expected
+        if not isinstance(value, tuple):
+            assert all(type(getattr(value, f.name)) is Fraction for f in fields(value) if f.name != "r")
 
 
 def test_ring_product_matches_hand_expansion():

@@ -449,6 +449,25 @@ def test_tree_roots_are_read_from_the_rank_one_tree(monkeypatch):
         assert list(oracle._tree_roots(d)) == expected
 
 
+def test_instance_lists_and_root_objects_are_built_once():
+    for build, arg in ((oracle._diagrams, 10), (oracle._rectangles, 10), (oracle._tree_roots, (4, 3, 1))):
+        first = build(arg)
+        assert type(first) is tuple
+        assert build(arg) is first
+
+
+def test_later_runs_enumerate_no_instances_and_build_no_roots(monkeypatch):
+    assert run_check("nesting", 10).passed
+
+    def refuse(*args):
+        raise AssertionError("rebuilt after the first run")
+
+    monkeypatch.setattr(oracle, "enumerate_diagrams_upto", refuse)
+    monkeypatch.setattr(oracle, "rank_minus_one", refuse)
+    for name in ("nesting", "purity", "triviality", "rootwall"):
+        assert run_check(name, 10).passed, name
+
+
 def test_rootwall_takes_no_step_beyond_the_built_trees(monkeypatch):
     calls = 0
 

@@ -30,6 +30,7 @@ from staircase.diagram import (
     render_ideal,
     row_count,
     slice_above,
+    slice_below,
     transpose,
 )
 from staircase.ktheory import (
@@ -45,6 +46,8 @@ from staircase.ktheory import (
     integer_parts,
     line_bundle,
     negate,
+    rank0_hilbert_polynomial,
+    reduced_rank0_hilbert_polynomial,
     ring_product,
     twist,
 )
@@ -460,6 +463,20 @@ def test_from_slope_discriminant_matches_the_fraction_formula(r, mu, delta):
     xi = from_slope_discriminant(r, mu, delta)
     assert xi == ChernCharacter(r, r * mu, r * (mu * mu / 2 - delta))
     assert_fraction_fields(xi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(skewed_diagrams())
+def test_rank0_hilbert_polynomials_match_the_fraction_formula(diagram):
+    """On every bottom slice, as the gieseker check reads them."""
+    for j in range(1, row_count(diagram) + 1):
+        d = slice_below(diagram, j)
+        k, n = row_count(d), degree(d)
+        leading, constant = Fraction(k), -(n + Fraction(k * k - 3 * k, 2))
+        full, reduced = rank0_hilbert_polynomial(d), reduced_rank0_hilbert_polynomial(d)
+        assert full == (leading, constant)
+        assert reduced == (Fraction(1), constant / leading)
+        assert {type(x) for x in full + reduced} == {Fraction}
 
 
 ROW_ENTRIES = st.one_of(
