@@ -10,6 +10,7 @@ of monomials *outside* the ideal with y-exponent ``j - 1``.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 Diagram = tuple[int, ...]
 Generator = tuple[int, int]  # monomial x^a y^b as the exponent pair (a, b)
@@ -74,16 +75,16 @@ def full_col_count(diagram: Diagram) -> int:
 def transpose(diagram: Diagram) -> Diagram:
     """Reflect the diagram across the main diagonal (conjugate partition).
 
-    One pass over the rows from the top down: the columns between the row
-    above and row ``j`` have height ``j``, so this costs O(r + c).
+    One counting pass over the rows, then running sums from the right:
+    column ``c`` is as high as the number of rows of length at least ``c``,
+    so this costs O(r + c).
     """
-    columns: list[int] = []
-    covered = 0  # columns already emitted: the width of the row above
-    for height in range(len(diagram), 0, -1):  # top row first
-        row = diagram[height - 1]
-        columns.extend([height] * (row - covered))
-        covered = row
-    return tuple(columns)
+    if not diagram:
+        return EMPTY
+    counts = [0] * (diagram[0] + 1)  # counts[h]: the rows of length h
+    for h in diagram:
+        counts[h] += 1
+    return tuple(accumulate(counts[:0:-1]))[::-1]
 
 
 def slice_above(diagram: Diagram, k: int) -> Diagram:

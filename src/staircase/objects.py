@@ -18,8 +18,12 @@ a cut family is a list of ``lengths``, the rows of D or its columns
 ``transpose(D)``, and cut ``j`` puts ``lengths[j:]`` in the sub, twisted by
 ``-j``, and ``lengths[:j]`` in the quotient.  A rank-0 part keeps the sliced
 lengths as its diagram, so vertically supported rank-0 objects are stored
-transposed, which changes none of the invariants; a rank +-1 part of a
-vertical cut is transposed back to rows.
+transposed, which changes none of the invariants.  A rank +-1 part of a
+vertical cut is sliced straight from the rows of D: right of column ``j``
+are the first ``lengths[j]`` rows less ``j`` each, and left of it every row
+capped at ``j``.  Parts sliced from a valid diagram are valid, so they skip
+the input validation of the public factories; the rank-0 purity check runs
+on every part.
 
 Destabilization picks the largest candidate wall; ties prefer the
 horizontal family, then the smallest cut index.  Each family is walked once
@@ -43,10 +47,11 @@ Decomposing yields a finite tree of trivial leaves.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Iterator
 
 from .diagram import (
@@ -159,15 +164,27 @@ class DecompositionTree:
 
 def rank_one(diagram, twist: int = 0) -> LineBundle | RankOne:
     """I_Z(twist), normalized to O(twist) for the empty scheme."""
-    diagram = as_diagram(diagram)
-    if not diagram:
-        return LineBundle(twist)
-    return RankOne(diagram, twist)
+    return _rank_one(as_diagram(diagram), twist)
 
 
 def rank_zero(diagram, twist: int = 0) -> RankZero:
     """I_{Z in kL}(twist) on the k = r(D) lines of its rows; requires horizontal purity."""
-    diagram = as_diagram(diagram)
+    return _rank_zero(as_diagram(diagram), twist)
+
+
+def rank_minus_one(diagram, twist: int = 0) -> ShiftedLineBundle | RankMinusOne:
+    """O(-k) + O(-i) -> I_Z (twisted) on Z's k x i bounding box; trivial if Z fills it."""
+    return _rank_minus_one(as_diagram(diagram), twist)
+
+
+# The factories behind the public ones, on a diagram already valid.
+
+
+def _rank_one(diagram: Diagram, twist: int) -> LineBundle | RankOne:
+    return RankOne(diagram, twist) if diagram else LineBundle(twist)
+
+
+def _rank_zero(diagram: Diagram, twist: int) -> RankZero:
     k = row_count(diagram)
     if k < 1:
         raise ValueError(f"need at least one supporting line, got k={k}")
@@ -178,13 +195,11 @@ def rank_zero(diagram, twist: int = 0) -> RankZero:
     return RankZero(diagram, twist)
 
 
-def rank_minus_one(diagram, twist: int = 0) -> ShiftedLineBundle | RankMinusOne:
-    """O(-k) + O(-i) -> I_Z (twisted) on Z's k x i bounding box; trivial if Z fills it."""
-    diagram = as_diagram(diagram)
+def _rank_minus_one(diagram: Diagram, twist: int) -> ShiftedLineBundle | RankMinusOne:
     k, i = row_count(diagram), col_count(diagram)
     if not diagram:
         raise ValueError(f"box dimensions must be positive, got {k} x {i}")
-    if diagram == (i,) * k:
+    if diagram[-1] == i:  # every row as long as the bottom one: Z fills its box
         return ShiftedLineBundle(twist - k - i)
     return RankMinusOne(diagram, twist)
 
@@ -280,9 +295,10 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
 
     Largest means: most negative center (rank 1), largest squared radius
     (rank 0, all candidates concentric), least negative center (rank -1);
-    the first cut of :func:`_families` wins a tie.  Each family is walked
-    once with ``w_j = sum(lengths[:j])``, and each cut scored by one integer
-    key, read off :func:`wall_from_parts` with ``m = t - j``, ``n' = n - w_j``:
+    the first cut of :func:`_families` wins a tie.  One loop per object type
+    walks each family once with ``w_j = sum(lengths[:j])`` and scores each
+    cut by one integer key, read off :func:`wall_from_parts` with
+    ``m = t - j``, ``n' = n - w_j``:
 
     * rank 1: center ``t - (j^2 + 2w_j)/2j``, so the first maximum of
       ``(j^2 + 2w_j)/j``, the slope key, as ``mu_j = (j^2 + 2w_j)/2j - 3/2``;
@@ -300,20 +316,33 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
     target = r, big_k, e = integer_character(obj)
     t, n = obj.twist, degree(obj.diagram)
-    best, bp, bq = None, 1, 0  # the least key p/q, q > 0; 1/0 is above every key
-    for family in _families(obj):
-        _, lengths, first, last = family
-        # (j, w_j) for j = first..last
-        for j, w in enumerate(islice(accumulate(lengths[:last]), first - 1, None), first):
-            if r == 1:  # minus (j^2 + 2w_j)/j; the twist drops out
-                p, q = -j * j - 2 * w, j
-            elif r == 0:
-                p, q = (t - j) * e - big_k * ((t - j) ** 2 - 2 * (n - w)), 1
-            else:
-                k = len(lengths) - j
-                p, q = k * k + 2 * (n - w) - 2 * k * (t - j), k
-            if p * bq < bp * q:
-                best, bp, bq = (family, j), p, q
+    families = _families(obj)
+    # the chosen (family, j) and its key p/q, q > 0, from 0/1 (below every
+    # rank 1 key) or 1/0 (above every rank 0 and rank -1 key)
+    if r == 1:  # the first maximum of (j^2 + 2w_j)/j; the twist drops out
+        best, bp, bq = None, 0, 1
+        for family in families:
+            for j, w in _cut_walk(family):
+                p = j * j + 2 * w
+                if p * bq > bp * j:
+                    best, bp, bq = (family, j), p, j
+    elif r == 0:  # the first minimum of x
+        best, bp, bq = None, 1, 0
+        for family in families:
+            for j, w in _cut_walk(family):
+                m = t - j
+                p = m * e - big_k * (m * m - 2 * (n - w))
+                if p * bq < bp:
+                    best, bp, bq = (family, j), p, 1
+    else:  # the first minimum of (K'^2 + 2n' - 2K'm)/K'
+        best, bp, bq = None, 1, 0
+        for family in families:
+            size = len(family[1])
+            for j, w in _cut_walk(family):
+                k = size - j
+                p = k * k + 2 * (n - w) - 2 * k * (t - j)
+                if p * bq < bp * k:
+                    best, bp, bq = (family, j), p, k
     (direction, lengths, _, _), j = best
     cut = direction, j
     wall = _candidate_wall(cut, _sub_character(obj, lengths, j, n - sum(lengths[:j])), target)
@@ -322,16 +351,39 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     return DestabilizingSequence(*_sequence_parts(obj, cut, lengths), wall, cut)
 
 
+def _cut_walk(family):
+    """``(j, w_j)`` for the cuts ``j = first..last`` of a family, ``w_j = sum(lengths[:j])``."""
+    _, lengths, first, last = family
+    return enumerate(islice(accumulate(lengths[:last]), first - 1, None), first)
+
+
 def _sequence_parts(obj: MonomialObject, cut: Cut, lengths) -> tuple[MonomialObject, MonomialObject]:
-    """(sub, quotient) at ``cut`` of its family ``lengths``, by the transpose rule of the module docstring."""
+    """(sub, quotient) at ``cut`` of its family ``lengths``, by the slicing rule of the module docstring."""
     direction, j = cut
-    t = obj.twist
-    rows = transpose if direction == "vertical" else tuple  # lengths back to rows; tuple() keeps a tuple
+    d, t = obj.diagram, obj.twist
     if isinstance(obj, RankOne):
-        return rank_one(rows(lengths[j:]), t - j), rank_zero(lengths[:j], t)
+        return _rank_one(_rows_past(d, cut, lengths), t - j), _rank_zero(lengths[:j], t)
     if isinstance(obj, RankZero):
-        return rank_one(rows(lengths[j:]), t - j), rank_minus_one(rows(lengths[:j]), t)
-    return rank_zero(lengths[j:], t - j), rank_minus_one(rows(lengths[:j]), t)
+        return _rank_one(_rows_past(d, cut, lengths), t - j), _rank_minus_one(_rows_before(d, cut), t)
+    return _rank_zero(lengths[j:], t - j), _rank_minus_one(_rows_before(d, cut), t)
+
+
+def _rows_past(d: Diagram, cut: Cut, lengths) -> Diagram:
+    """The rows of ``d`` above cut ``j``, or right of column ``j``.
+
+    Right of column ``j`` lie the first ``lengths[j]`` rows, each less ``j``,
+    and nothing right of the last column.
+    """
+    direction, j = cut
+    if direction == "horizontal":
+        return d[j:]
+    return tuple(map(operator.sub, d[: lengths[j]], repeat(j))) if j < len(lengths) else ()
+
+
+def _rows_before(d: Diagram, cut: Cut) -> Diagram:
+    """The rows of ``d`` below cut ``j``, or left of column ``j``: every row capped at ``j``."""
+    direction, j = cut
+    return d[:j] if direction == "horizontal" else tuple(map(min, d, repeat(j)))
 
 
 @lru_cache(maxsize=None)

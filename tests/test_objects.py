@@ -17,7 +17,6 @@ from staircase.diagram import (
     full_row_count,
     slice_above,
     slice_below,
-    slice_left,
     slice_right,
     transpose,
 )
@@ -57,6 +56,7 @@ from staircase.objects import (
 )
 from staircase.slopes import is_horizontally_pure, scheme_slope
 from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall, wall_from_parts
+from slice_reference import family, parts_or_error, slice_parts
 from tree_asserts import assert_same_text, assert_same_tree
 
 BOUND = 10
@@ -106,6 +106,19 @@ def test_factory_validation():
     # k is the row count; a second positional argument is the twist
     assert rank_zero((1,), 3) == RankZero((1,), 3)
     assert rank_zero((3, 3)) == RankZero((3, 3), 0)
+
+
+@pytest.mark.parametrize("factory", [rank_one, rank_zero, rank_minus_one])
+def test_every_public_factory_validates_its_rows(factory):
+    """Only the parts of a step skip the row checks; a caller's rows never do."""
+    for rows, message in (((1, 2), "weakly decreasing"), ((2, -1), "negative"), ((2.5,), "not an integer")):
+        with pytest.raises(ValueError, match=message):
+            factory(rows)
+    obj = factory([3.0, 3, 0])  # cleaned to the diagram (3, 3) of plain ints
+    expected = {rank_one: RankOne((3, 3)), rank_zero: RankZero((3, 3)), rank_minus_one: ShiftedLineBundle(-5)}
+    assert obj == expected[factory]
+    if not is_trivial(obj):
+        assert {type(h) for h in obj.diagram} == {int}
 
 
 def test_rank_zero_and_minus_one_are_their_diagram_and_twist():
@@ -197,36 +210,6 @@ def slice_candidates(obj):
             )
 
 
-def slice_parts(obj, cut):
-    """(sub, quotient) at ``cut``, sliced out by rows and columns."""
-    direction, index = cut
-    d, t = obj.diagram, obj.twist
-    if isinstance(obj, RankOne):
-        if direction == "horizontal":
-            return (
-                rank_one(slice_above(d, index), t - index),
-                rank_zero(slice_below(d, index), t),
-            )
-        return (
-            rank_one(slice_right(d, index), t - index),
-            rank_zero(transpose(slice_left(d, index)), t),
-        )
-    if isinstance(obj, RankZero):
-        return (
-            rank_one(slice_right(d, index), t - index),
-            rank_minus_one(slice_left(d, index), t),
-        )
-    if direction == "horizontal":
-        return (
-            rank_zero(slice_above(d, index), t - index),
-            rank_minus_one(slice_below(d, index), t),
-        )
-    return (
-        rank_zero(transpose(slice_right(d, index)), t - index),
-        rank_minus_one(slice_left(d, index), t),
-    )
-
-
 def reference_step(obj):
     """The first minimum of candidate_walls under the documented key."""
     if isinstance(obj, RankOne):
@@ -272,18 +255,6 @@ def test_rank_zero_selection_is_the_first_largest_radius_on_every_pure_diagram()
             assert (seq.cut, seq.wall) == max(candidates, key=lambda item: item[1].radius_sq), obj
             checked += 1
     assert checked == 1884
-
-
-def family(obj, cut):
-    """The lengths a cut slices: the rows of D, or its columns for a vertical cut."""
-    return transpose(obj.diagram) if cut[0] == "vertical" else obj.diagram
-
-
-def parts_or_error(parts, *args):
-    try:
-        return parts(*args)
-    except ValueError as error:  # a rank-0 part that is not horizontally pure
-        return type(error)
 
 
 def test_every_candidate_cut_splits_as_the_row_and_column_slices():

@@ -2,8 +2,10 @@
 
 Skewed partitions of 50-200 rows and columns, twists in -50..50; the cut
 of every rank-1 tree node, twisted in -300..300, against the scheme slope;
-the leaf twists of I_Z's tree against its minimal free resolution; the integer
-slope comparisons against the Fraction rule; the derived dual; the integer
+the leaf twists of I_Z's tree against its minimal free resolution; the parts
+of every candidate cut of I_Z, of the rank-0 objects on its pure bottom
+slices and of its box, twisted in -300..300, against the row and column
+slices; the integer slope comparisons against the Fraction rule; the derived dual; the integer
 characters of objects, twisted in -300..300, against the Fraction twist;
 the tree writer against ``json.dumps`` of a reference dict (also
 exhaustively to degree 11), and the text round-trips of trees and ideals;
@@ -20,7 +22,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from staircase import oracle
+from staircase import objects, oracle
 from staircase.diagram import (
     as_diagram,
     complement_rotate,
@@ -62,12 +64,15 @@ from staircase.objects import (
     decompose,
     derived_dual,
     destabilizing_sequence,
+    is_trivial,
     leaves,
     mu_opt,
     parse_tree,
     rank_minus_one,
     rank_one,
+    rank_zero,
     serialize_tree,
+    text_name,
     walk,
 )
 from staircase.resolution import minimal_free_resolution
@@ -79,6 +84,7 @@ from staircase.walls import (
     potential_wall,
     wall_from_parts,
 )
+from slice_reference import parts_or_error, slice_parts
 from tree_asserts import assert_same_text, assert_same_tree
 
 
@@ -131,6 +137,36 @@ def test_rank_one_nodes_cut_where_the_scheme_slope_is_attained(diagram, t):
             assert node.sequence.cut == (best.orientation, best.index)
             retwisted = destabilizing_sequence(replace(node.node, twist=t))
             assert retwisted.cut == (best.orientation, best.index)
+
+
+def sliced_objects(diagram, t):
+    """I_Z, the rank-0 object on each pure bottom slice, and the box object, twisted by ``t``."""
+    yield rank_one(diagram, t)
+    for j in range(1, row_count(diagram) + 1):
+        if is_horizontally_pure(diagram[:j]):
+            yield rank_zero(diagram[:j], t)
+    yield rank_minus_one(diagram, t)
+
+
+@settings(max_examples=5, deadline=None)
+@given(skewed_diagrams(), st.integers(-300, 300))
+def test_every_candidate_cut_of_a_large_object_splits_as_the_slices(diagram, t):
+    """Beyond the exhaustive degree bound, and on rank -1 objects, which deep trees lack."""
+    for obj in sliced_objects(diagram, t):
+        if is_trivial(obj):  # Z fills its box
+            continue
+        for cut, _, lengths in objects._candidate_subs(obj):
+            got = parts_or_error(objects._sequence_parts, obj, cut, lengths)
+            # a bool, so that a failure does not diff the reprs of large parts
+            same = got == parts_or_error(slice_parts, obj, cut)
+            assert same, f"the parts differ at {cut} of {text_name(obj)}"
+            if got is ValueError:
+                continue
+            for part in got:
+                if not is_trivial(part):
+                    valid = as_diagram(part.diagram) == part.diagram
+                    valid = valid and {type(h) for h in part.diagram} == {int}
+                    assert valid, f"{text_name(part)} at {cut} of {text_name(obj)} is no diagram of ints"
 
 
 @settings(max_examples=25, deadline=None)
