@@ -87,30 +87,10 @@ def transpose(diagram: Diagram) -> Diagram:
     return tuple(accumulate(counts[:0:-1]))[::-1]
 
 
-def slice_above(diagram: Diagram, k: int) -> Diagram:
-    """Rows strictly above the k-th: the diagram of the quotient (I : y^k)."""
-    _check_nonnegative(k)
-    return diagram[k:]
-
-
 def slice_below(diagram: Diagram, k: int) -> Diagram:
     """The bottom k rows."""
     _check_nonnegative(k)
     return diagram[:k]
-
-
-def slice_right(diagram: Diagram, k: int) -> Diagram:
-    """Columns strictly right of the k-th: the diagram of (I : x^k)."""
-    _check_nonnegative(k)
-    return tuple(h - k for h in diagram if h > k)
-
-
-def slice_left(diagram: Diagram, k: int) -> Diagram:
-    """The left k columns."""
-    _check_nonnegative(k)
-    if k == 0:
-        return EMPTY
-    return tuple(min(h, k) for h in diagram)
 
 
 def complement_rotate(diagram: Diagram, k: int, i: int) -> Diagram:

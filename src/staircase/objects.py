@@ -422,11 +422,6 @@ def leaves(tree: DecompositionTree) -> list[MonomialObject]:
     return [t.node for t, _, _ in walk(tree) if t.is_leaf]
 
 
-def internal_nodes(tree: DecompositionTree) -> list[DecompositionTree]:
-    """Internal subtrees in preorder."""
-    return [t for t, _, _ in walk(tree) if not t.is_leaf]
-
-
 def mu_opt(obj: MonomialObject) -> Fraction:
     """The optimal (destabilizing) slope of a nontrivial object."""
     if is_trivial(obj):
@@ -540,29 +535,36 @@ def _fraction(data: dict, key: str) -> Fraction:
 def object_from_dict(data: dict) -> MonomialObject:
     kind, twist = _member(data, "type", str), _member(data, "twist", int)
     if kind == "line_bundle":
-        return LineBundle(twist)
-    if kind == "shifted_line_bundle":
-        return ShiftedLineBundle(twist)
-    if kind == "rank1":
-        return rank_one(_diagram(data), twist)
-    if kind == "rank0":
+        obj = LineBundle(twist)
+    elif kind == "shifted_line_bundle":
+        obj = ShiftedLineBundle(twist)
+    elif kind == "rank1":
+        obj = rank_one(_diagram(data), twist)
+    elif kind == "rank0":
         diagram, k = _diagram(data), _member(data, "lines", int)
         if row_count(diagram) != k:
             raise ValueError(f"diagram {diagram} does not lie on exactly {k} lines")
-        return rank_zero(diagram, twist)
-    if kind == "rank-1":
+        obj = rank_zero(diagram, twist)
+    elif kind == "rank-1":
         diagram = _diagram(data)
         k, i = _member(data, "lines", int), _member(data, "colines", int)
         if (row_count(diagram), col_count(diagram)) != (k, i):
             raise ValueError(f"diagram {diagram} does not fill a {k} x {i} bounding box")
-        return rank_minus_one(diagram, twist)
-    raise ValueError(f"unknown object type {kind!r}")
+        obj = rank_minus_one(diagram, twist)
+    else:
+        raise ValueError(f"unknown object type {kind!r}")
+    # an empty rank-1 diagram, or a full rank -1 box, builds a trivial object
+    if _TYPE_NAMES[type(obj)] != kind:
+        raise ValueError(f"a {kind} object cannot be {text_name(obj)}")
+    return obj
 
 
 def tree_from_dict(data: dict) -> DecompositionTree:
     node = object_from_dict(_member(data, "object", dict))
     if "cut" not in data:
         return DecompositionTree(node)
+    if is_trivial(node):
+        raise ValueError(f"the trivial object {text_name(node)} has no cut")
     cut = tuple(_member(data, "cut", list))
     # serialize_tree writes both as they are, unescaped
     if len(cut) != 2 or cut[0] not in ("horizontal", "vertical") or type(cut[1]) is not int:

@@ -16,10 +16,7 @@ checking every visit.  The instance lists and each diagram's root objects
 are pure data, cached once per process by :func:`_diagrams`,
 :func:`_rectangles` and :func:`_tree_roots`; trees are never cached here,
 so every run takes its trees from :func:`decompose` and folds them into a
-memo of its own.  An index range ``[start, stop)`` of the instances
-splits a run into shards by hand; each shard folds its own subtrees, and
-:func:`merge_reports` folds the fragments, in index order, into the report
-of one serial run.
+memo of its own.
 
 Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
 wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
@@ -108,19 +105,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def merge_reports(first: VerificationReport, second: VerificationReport) -> VerificationReport:
-    """Combine two shard reports for the same check and bound."""
-    if (first.check, first.degree_bound) != (second.check, second.degree_bound):
-        raise ValueError("cannot merge reports of different checks")
-    return VerificationReport(
-        first.check,
-        first.degree_bound,
-        first.instances + second.instances,
-        (first.failures + second.failures)[:FAILURE_CAP],
-        first.duration + second.duration,
-    )
 
 
 @cache
@@ -395,14 +379,12 @@ def _fold(tree: DecompositionTree, node_check: Callable, folded: dict) -> tuple[
     return folded[id(tree)][1]
 
 
-def run_check(
-    name: str, n_max: int | None = None, start: int = 0, stop: int | None = None
-) -> VerificationReport:
-    """Run one named check over an index range of its instance list.
+def run_check(name: str, n_max: int | None = None) -> VerificationReport:
+    """Run one named check over its instance list up to the degree bound.
 
     The instance list and the root objects come from the per-process
     caches; the trees come from ``decompose`` at each call.  The subtree
-    memo lives for this call only: each distinct subtree of the range's
+    memo lives for this call only: each distinct subtree of the run's
     trees is folded once, and each diagram reads the folded details of its
     roots, so a later run, or a tree re-built over the same objects, is
     checked afresh.
@@ -414,7 +396,7 @@ def run_check(
     if n_max < 0:
         raise ValueError(f"degree bound must be nonnegative, got {n_max}")
     enumerate_instances, node_check, item_check = _CHECKS[name]
-    instances = enumerate_instances(n_max)[start:stop]
+    instances = enumerate_instances(n_max)
     begin = time.perf_counter()
     # id(subtree) -> (subtree, details); holding the subtree keeps its id unique
     folded: dict[int, tuple[DecompositionTree, tuple[str, ...]]] = {}

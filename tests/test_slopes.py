@@ -9,7 +9,6 @@ from staircase.diagram import (
     enumerate_diagrams_upto,
     row_count,
     col_count,
-    slice_above,
     transpose,
 )
 from staircase.slopes import (
@@ -18,6 +17,7 @@ from staircase.slopes import (
     scheme_slope,
     slope_table,
 )
+from slice_reference import slice_above
 
 BOUND = 12
 

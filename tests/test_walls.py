@@ -24,7 +24,6 @@ from staircase.walls import (
     is_nested,
     orthogonal_invariants,
     potential_wall,
-    wall_from_invariants,
 )
 
 
@@ -76,14 +75,16 @@ def test_orthogonal_invariants_pinned_and_round_trip():
     assert orthogonal_invariants(
         SemicircleWall(Fraction(-3, 2), Fraction(1, 4))
     ) == (0, 0)
-    assert wall_from_invariants(Fraction(43, 5), Fraction(72, 25)) == SemicircleWall(
+    mu, delta = Fraction(43, 5), Fraction(72, 25)
+    assert SemicircleWall(-mu - Fraction(3, 2), 2 * delta + Fraction(1, 4)) == SemicircleWall(
         Fraction(-101, 10), Fraction(601, 100)
     )
     rng = random.Random(11)
     for _ in range(200):
         mu = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
         delta = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-        assert orthogonal_invariants(wall_from_invariants(mu, delta)) == (mu, delta)
+        wall = SemicircleWall(-mu - Fraction(3, 2), 2 * delta + Fraction(1, 4))
+        assert orthogonal_invariants(wall) == (mu, delta)
     with pytest.raises(ValueError):
         orthogonal_invariants(VerticalWall(0))
 
