@@ -16,6 +16,7 @@ import sys
 
 from .diagram import IdealSyntaxError, degree, parse_ideal, render_ideal
 from .objects import (
+    LineBundle,
     ShiftedLineBundle,
     decompose,
     derived_dual,
@@ -67,9 +68,9 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_wall(args) -> int:
-    diagram = _parse_nonempty(args.ideal)
-    seq = destabilizing_sequence(rank_one(diagram))
-    print(f"destabilizing sequence for {text_name(rank_one(diagram))}:")
+    obj = rank_one(_parse_nonempty(args.ideal))
+    seq = destabilizing_sequence(obj)
+    print(f"destabilizing sequence for {text_name(obj)}:")
     print(f"  sub = {text_name(seq.sub)}")
     print(f"  quotient = {text_name(seq.quotient)}")
     print(f"center = {_fmt(seq.wall.center, args.approx)}")
@@ -78,8 +79,7 @@ def _cmd_wall(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    diagram = _parse_nonempty(args.ideal)
-    tree = decompose(rank_one(diagram))
+    tree = decompose(rank_one(_parse_nonempty(args.ideal)))
     if args.format == "json":
         print(serialize_tree(tree, pretty=True))
     elif args.format == "dot":
@@ -90,14 +90,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    diagram = _parse_nonempty(args.ideal)
-    source = rank_minus_one(diagram)
+    source = rank_minus_one(_parse_nonempty(args.ideal))
     print(f"F = {text_name(source)}")
     if isinstance(source, ShiftedLineBundle):
-        print(f"dual = O({-source.twist})[-1]")
+        dual = LineBundle(-source.twist)
     else:
-        dual_diagram, twist = derived_dual(source)
-        print(f"dual = I({','.join(map(str, dual_diagram))})({twist})[-1]")
+        dual = rank_one(*derived_dual(source))
+    print(f"dual = {text_name(dual)}[-1]")
     return 0
 
 
@@ -114,8 +113,7 @@ def _cmd_resolution(args) -> int:
 
 
 def _cmd_interp(args) -> int:
-    diagram = _parse_nonempty(args.ideal)
-    obj = rank_one(diagram)
+    obj = rank_one(_parse_nonempty(args.ideal))
     mu, delta = orthogonal_invariants(destabilizing_sequence(obj).wall)
     print(f"interpolation invariants for {text_name(obj)}:")
     print(f"mu = {_fmt(mu, args.approx)}, Delta = {_fmt(delta, args.approx)}")

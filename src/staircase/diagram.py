@@ -30,9 +30,7 @@ def as_diagram(rows) -> Diagram:
         return rows
     cleaned = []
     for h in rows:
-        if h != int(h):
-            raise ValueError(f"row length {h!r} is not an integer")
-        h = int(h)
+        h = _as_int(h, "row length")
         if h < 0:
             raise ValueError(f"row length {h} is negative")
         if h > 0:
@@ -43,6 +41,12 @@ def as_diagram(rows) -> Diagram:
                 f"rows must be weakly decreasing bottom-to-top, got {prev} before {cur}"
             )
     return tuple(cleaned)
+
+
+def _as_int(value, noun: str) -> int:
+    if value != int(value):
+        raise ValueError(f"{noun} {value!r} is not an integer")
+    return int(value)
 
 
 def degree(diagram: Diagram) -> int:
@@ -62,9 +66,7 @@ def col_count(diagram: Diagram) -> int:
 
 def full_row_count(diagram: Diagram) -> int:
     """Number of rows of maximal length c(D)."""
-    if not diagram:
-        return 0
-    return sum(1 for h in diagram if h == diagram[0])
+    return diagram.count(diagram[0]) if diagram else 0
 
 
 def full_col_count(diagram: Diagram) -> int:
@@ -89,7 +91,8 @@ def transpose(diagram: Diagram) -> Diagram:
 
 def slice_below(diagram: Diagram, k: int) -> Diagram:
     """The bottom k rows."""
-    _check_nonnegative(k)
+    if k < 0:
+        raise ValueError(f"slice index must be nonnegative, got {k}")
     return diagram[:k]
 
 
@@ -129,28 +132,23 @@ def from_generators(generators) -> Diagram:
     Redundant generators are dropped.  The ideal must contain a pure x-power
     and a pure y-power (otherwise the subscheme is not zero-dimensional).
     """
-    gens = sorted(set((int(a), int(b)) for a, b in generators))
+    noun = "generator exponent"
+    gens = sorted({(_as_int(a, noun), _as_int(b, noun)) for a, b in generators})
     if any(a < 0 or b < 0 for a, b in gens):
         raise ValueError("generator exponents must be nonnegative")
     if not gens:
         raise ValueError("at least one generator is required")
-    minimal: list[Generator] = []
-    best_b = None  # smallest b seen so far while a increases
-    for a, b in gens:  # ascending a, then ascending b
-        if best_b is not None and b >= best_b:
-            continue
-        minimal.append((a, b))
-        best_b = b
-    if minimal[0][0] != 0:
+    if gens[0][0] != 0:
         raise ValueError("ideal lacks a pure y-power; scheme is not zero-dimensional")
-    if minimal[-1][1] != 0:
+    rows: list[int] = []  # top to bottom
+    height = gens[0][1]  # the pure y-power caps the number of rows
+    for a, b in gens[1:]:  # ascending a, then ascending b: minimal while b falls
+        if b < height:
+            rows.extend([a] * (height - b))
+            height = b
+    if height != 0:
         raise ValueError("ideal lacks a pure x-power; scheme is not zero-dimensional")
-    rows: list[int] = []
-    height = minimal[0][1]  # the pure y-power caps the number of rows
-    for a, b in minimal[1:]:
-        rows.extend([a] * (height - b))
-        height = b
-    return tuple(sorted(rows, reverse=True))
+    return tuple(reversed(rows))
 
 
 class IdealSyntaxError(ValueError):
@@ -240,10 +238,11 @@ def _exponents(match: re.Match) -> Generator:
 
 def render_ideal(diagram: Diagram) -> str:
     """Inverse of :func:`parse_ideal` for the monomial grammar."""
-    return ",".join(_render_monomial(a, b) for a, b in to_generators(diagram))
+    return ",".join(render_monomial(a, b) for a, b in to_generators(diagram))
 
 
-def _render_monomial(a: int, b: int) -> str:
+def render_monomial(a: int, b: int) -> str:
+    """``x^a y^b`` as ideal text: ``1`` for the unit, exponents of 1 and zero powers left out."""
     if a == 0 and b == 0:
         return "1"
     parts = []
@@ -260,7 +259,8 @@ def _render_monomial(a: int, b: int) -> str:
 
 def enumerate_diagrams(n: int):
     """Yield every diagram of degree n in reverse-lexicographic order."""
-    _check_nonnegative(n)
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     yield from _partitions(n, n)
 
 
@@ -278,7 +278,3 @@ def _partitions(n: int, max_part: int):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
 
-
-def _check_nonnegative(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"slice index must be nonnegative, got {k}")

@@ -25,23 +25,12 @@ capped at ``j``.  Parts sliced from a valid diagram are valid, so they skip
 the input validation of the public factories; the rank-0 purity check runs
 on every part.
 
-Destabilization picks the largest candidate wall; ties prefer the
-horizontal family, then the smallest cut index.  Each family is walked once
-with the boxes cut off, ``w_j = sum(lengths[:j])``, and each cut is scored
-by one integer key read off the general wall formula, ``m = t - j`` and
-``n' = n - w_j``:
-
-* rank 1, most negative center ``t - (j^2 + 2w_j)/2j``: the first maximum
-  of ``(j^2 + 2w_j)/j``, the interpolation slope's key; the twist drops out;
-* rank 0 ``(0, K, E)``, largest radius_sq ``(E^2 - 4Kx)/4K^2`` about the
-  one center ``E/2K``: the first minimum of ``x = mE - K(m^2 - 2n')``;
-* rank -1, least negative center ``-(K'^2 + 2n' - 2K'm)/2K'`` with
-  ``K' = len(lengths) - j``: the first minimum of ``(K'^2 + 2n' - 2K'm)/K'``.
-
-Only the chosen cut's wall is computed, by the general
-:func:`wall_from_parts`, and stored; :func:`candidate_walls` evaluates it on
-every candidate and stays the reference the selection is tested against.
-Decomposing yields a finite tree of trivial leaves.
+Destabilization picks the largest candidate wall by the per-type integer
+keys that :func:`destabilizing_sequence` states, and computes only the
+chosen cut's wall; :func:`candidate_walls` evaluates the general
+:func:`wall_from_parts` on every candidate and stays the reference the
+selection is tested against.  Decomposing yields a finite tree of trivial
+leaves.
 """
 
 from __future__ import annotations
@@ -317,7 +306,7 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     target = r, big_k, e = integer_character(obj)
     t, n = obj.twist, degree(obj.diagram)
     families = _families(obj)
-    # the chosen (family, j) and its key p/q, q > 0, from 0/1 (below every
+    # the chosen (family, j, w_j) and its key p/q, q > 0, from 0/1 (below every
     # rank 1 key) or 1/0 (above every rank 0 and rank -1 key)
     if r == 1:  # the first maximum of (j^2 + 2w_j)/j; the twist drops out
         best, bp, bq = None, 0, 1
@@ -325,7 +314,7 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
             for j, w in _cut_walk(family):
                 p = j * j + 2 * w
                 if p * bq > bp * j:
-                    best, bp, bq = (family, j), p, j
+                    best, bp, bq = (family, j, w), p, j
     elif r == 0:  # the first minimum of x
         best, bp, bq = None, 1, 0
         for family in families:
@@ -333,7 +322,7 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
                 m = t - j
                 p = m * e - big_k * (m * m - 2 * (n - w))
                 if p * bq < bp:
-                    best, bp, bq = (family, j), p, 1
+                    best, bp, bq = (family, j, w), p, 1
     else:  # the first minimum of (K'^2 + 2n' - 2K'm)/K'
         best, bp, bq = None, 1, 0
         for family in families:
@@ -342,10 +331,10 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
                 k = size - j
                 p = k * k + 2 * (n - w) - 2 * k * (t - j)
                 if p * bq < bp * k:
-                    best, bp, bq = (family, j), p, k
-    (direction, lengths, _, _), j = best
+                    best, bp, bq = (family, j, w), p, k
+    (direction, lengths, _, _), j, w = best
     cut = direction, j
-    wall = _candidate_wall(cut, _sub_character(obj, lengths, j, n - sum(lengths[:j])), target)
+    wall = _candidate_wall(cut, _sub_character(obj, lengths, j, n - w), target)
     if is_empty(wall):
         raise AssertionError(f"selected wall at {cut} for {obj!r} is empty")
     return DestabilizingSequence(*_sequence_parts(obj, cut, lengths), wall, cut)

@@ -6,29 +6,19 @@ a witness in the report.  A node predicate tests one internal tree node and
 its two children.  Per diagram, a check reports the details of the internal
 nodes of its :func:`_tree_roots` trees in preorder, then those of the
 diagram predicate.  The roots are I_Z and its box's rank -1 object; the
-rank-0 quotient of I_Z's root step is checked inside I_Z's tree.  Trees
-share subtrees, so :func:`run_check` folds each distinct subtree once per
-run, in :func:`_fold`, the only tree walk here: its details are the node
-predicate's on its root, then its sub subtree's, then its quotient
-subtree's, kept in a memo for the run.  A diagram then costs one memo read
-per root, and the witnesses and the ``FAILURE_CAP`` cut stay those of
-checking every visit.  The instance lists and each diagram's root objects
-are pure data, cached once per process by :func:`_diagrams`,
-:func:`_rectangles` and :func:`_tree_roots`; trees are never cached here,
-so every run takes its trees from :func:`decompose` and folds them into a
-memo of its own.
+rank-0 quotient of I_Z's root step is checked inside I_Z's tree.  How a run
+folds each distinct subtree once is stated in :func:`run_check` and
+:func:`_fold`.
 
 Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
 wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
 ``duality`` is the only fresh step.  The ``chern`` check recomputes each node
 wall with :func:`potential_wall` from the Chern characters of the sliced sub,
 node and quotient, and the chosen cut with :func:`candidate_walls`, which
-evaluates the integer core :func:`wall_from_parts` on every candidate, so
-the general wall formula stays the reference for every tree, as the general
-``Fraction`` twist does for each node's fast :func:`integer_character`.  The
-characters, walls, pairings and central charges it compares come from the
-integer cores of ``ktheory`` and ``walls``, one ``Fraction`` per result; the
-resolution clause sums integer ``(r, c1, 2*ch2)`` triples.
+evaluates :func:`wall_from_parts` on every candidate, so the general wall
+formula stays the reference for every tree, as the general ``Fraction`` twist
+does for each node's fast :func:`integer_character`.  Its arithmetic runs on
+the integer cores of :mod:`staircase.ktheory`.
 """
 
 from __future__ import annotations
@@ -386,7 +376,8 @@ def run_check(name: str, n_max: int | None = None) -> VerificationReport:
     caches; the trees come from ``decompose`` at each call.  The subtree
     memo lives for this call only: each distinct subtree of the run's
     trees is folded once, and each diagram reads the folded details of its
-    roots, so a later run, or a tree re-built over the same objects, is
+    roots: the witnesses, and the ``FAILURE_CAP`` cut, of checking every
+    visit.  A later run, or a tree re-built over the same objects, is
     checked afresh.
     """
     if name not in _CHECKS:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagram import as_diagram, to_generators
+from .diagram import as_diagram, render_monomial, to_generators
 
 
 class MatrixEntry(NamedTuple):
@@ -54,18 +54,15 @@ class FreeResolution:
 def minimal_free_resolution(diagram) -> FreeResolution:
     """Resolve the ideal sheaf I_Z of the diagram's minimal generators."""
     gens = to_generators(as_diagram(diagram))  # descending a, ascending b
-    gen_twists = tuple(-(a + b) for a, b in gens)
-    syz_twists = tuple(-(gens[i][0] + gens[i + 1][1]) for i in range(len(gens) - 1))
-    columns = []
-    for i in range(len(gens) - 1):
-        (a_i, b_i), (a_next, b_next) = gens[i], gens[i + 1]
-        columns.append(
-            (
-                MatrixEntry(i, 1, 0, b_next - b_i),
-                MatrixEntry(i + 1, -1, a_i - a_next, 0),
-            )
-        )
-    return FreeResolution(gen_twists, syz_twists, tuple(columns))
+    pairs = list(zip(gens, gens[1:]))
+    return FreeResolution(
+        tuple(-(a + b) for a, b in gens),
+        tuple(-(a + b_next) for (a, _), (_, b_next) in pairs),
+        tuple(
+            (MatrixEntry(i, 1, 0, b_next - b), MatrixEntry(i + 1, -1, a - a_next, 0))
+            for i, ((a, b), (a_next, b_next)) in enumerate(pairs)
+        ),
+    )
 
 
 class BettiTable(NamedTuple):
@@ -102,38 +99,28 @@ def render_resolution(res: FreeResolution) -> str:
 
 
 def _entry_str(entry: MatrixEntry) -> str:
-    body = ""
-    if entry.x_exp:
-        body += "x" + (f"^{entry.x_exp}" if entry.x_exp > 1 else "")
-    if entry.y_exp:
-        body += "y" + (f"^{entry.y_exp}" if entry.y_exp > 1 else "")
-    return ("-" if entry.sign < 0 else "") + (body or "1")
+    return ("-" if entry.sign < 0 else "") + render_monomial(entry.x_exp, entry.y_exp)
+
+
+def _aligned(rows) -> list[str]:
+    """Each row's cells right-aligned to the widest cell of their column, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in rows]
 
 
 def render_matrix(res: FreeResolution) -> str:
     """The syzygy matrix as an aligned grid of monomials, one row per line."""
-    rows = res.generator_count
-    cols = res.syzygy_count
-    cells = [["0"] * cols for _ in range(rows)]
+    cells = [["0"] * res.syzygy_count for _ in range(res.generator_count)]
     for col, entries in enumerate(res.matrix):
         for entry in entries:
             cells[entry.row][col] = _entry_str(entry)
-    widths = [max(len(cells[r][c]) for r in range(rows)) for c in range(cols)]
-    lines = []
-    for r in range(rows):
-        padded = [cells[r][c].rjust(widths[c]) for c in range(cols)]
-        lines.append("[ " + "  ".join(padded) + " ]")
-    return "\n".join(lines)
+    return "\n".join(f"[ {line} ]" for line in _aligned(cells))
 
 
 def render_betti(table: BettiTable) -> str:
     """Two-row Betti table keyed by twist degree."""
     degrees = sorted(set(table.beta0) | set(table.beta1))
-    header = ["deg"] + [str(d) for d in degrees]
-    row0 = ["b0"] + [str(table.beta0.get(d, 0)) for d in degrees]
-    row1 = ["b1"] + [str(table.beta1.get(d, 0)) for d in degrees]
-    widths = [max(len(h), len(a), len(b)) for h, a, b in zip(header, row0, row1)]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        for row in (header, row0, row1)
-    )
+    rows = [["deg", *map(str, degrees)]]
+    for name, betti in (("b0", table.beta0), ("b1", table.beta1)):
+        rows.append([name, *(str(betti.get(d, 0)) for d in degrees)])
+    return "\n".join(_aligned(rows))

@@ -7,9 +7,7 @@ or a semicircle; semicircles store the exact center and squared radius, so a
 semicircular wall corresponds to a unique rank-1 orthogonal class through
 mu = -s - 3/2 and 2*Delta = rho^2 - 1/4.
 
-Wall arithmetic has integer cores, as in :mod:`staircase.ktheory`: the
-inputs go to integer numerators over one common denominator, and each
-center, squared radius or invariant is built with one ``Fraction``;
+Wall arithmetic runs on the integer cores of :mod:`staircase.ktheory`;
 :func:`wall_from_parts` states the wall formula once, on integer parts.
 """
 

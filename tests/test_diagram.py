@@ -91,6 +91,8 @@ def test_slices_pinned_values():
     assert slice_below(d, 0) == ()
     assert slice_right(d, 7) == ()
     assert slice_left(d, 0) == ()
+    with pytest.raises(ValueError, match="slice index must be nonnegative, got -1"):
+        slice_below(d, -1)
 
 
 def test_slices_agree_with_transposed_counterparts():
@@ -136,6 +138,14 @@ def test_generators_pinned_and_round_trip():
         from_generators([(0, 1), (1, 1)])  # no pure x-power
     with pytest.raises(ValueError):
         from_generators([(1, -1), (0, 1)])  # negative exponent
+    with pytest.raises(ValueError, match="at least one generator is required"):
+        from_generators([])
+    # rejected, not truncated to an int, as as_diagram rejects a row of 1.5
+    with pytest.raises(ValueError, match="generator exponent 1.5 is not an integer"):
+        from_generators([(1.5, 0), (0, 2.7)])
+    with pytest.raises(ValueError, match="generator exponent 2.7 is not an integer"):
+        from_generators([(1, 0), (0, 2.7)])
+    assert from_generators([(2.0, 0), (0, 1.0)]) == (2,)
 
 
 def test_generator_convention_and_round_trip_exhaustive():
@@ -157,6 +167,8 @@ def test_enumeration_counts_match_pentagonal_recurrence():
     assert p[4] == 5
     assert p[10] == 42
     assert sum(p) == 1597
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        next(enumerate_diagrams(-1))
     for n in range(0, 13):
         diagrams = list(enumerate_diagrams(n))
         assert len(diagrams) == p[n]

@@ -69,6 +69,10 @@ def test_domain_checks():
         central_charge(chern(1, 0, 0), 0, 0)
     with pytest.raises(ValueError):
         from_slope_discriminant(0, 1, 1)
+    with pytest.raises(ValueError, match="rank must be an integer, got 1.5"):
+        chern(1.5, 0, 0)
+    with pytest.raises(ValueError, match="rank must be an integer, got 1.5"):
+        from_slope_discriminant(1.5, 0, 0)
 
 
 def test_slope_discriminant_round_trip():

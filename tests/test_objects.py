@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -286,6 +287,14 @@ def test_candidate_walls_raise_on_a_degenerate_candidate(monkeypatch):
             candidate_walls(obj)
 
 
+def test_destabilizing_sequence_raises_on_an_empty_selected_wall(monkeypatch):
+    obj = rank_one((4, 3, 3), -5)
+    monkeypatch.setattr(objects, "is_empty", lambda wall: True)
+    message = f"selected wall at ('horizontal', 3) for {obj!r} is empty"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        destabilizing_sequence(obj)
+
+
 def test_every_cut_family_keeps_the_key_denominators_positive():
     """The selection keys divide by j (rank 1) and by len(lengths) - j (rank -1)."""
     for d in enumerate_diagrams_upto(12):
@@ -465,6 +474,7 @@ def test_parse_tree_rejects_json_of_the_wrong_shape():
         edited(lambda data: data.update(object={"twist": 0, "type": "line_bundle"})),
         '{"object": {"diagram": [], "twist": 0, "type": "rank1"}}',
         '{"object": {"colines": 2, "diagram": [2, 2], "lines": 2, "twist": 0, "type": "rank-1"}}',
+        '{"object": {"diagram": [1], "twist": 0, "type": "rank2"}}',
     ]
     for bad in texts:
         with pytest.raises(ValueError):

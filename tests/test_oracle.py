@@ -495,3 +495,148 @@ def test_chern_evaluates_potential_wall_on_every_candidate(monkeypatch):
     assert run_check("chern", BOUND).passed
     assert all(count == calls for count, calls in per_call)
     assert (len(per_call), sum(count for count, _ in per_call)) == (611, 4259)
+
+
+def moved_wall(dc):
+    def change(obj, seq):
+        return replace(seq, wall=SemicircleWall(seq.wall.center + dc, seq.wall.radius_sq))
+
+    return change
+
+
+def recut(index):
+    def change(obj, seq):
+        return replace(seq, cut=(seq.cut[0], index))
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "name, target, change, bound, witness",
+    [
+        (
+            "nesting",
+            RankOne((1,), -1),
+            moved_wall(-1),
+            3,
+            Failure((2, 1), "sub I(1)(-1) of I(2,1): mu_opt 2 > 1"),
+        ),
+        (
+            "nesting",
+            SHARED_BOX,
+            moved_wall(2),
+            8,
+            Failure((4, 3, 1), "quotient F(4,3 in 2x4) of F(4,3,1 in 3x4): mu_opt 1 < 2"),
+        ),
+        ("triviality", RankOne((1,), 0), recut(2), 3, Failure((1,), "case 1 fails at I(1): 2^2 >= 2*1")),
+        (
+            "triviality",
+            RankZero((1,), 0),
+            recut(2),
+            3,
+            Failure((1,), "case 2 fails at I(1 in 1L): 2 >= n/k + k/2"),
+        ),
+        (
+            "triviality",
+            RankZero((1,), 0),
+            recut(0),
+            3,
+            Failure((1,), "case 3 fails at I(1 in 1L): 0 < n/k - k/2"),
+        ),
+        (
+            "triviality",
+            RankMinusOne((2, 1), 0),
+            recut(0),
+            3,
+            Failure((2, 1), "case 4 fails at F(2,1 in 2x2): 2^2 >= 2(ki - n)"),
+        ),
+    ],
+)
+def test_each_node_clause_reports_a_tampered_step(tamper, name, target, change, bound, witness):
+    tamper(target, change)
+    assert witness in run_check(name, bound).failures
+
+
+def wrong_chern_of_line_bundles(real):
+    def chern_of(obj):
+        return real(LineBundle(obj.twist + 1)) if isinstance(obj, LineBundle) else real(obj)
+
+    return chern_of
+
+
+@pytest.mark.parametrize(
+    "name, binding, wrap, witnesses",
+    [
+        (
+            "purity",
+            "is_horizontally_pure",
+            lambda real: lambda d: False,
+            [((1,), "I(1 in 1L) is not horizontally pure")],
+        ),
+        (
+            "gieseker",
+            "is_horizontally_pure",
+            lambda real: lambda d: False,
+            [((1,), "purity (False) and reduced-polynomial criterion (True) disagree")],
+        ),
+        (
+            "duality",
+            "derived_dual",
+            lambda real: lambda obj: (real(obj)[0], real(obj)[1] + 1),
+            [((2, 1), "unexpected dual twist at F(2,1 in 2x2)")],
+        ),
+        (
+            "duality",
+            "complement_rotate",
+            lambda real: lambda d, k, i: d,
+            [
+                ((2, 1), "dual diagram is not the rotated complement at F(2,1 in 2x2)"),
+                ((2, 1), "complement rotation not involutive at F(2,1 in 2x2)"),
+            ],
+        ),
+        (
+            "chern",
+            "twist",
+            lambda real: lambda xi, m: real(xi, m + 1),
+            [((1,), "integer character differs from the general twist at I(1)")],
+        ),
+        ("chern", "chern_of", wrong_chern_of_line_bundles, [((1,), "chern additivity fails at I(1)")]),
+        (
+            "chern",
+            "minimal_free_resolution",
+            lambda real: lambda d: replace(real(d), syzygy_twists=()),
+            [((1,), "resolution chern sum differs from ideal chern character")],
+        ),
+    ],
+)
+def test_each_clause_reports_a_broken_oracle_binding(monkeypatch, name, binding, wrap, witnesses):
+    monkeypatch.setattr(oracle, binding, wrap(getattr(oracle, binding)))
+    failures = run_check(name, 3).failures
+    for diagram, detail in witnesses:
+        assert Failure(diagram, detail) in failures
+
+
+def test_ci_reports_every_closed_form_of_a_tampered_tree(monkeypatch):
+    def tampered(obj):
+        tree = decompose(obj)
+        seq, second = tree.sequence, tree.quotient.sequence
+        second_wall = SemicircleWall(second.wall.center + 1, second.wall.radius_sq + 3)
+        quotient = replace(tree.quotient, sequence=replace(second, wall=second_wall))
+        wall = SemicircleWall(seq.wall.center - 1, seq.wall.radius_sq + 1)
+        return replace(tree, sequence=replace(seq, sub=seq.quotient, wall=wall), quotient=quotient)
+
+    monkeypatch.setattr(oracle, "decompose", tampered)
+    failures = run_check("ci", 2).failures
+    assert [failure.detail for failure in failures if failure.diagram == (2, 2)] == [
+        "CI(2,2) sub is I(2,2 in 2L), expected O(-2)",
+        "CI(2,2) center -4 != -a/2 - b",
+        "CI(2,2) radius^2 2 != (a/2 - b)^2",
+        "CI(2,2) mu_opt != b + (a-3)/2",
+        "CI(2,2) Delta_opt != ((a-2b)^2 - 1)/8",
+        "CI(2,2) wall equality should hold exactly when a = b",
+        "CI(2,2) second wall not concentric with the first",
+        "CI(2,2) second radius^2 4 != a^2/4",
+        "CI(2,2) radius^2 gap != b(b-a)",
+        "CI(2,2) rank-0 mu_opt != b + (a-3)/2",
+        "CI(2,2) rank-0 Delta_opt != (a^2-1)/8",
+    ]

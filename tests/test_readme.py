@@ -1,4 +1,5 @@
-"""The README's "Library use" example runs as written from a checkout, its
+"""The README's "Library use" example runs as written from a checkout, each
+"Command line" example exits 0 and prints the lines shown beneath it, its
 "Tree serialization" example is what the command it names prints, and every
 library name it cites in backticks exists."""
 
@@ -6,7 +7,10 @@ from __future__ import annotations
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+import pytest
 
 from staircase import cli
 
@@ -18,6 +22,35 @@ def test_library_use_block_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
     assert len(blocks) == 1, "expected one python block, the Library use example"
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def command_examples():
+    """(argv, shown lines) of each ``$ staircase`` line of the Command line block."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(\$ staircase .*?)^```$", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, "expected one sh block of staircase commands"
+    examples = []
+    for line in blocks[0].splitlines():
+        if line.startswith("$ "):
+            examples.append((shlex.split(line[2:], comments=True), []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+EXAMPLES = command_examples()
+
+
+@pytest.mark.parametrize("argv, shown", EXAMPLES, ids=[" ".join(argv) for argv, _ in EXAMPLES])
+def test_command_line_example_prints_the_lines_shown(argv, shown, capsys, monkeypatch):
+    """A ``...`` line stands for any number of lines; with no lines shown, any output goes."""
+    monkeypatch.delenv(cli.REPORT_PATH_VAR, raising=False)
+    assert argv[0] == "staircase"
+    assert cli.main(argv[1:]) == 0
+    out = capsys.readouterr().out
+    if shown:
+        pattern = "".join("(?:.*\n)*" if line.strip() == "..." else re.escape(line) + "\n" for line in shown)
+        assert re.fullmatch(pattern, out), out
 
 
 def test_tree_serialization_block_is_the_printed_json(capsys):
