@@ -21,29 +21,24 @@ EMPTY: Diagram = ()
 def as_diagram(rows) -> Diagram:
     """Validate an iterable of row lengths and return it as a diagram tuple.
 
-    Zero rows are dropped; negative or increasing rows are rejected.
+    Rows must be integers, weakly decreasing and nonnegative; the zero rows,
+    which can then only come last, are dropped.
     """
     rows = tuple(rows)
-    # positive weakly decreasing ints are a diagram already; these loops run in C
-    positive_ints = set(map(type, rows)) == {int} and rows[-1] > 0
-    if positive_ints and all(map(int.__ge__, rows, rows[1:])):
-        return rows
-    cleaned = []
-    for h in rows:
-        h = _as_int(h, "row length")
-        if h < 0:
-            raise ValueError(f"row length {h} is negative")
-        if h > 0:
-            cleaned.append(h)
-    for prev, cur in zip(cleaned, cleaned[1:]):
-        if cur > prev:
-            raise ValueError(
-                f"rows must be weakly decreasing bottom-to-top, got {prev} before {cur}"
-            )
-    return tuple(cleaned)
+    if set(map(type, rows)) - {int}:
+        rows = tuple(as_int(h, "row length") for h in rows)
+    if not all(map(int.__ge__, rows, rows[1:])):  # runs in C
+        prev, cur = next((a, b) for a, b in zip(rows, rows[1:]) if a < b)
+        raise ValueError(
+            f"rows must be weakly decreasing bottom-to-top, got {prev} before {cur}"
+        )
+    if rows and rows[-1] < 0:
+        raise ValueError(f"row length {rows[-1]} is negative")
+    return rows[: rows.index(0)] if rows and not rows[-1] else rows
 
 
-def _as_int(value, noun: str) -> int:
+def as_int(value, noun: str) -> int:
+    """``value`` as an int; a ValueError naming it as ``noun`` unless it is integral."""
     if value != int(value):
         raise ValueError(f"{noun} {value!r} is not an integer")
     return int(value)
@@ -133,7 +128,7 @@ def from_generators(generators) -> Diagram:
     and a pure y-power (otherwise the subscheme is not zero-dimensional).
     """
     noun = "generator exponent"
-    gens = sorted({(_as_int(a, noun), _as_int(b, noun)) for a, b in generators})
+    gens = sorted({(as_int(a, noun), as_int(b, noun)) for a, b in generators})
     if any(a < 0 or b < 0 for a, b in gens):
         raise ValueError("generator exponents must be nonnegative")
     if not gens:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, col_count, degree, row_count
+from .diagram import Diagram, as_int, col_count, degree, row_count
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ class CentralChargeValue:
 
 def chern(r, c1, ch2) -> ChernCharacter:
     """Build a character, normalizing the components to exact rationals."""
-    if r != int(r):
-        raise ValueError(f"rank must be an integer, got {r!r}")
-    return ChernCharacter(int(r), Fraction(c1), Fraction(ch2))
+    return ChernCharacter(as_int(r, "rank"), Fraction(c1), Fraction(ch2))
 
 
 def from_integers(r: int, c1: int, ch2_twice: int) -> ChernCharacter:
@@ -70,11 +68,9 @@ def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int, int]:
 
 def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
     """Character of rank r with Mumford slope mu and discriminant delta."""
+    r = as_int(r, "rank")
     if r == 0:
         raise ValueError("slope-discriminant coordinates need nonzero rank")
-    if r != int(r):
-        raise ValueError(f"rank must be an integer, got {r!r}")
-    r = int(r)
     a, p = _ratio(mu)
     b, q = _ratio(delta)
     # ch2 = r (mu^2/2 - delta) over the common denominator 2 p^2 q

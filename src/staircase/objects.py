@@ -46,6 +46,7 @@ from typing import Iterator
 from .diagram import (
     Diagram,
     as_diagram,
+    as_int,
     col_count,
     complement_rotate,
     degree,
@@ -153,20 +154,20 @@ class DecompositionTree:
 
 def rank_one(diagram, twist: int = 0) -> LineBundle | RankOne:
     """I_Z(twist), normalized to O(twist) for the empty scheme."""
-    return _rank_one(as_diagram(diagram), twist)
+    return _rank_one(as_diagram(diagram), as_int(twist, "twist"))
 
 
 def rank_zero(diagram, twist: int = 0) -> RankZero:
     """I_{Z in kL}(twist) on the k = r(D) lines of its rows; requires horizontal purity."""
-    return _rank_zero(as_diagram(diagram), twist)
+    return _rank_zero(as_diagram(diagram), as_int(twist, "twist"))
 
 
 def rank_minus_one(diagram, twist: int = 0) -> ShiftedLineBundle | RankMinusOne:
     """O(-k) + O(-i) -> I_Z (twisted) on Z's k x i bounding box; trivial if Z fills it."""
-    return _rank_minus_one(as_diagram(diagram), twist)
+    return _rank_minus_one(as_diagram(diagram), as_int(twist, "twist"))
 
 
-# The factories behind the public ones, on a diagram already valid.
+# The factories behind the public ones, on a valid diagram and an int twist.
 
 
 def _rank_one(diagram: Diagram, twist: int) -> LineBundle | RankOne:
@@ -413,8 +414,6 @@ def leaves(tree: DecompositionTree) -> list[MonomialObject]:
 
 def mu_opt(obj: MonomialObject) -> Fraction:
     """The optimal (destabilizing) slope of a nontrivial object."""
-    if is_trivial(obj):
-        raise ValueError(f"trivial object {obj!r} has no optimal invariants")
     return orthogonal_invariants(destabilizing_sequence(obj).wall)[0]
 
 
@@ -509,7 +508,7 @@ def _member(data, key: str, kind: type):
 
 def _diagram(data: dict) -> Diagram:
     rows = _member(data, "diagram", list)
-    if any(type(h) is not int for h in rows):  # the rule of _member, row by row
+    if set(map(type, rows)) - {int}:  # the rule of _member, row by row
         raise ValueError(f"diagram rows must be integers, got {rows!r}")
     return as_diagram(rows)
 
@@ -528,18 +527,18 @@ def object_from_dict(data: dict) -> MonomialObject:
     elif kind == "shifted_line_bundle":
         obj = ShiftedLineBundle(twist)
     elif kind == "rank1":
-        obj = rank_one(_diagram(data), twist)
+        obj = _rank_one(_diagram(data), twist)
     elif kind == "rank0":
         diagram, k = _diagram(data), _member(data, "lines", int)
         if row_count(diagram) != k:
             raise ValueError(f"diagram {diagram} does not lie on exactly {k} lines")
-        obj = rank_zero(diagram, twist)
+        obj = _rank_zero(diagram, twist)
     elif kind == "rank-1":
         diagram = _diagram(data)
         k, i = _member(data, "lines", int), _member(data, "colines", int)
         if (row_count(diagram), col_count(diagram)) != (k, i):
             raise ValueError(f"diagram {diagram} does not fill a {k} x {i} bounding box")
-        obj = rank_minus_one(diagram, twist)
+        obj = _rank_minus_one(diagram, twist)
     else:
         raise ValueError(f"unknown object type {kind!r}")
     # an empty rank-1 diagram, or a full rank -1 box, builds a trivial object

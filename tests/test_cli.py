@@ -91,6 +91,13 @@ def test_parse_error_reports_position(capsys):
     assert "position" in err
 
 
+def test_a_zero_row_before_a_longer_row_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "slope", "rows:3,0,2")
+    assert (code, out) == (2, "")
+    assert "rows must be weakly decreasing bottom-to-top, got 0 before 2 (position 5)" in err
+    assert run(capsys, "slope", "rows:3,2,0") == run(capsys, "slope", "rows:3,2")
+
+
 def test_whitespace_between_digits_is_a_usage_error(capsys):
     code, out, err = run(capsys, "slope", "rows: 3 1")
     assert code == 2

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from staircase.diagram import (
@@ -20,6 +23,8 @@ from staircase.diagram import (
     to_generators,
     transpose,
 )
+from staircase.ktheory import chern, from_slope_discriminant
+from staircase.objects import rank_minus_one, rank_one, rank_zero
 from slice_reference import slice_above, slice_left, slice_right
 
 BOUND = 12  # exhaustive-check degree bound for the heavier loops
@@ -53,6 +58,37 @@ def test_validation_rejects_bad_rows():
         as_diagram([2, 3])
     with pytest.raises(ValueError):
         as_diagram([3, -1])
+    # zero rows are dropped only at the end; before a longer row they break the order
+    assert as_diagram([3, 2, 0]) == (3, 2)
+    for rows, message in (([3, 0, 2], "got 0 before 2"), ((0, 0, 1), "got 0 before 1")):
+        with pytest.raises(ValueError, match=message):
+            as_diagram(rows)
+
+
+@pytest.mark.parametrize(
+    "value, expected", [(1.5, None), (Fraction(5, 2), None), (2.0, 2), (Fraction(3), 3), (True, 1)], ids=repr
+)
+@pytest.mark.parametrize(
+    "noun, read",
+    [
+        ("row length", lambda v: as_diagram([v])[0]),
+        ("generator exponent", lambda v: from_generators([(v, 0), (0, 1)])[0]),
+        ("rank", lambda v: chern(v, 0, 0).r),
+        ("rank", lambda v: from_slope_discriminant(v, 0, 0).r),
+        ("twist", lambda v: rank_one((3, 1), v).twist),
+        ("twist", lambda v: rank_zero((2, 2), v).twist),
+        ("twist", lambda v: rank_minus_one((3, 1), v).twist),
+    ],
+    ids=["as_diagram", "from_generators", "chern", "from_slope_discriminant", "rank_one", "rank_zero", "rank_minus_one"],
+)
+def test_every_boundary_states_the_integer_rule_in_the_same_words(noun, read, value, expected):
+    """Rows, exponents, ranks and twists: an integral value is read as that int."""
+    if expected is None:
+        with pytest.raises(ValueError, match=re.escape(f"{noun} {value!r} is not an integer")):
+            read(value)
+    else:
+        result = read(value)
+        assert result == expected and type(result) is int
 
 
 def test_basic_statistics():
@@ -209,6 +245,7 @@ def test_parse_ideal_rows_grammar():
     assert parse_ideal("rows:9,9,7,7,6,4,3,3") == (9, 9, 7, 7, 6, 4, 3, 3)
     assert parse_ideal("rows: 3, 3") == (3, 3)
     assert parse_ideal("rows:0") == ()
+    assert parse_ideal("rows:3,2,0") == (3, 2)  # trailing zero rows are dropped
     assert parse_ideal("rows:") == ()
 
 
@@ -243,6 +280,7 @@ def test_parse_ideal_errors_carry_positions():
         ("rows:3,1,", "trailing comma", 9),
         ("rows:,", "expected a row length, found ','", 5),
         ("rows: 1,2", "rows must be weakly decreasing bottom-to-top, got 1 before 2", 5),
+        ("rows:3,0,2", "rows must be weakly decreasing bottom-to-top, got 0 before 2", 5),
     ],
 )
 def test_parse_ideal_error_table(text, message, position):

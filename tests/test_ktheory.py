@@ -69,9 +69,9 @@ def test_domain_checks():
         central_charge(chern(1, 0, 0), 0, 0)
     with pytest.raises(ValueError):
         from_slope_discriminant(0, 1, 1)
-    with pytest.raises(ValueError, match="rank must be an integer, got 1.5"):
+    with pytest.raises(ValueError, match="rank 1.5 is not an integer"):
         chern(1.5, 0, 0)
-    with pytest.raises(ValueError, match="rank must be an integer, got 1.5"):
+    with pytest.raises(ValueError, match="rank 1.5 is not an integer"):
         from_slope_discriminant(1.5, 0, 0)
 
 

@@ -120,6 +120,18 @@ def test_every_public_factory_validates_its_rows(factory):
         assert {type(h) for h in obj.diagram} == {int}
 
 
+@pytest.mark.parametrize("factory, rows", [(rank_one, (3, 1)), (rank_zero, (2, 2)), (rank_minus_one, (3, 1))])
+def test_every_public_factory_validates_its_twist(factory, rows):
+    """A twist that is no integer fails at the factory, not inside a later step."""
+    with pytest.raises(ValueError, match="twist '1' is not an integer"):
+        factory(rows, "1")
+    with pytest.raises(TypeError):
+        factory(rows, None)
+    obj, expected = factory(rows, 2.0), factory(rows, 2)
+    assert text_name(obj) == text_name(expected)
+    assert destabilizing_sequence(obj) == destabilizing_sequence(expected)
+
+
 def test_rank_zero_and_minus_one_are_their_diagram_and_twist():
     """k and i are read from the diagram, so no object disagrees with its diagram."""
     assert [f.name for f in fields(RankZero)] == ["diagram", "twist"]
@@ -470,6 +482,7 @@ def test_parse_tree_rejects_json_of_the_wrong_shape():
         edited(lambda data: data["object"].update(diagram=[2.0])),
         edited(lambda data: data["object"].update(diagram=3)),
         edited(lambda data: data["quotient"]["object"].update(diagram=[1.0])),
+        edited(lambda data: data["object"].update(diagram=[3, 0, 2])),
         # serialize_tree never writes a cut on a trivial object, nor a type its object lacks
         edited(lambda data: data.update(object={"twist": 0, "type": "line_bundle"})),
         '{"object": {"diagram": [], "twist": 0, "type": "rank1"}}',

@@ -523,20 +523,22 @@ ROW_ENTRIES = st.one_of(
 @given(st.lists(ROW_ENTRIES, max_size=6))
 def test_as_diagram_accepts_and_rejects_as_the_plain_loop(rows):
     def reference(rows):
-        cleaned = []
+        ints = []
         for h in rows:
             if h != int(h):
                 raise ValueError(f"row length {h!r} is not an integer")
-            h = int(h)
-            if h < 0:
-                raise ValueError(f"row length {h} is negative")
-            if h > 0:
-                cleaned.append(h)
-        for prev, cur in zip(cleaned, cleaned[1:]):
+            ints.append(int(h))
+        for prev, cur in zip(ints, ints[1:]):
             if cur > prev:
                 raise ValueError(
                     f"rows must be weakly decreasing bottom-to-top, got {prev} before {cur}"
                 )
+        cleaned = []
+        for h in ints:  # weakly decreasing, so the last row is the least
+            if h < 0:
+                raise ValueError(f"row length {ints[-1]} is negative")
+            if h > 0:
+                cleaned.append(h)
         return tuple(cleaned)
 
     result, expected = outcome(as_diagram, rows), outcome(reference, rows)
