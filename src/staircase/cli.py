@@ -198,10 +198,6 @@ def main(argv=None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        print(f"error: input too deep for the recursion limit ({limit})", file=sys.stderr)
-        return 3
     except (OverflowError, MemoryError) as error:
         # a failed allocation carries no message of its own
         print(f"error: input too large ({str(error) or 'out of memory'})", file=sys.stderr)

@@ -45,7 +45,7 @@ class CentralChargeValue:
 
 
 def chern(r, c1, ch2) -> ChernCharacter:
-    """Build a character, normalizing the components to exact rationals."""
+    """Build a character of exact rationals, read as ``Fraction`` reads them: a float at its binary value."""
     return ChernCharacter(as_int(r, "rank"), Fraction(c1), Fraction(ch2))
 
 
@@ -67,7 +67,7 @@ def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int, int]:
 
 
 def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
-    """Character of rank r with Mumford slope mu and discriminant delta."""
+    """Character of rank r with Mumford slope mu and discriminant delta, read as ``chern`` reads c1."""
     r = as_int(r, "rank")
     if r == 0:
         raise ValueError("slope-discriminant coordinates need nonzero rank")

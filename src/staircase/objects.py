@@ -31,15 +31,18 @@ chosen cut's wall; :func:`candidate_walls` evaluates the general
 :func:`wall_from_parts` on every candidate and stays the reference the
 selection is tested against.  Decomposing yields a finite tree of trivial
 leaves.
+
+:func:`decompose`, :func:`walk` and the writers keep an explicit stack, so
+tree depth is not bounded by the recursion limit; only :func:`parse_tree` is.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from typing import Iterator
 
@@ -136,10 +139,7 @@ class DecompositionTree:
         return self.sequence is None
 
     def __eq__(self, other):
-        """Node by node along both preorder walks, not bounded by the recursion limit.
-
-        Equal sequences give equal shapes, so the walks end together.
-        """
+        """Node by node along both preorder walks, which end together: equal sequences, equal shapes."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(
@@ -376,27 +376,49 @@ def _rows_before(d: Diagram, cut: Cut) -> Diagram:
     return d[:j] if direction == "horizontal" else tuple(map(min, d, repeat(j)))
 
 
-@lru_cache(maxsize=None)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_trees: dict[MonomialObject, DecompositionTree] = {}  # decompose's memo, for the process
+_lookups = Counter()  # its hits and misses since the last cache_clear
+
+
 def decompose(obj: MonomialObject) -> DecompositionTree:
-    """The full decomposition tree; trivial objects give leaves."""
-    if is_trivial(obj):
-        return DecompositionTree(obj)
-    sequence = destabilizing_sequence(obj)
-    return DecompositionTree(
-        obj,
-        sequence,
-        decompose(sequence.sub),
-        decompose(sequence.quotient),
-    )
+    """The full decomposition tree; trivial objects give leaves.
+
+    Every tree built is memoized, subtrees included; ``cache_info()`` and
+    ``cache_clear()`` count and clear the lookups as ``lru_cache``'s do.
+    """
+    tree = _trees.get(obj)
+    if tree is not None:
+        _lookups["hits"] += 1
+        return tree
+    stack = [(obj, None)]  # a lookup, or an object to build from its memoized children
+    while stack:
+        node, sequence = stack.pop()
+        if sequence is not None:
+            _trees[node] = DecompositionTree(node, sequence, _trees[sequence.sub], _trees[sequence.quotient])
+        elif node in _trees:
+            _lookups["hits"] += 1
+        else:
+            _lookups["misses"] += 1
+            if is_trivial(node):
+                _trees[node] = DecompositionTree(node)
+            else:
+                sequence = destabilizing_sequence(node)
+                stack += (node, sequence), (sequence.quotient, None), (sequence.sub, None)
+    return _trees[obj]
+
+
+def _cache_clear() -> None:
+    _trees.clear()
+    _lookups.clear()
+
+
+decompose.cache_info = lambda: _CacheInfo(_lookups["hits"], _lookups["misses"], None, len(_trees))
+decompose.cache_clear = _cache_clear
 
 
 def walk(tree: DecompositionTree) -> Iterator[tuple[DecompositionTree, int, str | None]]:
-    """Preorder (sub before quotient) of ``(subtree, depth, role)`` triples.
-
-    ``role`` is ``"sub"`` or ``"quotient"``, and ``None`` at the root.  The
-    walk keeps an explicit stack, so tree depth is not bounded by the
-    recursion limit.
-    """
+    """Preorder (sub before quotient) of ``(subtree, depth, role)``; ``role`` is ``None`` at the root."""
     stack = [(tree, 0, None)]
     while stack:
         item = stack.pop()
@@ -572,8 +594,7 @@ def serialize_tree(tree: DecompositionTree, pretty: bool = False) -> str:
     members, compact or with ``indent=2`` (every member and list element on
     its own line).  A node's keys sort as ``cut``, ``object``, ``quotient``,
     ``sub``, ``wall``, so the quotient subtree is written before the sub.
-    One pass with an explicit stack of subtrees and pending text writes it,
-    so tree depth is not bounded by the recursion limit.
+    One pass with a stack of subtrees and pending text writes it.
     """
     step, colon = ("  ", ": ") if pretty else ("", ":")
     parts = []
@@ -602,8 +623,11 @@ def serialize_tree(tree: DecompositionTree, pretty: bool = False) -> str:
 
 
 def parse_tree(text: str) -> DecompositionTree:
-    """Inverse of :func:`serialize_tree`."""
-    return tree_from_dict(json.loads(text))
+    """Inverse of :func:`serialize_tree`; ``ValueError`` on text nested beyond the recursion limit."""
+    try:
+        return tree_from_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("tree text is nested too deep to parse") from None
 
 
 def tree_to_dot(tree: DecompositionTree) -> str:

@@ -53,6 +53,7 @@ from staircase.objects import (
     tree_to_dot,
     walk,
 )
+from staircase.resolution import minimal_free_resolution
 from staircase.slopes import is_horizontally_pure, scheme_slope
 from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall, wall_from_parts
 from slice_reference import family, parts_or_error, slice_above, slice_parts, slice_right
@@ -764,14 +765,20 @@ def test_text_names():
     assert text_name(ShiftedLineBundle(-11)) == "O(-11)[1]"
 
 
-def test_tree_walks_are_not_bounded_by_the_recursion_limit():
-    depth = sys.getrecursionlimit() + 100
+def chain(depth):
+    """A hand-built tree whose quotients nest ``depth`` internal nodes deep."""
     wall = SemicircleWall(Fraction(-3), Fraction(1))
     tree = DecompositionTree(LineBundle(0))
     for m in range(1, depth + 1):
         sub = DecompositionTree(LineBundle(-m))
         sequence = DestabilizingSequence(sub.node, tree.node, wall, ("horizontal", 1))
         tree = DecompositionTree(RankOne((1,), m), sequence, sub, tree)
+    return tree
+
+
+def test_tree_walks_are_not_bounded_by_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    tree = chain(depth)
     assert sum(not node.is_leaf for node, _, _ in walk(tree)) == depth
     assert hash(tree) == hash((tree.node, tree.sequence))
     assert leaves(tree)[:2] == [LineBundle(-depth), LineBundle(1 - depth)]
@@ -780,3 +787,30 @@ def test_tree_walks_are_not_bounded_by_the_recursion_limit():
     dot = tree_to_dot(tree)
     assert dot.count("->") == 2 * depth
     assert dot.endswith('  n0 -> n1 [label="sub"];\n  n0 -> n2 [label="quotient"];\n}\n')
+
+
+def test_parse_tree_says_a_text_nested_beyond_the_recursion_limit_is_too_deep():
+    text = serialize_tree(chain(2 * sys.getrecursionlimit()))
+    with pytest.raises(ValueError, match="nested too deep"):
+        parse_tree(text)
+
+
+def test_a_thousand_row_staircase_decomposes_at_the_default_recursion_limit():
+    rows = tuple(range(1000, 0, -1))
+    decompose.cache_clear()
+    tree = decompose(rank_one(rows))
+    info = decompose.cache_info()
+    assert (info.currsize, info.hits) == (2002, 1999)
+    preorder = list(walk(tree))
+    assert len(preorder) == 4001
+    assert max(depth for _, depth, _ in preorder) == 1001
+    res = minimal_free_resolution(rows)
+    tree_leaves = leaves(tree)
+    line_bundles = [leaf.twist for leaf in tree_leaves if isinstance(leaf, LineBundle)]
+    shifted = [leaf.twist for leaf in tree_leaves if isinstance(leaf, ShiftedLineBundle)]
+    assert len(line_bundles) + len(shifted) == len(tree_leaves)
+    assert sorted(line_bundles) == sorted(res.generator_twists)
+    assert sorted(shifted) == sorted(res.syzygy_twists)
+    assert render_tree(tree).count("\n") == len(preorder) + 4000
+    assert serialize_tree(tree).startswith('{"cut":')
+    assert tree_to_dot(tree).count("->") == 4000

@@ -5,12 +5,14 @@ of every rank-1 tree node, twisted in -300..300, against the scheme slope;
 the leaf twists of I_Z's tree against its minimal free resolution; the parts
 of every candidate cut of I_Z, of the rank-0 objects on its pure bottom
 slices and of its box, twisted in -300..300, against the row and column
-slices; the integer slope comparisons against the Fraction rule; the derived dual; the integer
-characters of objects, twisted in -300..300, against the Fraction twist;
-the tree writer against ``json.dumps`` of a reference dict (also
-exhaustively to degree 11), and the text round-trips of trees and ideals;
-rational Chern characters of rank -3..3 against the Fraction formulas of
-the integer arithmetic cores; row lists of mixed types for ``as_diagram``.
+slices; the trees of ``decompose`` against a recursive reference with no
+memo, and the memo's counts; the integer slope comparisons against the
+Fraction rule; the derived dual; the integer characters of objects,
+twisted in -300..300, against the Fraction twist; the tree writer against
+``json.dumps`` of a reference dict (also exhaustively to degree 11), and
+the text round-trips of trees and ideals; rational Chern characters of
+rank -3..3 against the Fraction formulas of the integer arithmetic cores;
+row lists of mixed types for ``as_diagram``.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from staircase.walls import (
     potential_wall,
     wall_from_parts,
 )
+import decompose_reference
 from slice_reference import parts_or_error, slice_above, slice_parts
 from tree_asserts import assert_same_text, assert_same_tree
 
@@ -345,6 +348,26 @@ def test_tree_writer_is_json_dumps_to_degree_11_and_on_staircases():
 def test_tree_writer_is_json_dumps(diagram):
     for root in oracle._tree_roots(diagram):
         assert_written_as_json_dumps(decompose(root))
+
+
+@settings(max_examples=10, deadline=None)
+@given(skewed_diagrams())
+def test_decompose_builds_the_recursive_reference_tree_and_counts_as_lru_cache(diagram):
+    """On a fresh memo each object is one miss and one entry, and each internal tree two lookups."""
+    rank_one_root, *box = oracle._tree_roots(diagram)
+    rank_zero_root = decompose(rank_one_root).sequence.quotient
+    for root in (rank_one_root, rank_zero_root, *box):
+        decompose.cache_clear()
+        tree = decompose(root)
+        info = decompose.cache_info()
+        want = decompose_reference.decompose(root)
+        assert_same_tree(tree, want)
+        assert tree == want
+        assert_same_text(serialize_tree(tree), serialize_tree(want))
+        nodes = {t.node: t.is_leaf for t, _, _ in walk(tree)}
+        internal = sum(not is_leaf for is_leaf in nodes.values())
+        assert info.misses == info.currsize == len(nodes)
+        assert info.hits + info.misses == 1 + 2 * internal
 
 
 @settings(max_examples=10, deadline=None)
