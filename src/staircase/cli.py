@@ -16,8 +16,6 @@ import sys
 
 from .diagram import IdealSyntaxError, degree, parse_ideal, render_ideal
 from .objects import (
-    LineBundle,
-    ShiftedLineBundle,
     decompose,
     derived_dual,
     destabilizing_sequence,
@@ -92,11 +90,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_dual(args) -> int:
     source = rank_minus_one(_parse_nonempty(args.ideal))
     print(f"F = {text_name(source)}")
-    if isinstance(source, ShiftedLineBundle):
-        dual = LineBundle(-source.twist)
-    else:
-        dual = rank_one(*derived_dual(source))
-    print(f"dual = {text_name(dual)}[-1]")
+    print(f"dual = {text_name(rank_one(*derived_dual(source)))}[-1]")
     return 0
 
 

@@ -88,12 +88,16 @@ class ShiftedLineBundle:
 
 @dataclass(frozen=True)
 class RankOne:
+    """I_Z(twist), built unchecked: outside input goes through :func:`rank_one`."""
+
     diagram: Diagram
     twist: int = 0
 
 
 @dataclass(frozen=True)
 class RankZero:
+    """I_{Z in kL}(twist), built unchecked: outside input goes through :func:`rank_zero`."""
+
     diagram: Diagram
     twist: int = 0
 
@@ -104,6 +108,8 @@ class RankZero:
 
 @dataclass(frozen=True)
 class RankMinusOne:
+    """The rank -1 complex on Z's box, built unchecked: outside input goes through :func:`rank_minus_one`."""
+
     diagram: Diagram
     twist: int = 0
 
@@ -198,16 +204,15 @@ def is_trivial(obj: MonomialObject) -> bool:
     return isinstance(obj, (LineBundle, ShiftedLineBundle))
 
 
+_UNTWISTED = {RankOne: ideal_integers, RankZero: rank0_integers, RankMinusOne: rank_minus1_integers}
+
+
 def integer_character(obj: MonomialObject) -> tuple[int, int, int]:
     """``(r, c1, 2*ch2)`` of any monomial object: its type's ints, twisted to c1 + r*t, 2*ch2 + 2*c1*t + r*t^2."""
-    if isinstance(obj, RankOne):
-        r, c1, ch2_twice = ideal_integers(obj.diagram)
-    elif isinstance(obj, RankZero):
-        r, c1, ch2_twice = rank0_integers(obj.diagram)
-    elif isinstance(obj, RankMinusOne):
-        r, c1, ch2_twice = rank_minus1_integers(obj.diagram)
-    else:
+    if is_trivial(obj):
         r, c1, ch2_twice = (1 if isinstance(obj, LineBundle) else -1), 0, 0
+    else:
+        r, c1, ch2_twice = _UNTWISTED[type(obj)](obj.diagram)
     t = obj.twist
     return r, c1 + r * t, ch2_twice + 2 * c1 * t + r * t * t
 
@@ -225,8 +230,6 @@ def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
     specialized radius formulas.  :func:`destabilizing_sequence` picks its
     cut without these walls, and the tests compare the two.
     """
-    if is_trivial(obj):
-        raise ValueError(f"trivial object {obj!r} has no candidate walls")
     target = integer_character(obj)
     return [(cut, _candidate_wall(cut, sub, target)) for cut, sub, _ in _candidate_subs(obj)]
 
@@ -245,8 +248,10 @@ def _families(obj: MonomialObject) -> tuple[tuple[str, Diagram, int, int], ...]:
 
     Cut ``j`` runs from ``first >= 1`` to ``last``, and a rank -1 family
     stops at ``len(lengths) - 1``, so every selection key has a positive
-    denominator.
+    denominator.  A trivial object has none.
     """
+    if is_trivial(obj):
+        raise ValueError(f"trivial object {obj!r} has no candidate walls")
     d = obj.diagram
     if isinstance(obj, RankOne):
         return ("horizontal", d, 1, row_count(d)), ("vertical", transpose(d), 1, col_count(d))
@@ -273,11 +278,12 @@ def _sub_character(obj: MonomialObject, lengths: Diagram, j: int, left: int) -> 
 
 def _candidate_subs(obj: MonomialObject):
     """(cut, (r, c1, 2*ch2), lengths) of every candidate subobject, in preference order."""
+    families = _families(obj)
     n = degree(obj.diagram)
-    for direction, lengths, first, last in _families(obj):
-        cut_off = [0, *accumulate(lengths)]
-        for j in range(first, last + 1):
-            yield (direction, j), _sub_character(obj, lengths, j, n - cut_off[j]), lengths
+    for family in families:
+        direction, lengths, _, _ = family
+        for j, w in _cut_walk(family):
+            yield (direction, j), _sub_character(obj, lengths, j, n - w), lengths
 
 
 def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
@@ -302,11 +308,9 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     vertical or empty wall raises there.  :func:`candidate_walls` stays the
     reference; the oracle's ``chern`` check compares every node's cut with it.
     """
-    if is_trivial(obj):
-        raise ValueError(f"trivial object {obj!r} has no candidate walls")
+    families = _families(obj)
     target = r, big_k, e = integer_character(obj)
     t, n = obj.twist, degree(obj.diagram)
-    families = _families(obj)
     # the chosen (family, j, w_j) and its key p/q, q > 0, from 0/1 (below every
     # rank 1 key) or 1/0 (above every rank 0 and rank -1 key)
     if r == 1:  # the first maximum of (j^2 + 2w_j)/j; the twist drops out
@@ -391,21 +395,24 @@ def decompose(obj: MonomialObject) -> DecompositionTree:
     if tree is not None:
         _lookups["hits"] += 1
         return tree
-    stack = [(obj, None)]  # a lookup, or an object to build from its memoized children
+    built = []  # finished trees; a sub's tree lies below its quotient's
+    stack: list = [obj]  # an object to look up, or an (object, sequence) pair to build
     while stack:
-        node, sequence = stack.pop()
-        if sequence is not None:
-            _trees[node] = DecompositionTree(node, sequence, _trees[sequence.sub], _trees[sequence.quotient])
-        elif node in _trees:
+        item = stack.pop()
+        if type(item) is tuple:
+            quotient = built.pop()
+            tree = _trees[item[0]] = DecompositionTree(*item, built.pop(), quotient)
+        elif (tree := _trees.get(item)) is not None:
             _lookups["hits"] += 1
         else:
             _lookups["misses"] += 1
-            if is_trivial(node):
-                _trees[node] = DecompositionTree(node)
-            else:
-                sequence = destabilizing_sequence(node)
-                stack += (node, sequence), (sequence.quotient, None), (sequence.sub, None)
-    return _trees[obj]
+            if not is_trivial(item):
+                sequence = destabilizing_sequence(item)
+                stack += (item, sequence), sequence.quotient, sequence.sub
+                continue
+            tree = _trees[item] = DecompositionTree(item)
+        built.append(tree)
+    return tree
 
 
 def _cache_clear() -> None:
@@ -439,13 +446,16 @@ def mu_opt(obj: MonomialObject) -> Fraction:
     return orthogonal_invariants(destabilizing_sequence(obj).wall)[0]
 
 
-def derived_dual(obj: RankMinusOne) -> tuple[Diagram, int]:
+def derived_dual(obj: RankMinusOne | ShiftedLineBundle) -> tuple[Diagram, int]:
     """Rotated-complement dual data (diagram', twist') of a rank -1 object.
 
     The complex (O(-k) + O(-i) -> I_Z)(twist) dualizes to
     I_{Z'}(k + i - twist)[-1] with Z' the half-turn complement of Z in the
-    k x i box; the shift is always -1.
+    k x i box; the shift is always -1.  A full box's complex is O(m)[1] with
+    m = twist - k - i, whose dual data are ``((), -m)`` by the same rule.
     """
+    if isinstance(obj, ShiftedLineBundle):
+        return (), -obj.twist
     if not isinstance(obj, RankMinusOne):
         raise ValueError(f"derived_dual acts on rank -1 objects, got {obj!r}")
     return complement_rotate(obj.diagram, obj.k, obj.i), obj.k + obj.i - obj.twist
@@ -457,7 +467,7 @@ def text_name(obj: MonomialObject) -> str:
         return f"O({obj.twist})"
     if isinstance(obj, ShiftedLineBundle):
         return f"O({obj.twist})[1]"
-    rows = ",".join(str(h) for h in obj.diagram)
+    rows = ",".join(map(str, obj.diagram))
     suffix = f"({obj.twist})" if obj.twist else ""
     if isinstance(obj, RankOne):
         return f"I({rows}){suffix}"
@@ -572,6 +582,8 @@ def object_from_dict(data: dict) -> MonomialObject:
 def tree_from_dict(data: dict) -> DecompositionTree:
     node = object_from_dict(_member(data, "object", dict))
     if "cut" not in data:
+        if not is_trivial(node):
+            raise ValueError(f"the nontrivial object {text_name(node)} has no cut")
         return DecompositionTree(node)
     if is_trivial(node):
         raise ValueError(f"the trivial object {text_name(node)} has no cut")

@@ -41,12 +41,9 @@ from .diagram import (
 from .ktheory import (
     ChernCharacter,
     central_charge,
-    chern_of_ideal,
-    chern_of_rank0,
-    chern_of_rank_minus1,
     euler_char,
-    from_integers,
     from_slope_discriminant,
+    ideal_integers,
     reduced_rank0_hilbert_polynomial,
     ring_product,
     twist,
@@ -175,10 +172,8 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
     """Twist agreement, Chern additivity, wall agreement, largest cut, orthogonality on a nonempty wall."""
     seq, obj = node.sequence, node.node
     total = chern_of(obj)
-    sub = chern_of(seq.sub)
-    quot = chern_of(seq.quotient)
-    untwisted = {RankOne: chern_of_ideal, RankZero: chern_of_rank0, RankMinusOne: chern_of_rank_minus1}
-    if total != twist(untwisted[type(obj)](obj.diagram), obj.twist):
+    sub, quot = chern_of(seq.sub), chern_of(seq.quotient)
+    if total != twist(chern_of(type(obj)(obj.diagram)), obj.twist):
         yield f"integer character differs from the general twist at {text_name(obj)}"
     if ChernCharacter(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
         yield f"chern additivity fails at {text_name(node.node)}"
@@ -226,7 +221,7 @@ def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:
     for sign, twists in ((1, res.generator_twists), (-1, res.syzygy_twists)):
         for m in twists:
             r, c1, ch2_twice = r + sign, c1 + sign * m, ch2_twice + sign * m * m
-    if from_integers(r, c1, ch2_twice) != chern_of_ideal(diagram):
+    if (r, c1, ch2_twice) != ideal_integers(diagram):
         yield "resolution chern sum differs from ideal chern character"
 
 
@@ -276,28 +271,26 @@ def _check_ci(rectangle: Diagram) -> Iterator[str]:
 
 def _check_triviality(node: DecompositionTree) -> Iterator[str]:
     """Walls are nonempty and trivial children satisfy the case inequalities."""
-    seq = node.sequence
-    obj = node.node
-    where = f"{text_name(obj)}"
+    seq, obj = node.sequence, node.node
     if is_empty(seq.wall):
-        yield f"empty destabilizing wall at {where}"
+        yield f"empty destabilizing wall at {text_name(obj)}"
     direction, index = seq.cut
     if isinstance(obj, RankOne):
         n = degree(obj.diagram)
         if is_trivial(seq.sub) and not index * index < 2 * n:
-            yield f"case 1 fails at {where}: {index}^2 >= 2*{n}"
+            yield f"case 1 fails at {text_name(obj)}: {index}^2 >= 2*{n}"
     elif isinstance(obj, RankZero):
         n, k = degree(obj.diagram), obj.k
         if is_trivial(seq.sub) and not index < Fraction(n, k) + Fraction(k, 2):
-            yield f"case 2 fails at {where}: {index} >= n/k + k/2"
+            yield f"case 2 fails at {text_name(obj)}: {index} >= n/k + k/2"
         if is_trivial(seq.quotient) and not index >= Fraction(n, k) - Fraction(k, 2):
-            yield f"case 3 fails at {where}: {index} < n/k - k/2"
+            yield f"case 3 fails at {text_name(obj)}: {index} < n/k - k/2"
     else:
         n, k, i = degree(obj.diagram), obj.k, obj.i
         if is_trivial(seq.quotient):
             gap = k - index if direction == "horizontal" else i - index
             if not gap * gap < 2 * (k * i - n):
-                yield f"case 4 fails at {where}: {gap}^2 >= 2(ki - n)"
+                yield f"case 4 fails at {text_name(obj)}: {gap}^2 >= 2(ki - n)"
 
 
 def _check_gieseker(diagram: Diagram) -> Iterator[str]:
@@ -416,7 +409,7 @@ def render_report(report: VerificationReport) -> str:
         f"failures: {len(report.failures)}",
     ]
     for failure in report.failures:
-        rows = ",".join(str(h) for h in failure.diagram)
+        rows = ",".join(map(str, failure.diagram))
         lines.append(f"  witness rows:{rows} -- {failure.detail}")
     lines.append(f"status: {'pass' if report.passed else 'FAIL'}")
     return "\n".join(lines)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from staircase import cli, objects
+from staircase.diagram import enumerate_diagrams_upto
 from staircase.objects import (
     decompose,
     destabilizing_sequence,
@@ -151,6 +152,18 @@ def test_dual_of_the_full_box_is_a_line_bundle(capsys):
     code, out, _ = run(capsys, "dual", "rows: 3,3")
     assert code == 0
     assert out.splitlines() == ["F = O(-5)[1]", "dual = O(5)[-1]"]
+    # derived_dual takes every full box's O(t - k - i)[1] to ((), k + i - t)
+    full = [d for d in enumerate_diagrams_upto(12) if d and d[-1] == d[0]]
+    assert len(full) == sum(k * i <= 12 for k in range(1, 13) for i in range(1, 13))
+    for d in full:
+        k, i = len(d), d[0]
+        for t in range(-2, 3):
+            dual = objects.derived_dual(objects.rank_minus_one(d, t))
+            assert dual == ((), k + i - t)
+            assert objects.rank_one(*dual) == objects.LineBundle(k + i - t)
+        code, out, _ = run(capsys, "dual", "rows:" + ",".join(map(str, d)))
+        assert code == 0
+        assert out.splitlines()[-1] == f"dual = O({k + i})[-1]"
 
 
 def test_dual_rejects_the_removed_lines_flag(capsys):

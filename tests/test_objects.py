@@ -195,10 +195,10 @@ def test_candidate_walls_rank_minus1_tie():
 
 
 def test_candidate_walls_trivial_rejected():
-    with pytest.raises(ValueError):
-        candidate_walls(LineBundle(0))
-    with pytest.raises(ValueError):
-        destabilizing_sequence(ShiftedLineBundle(-2))
+    for obj in (LineBundle(0), ShiftedLineBundle(-2)):
+        for step in (candidate_walls, destabilizing_sequence, mu_opt):
+            with pytest.raises(ValueError, match=re.escape(f"trivial object {obj!r} has no candidate walls")):
+                step(obj)
 
 
 def slice_candidates(obj):
@@ -435,7 +435,7 @@ def test_parse_tree_rejects_a_twist_that_is_not_an_integer(node, bad):
 )
 def test_parse_tree_rejects_a_line_count_that_is_not_an_integer(node, key, bad):
     # each node parses as written; a bool or float count, even one equal to it, does not
-    parse_tree(json.dumps({"object": dict(node, twist=0)}))
+    objects.object_from_dict(dict(node, twist=0))
     text = json.dumps({"object": dict(node, **{key: bad}, twist=0)})
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
         parse_tree(text)
@@ -489,6 +489,10 @@ def test_parse_tree_rejects_json_of_the_wrong_shape():
         '{"object": {"diagram": [], "twist": 0, "type": "rank1"}}',
         '{"object": {"colines": 2, "diagram": [2, 2], "lines": 2, "twist": 0, "type": "rank-1"}}',
         '{"object": {"diagram": [1], "twist": 0, "type": "rank2"}}',
+        # nor a leaf whose object is nontrivial
+        '{"object": {"diagram": [2, 1], "twist": 0, "type": "rank1"}}',
+        '{"object": {"diagram": [2, 2], "lines": 2, "twist": 0, "type": "rank0"}}',
+        '{"object": {"colines": 2, "diagram": [2, 1], "lines": 2, "twist": 0, "type": "rank-1"}}',
     ]
     for bad in texts:
         with pytest.raises(ValueError):
