@@ -8,12 +8,12 @@ character together with r, and the pairing has the closed form
 ``r(A) r(B) (P(mu(B) - mu(A)) - Delta(A) - Delta(B))`` with P the Hilbert
 polynomial of the plane.
 
-The arithmetic has integer cores: a function brings its rational inputs to
-integer numerators over one common denominator, computes with plain ints,
-and builds each rational result with a single ``Fraction(num, den)``.
+The arithmetic has integer cores on one integer form of a character,
+``(r, a, b, d)`` with c1 = a/d, 2*ch2 = b/d and d > 0: :func:`integer_parts`
+reads it and :func:`from_integers` inverts it, so each function computes with
+plain ints and builds each rational result with a single ``Fraction``.
 Characters keep their ``Fraction`` fields, so they print as ``str(Fraction)``.
-Characters of monomial objects have 2*ch2 integral and are built from that
-integer form, ``(r, c1, 2*ch2)``, by :func:`from_integers`.  The rank-0
+A monomial object's ``(r, c1, 2*ch2)`` is the d = 1 case.  The rank-0
 and rank -1 functions take only the diagram D: a rank-0 scheme lies on the
 k = r(D) lines of its rows, and a rank -1 complex on D's k x i bounding box.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .diagram import Diagram, as_int, col_count, degree, row_count
 
@@ -49,9 +50,9 @@ def chern(r, c1, ch2) -> ChernCharacter:
     return ChernCharacter(as_int(r, "rank"), Fraction(c1), Fraction(ch2))
 
 
-def from_integers(r: int, c1: int, ch2_twice: int) -> ChernCharacter:
-    """The character (r, c1, ch2_twice/2) of three integers."""
-    return ChernCharacter(r, Fraction(c1), Fraction(ch2_twice, 2))
+def from_integers(r: int, c1: int, ch2_twice: int, d: int = 1) -> ChernCharacter:
+    """The character (r, c1/d, ch2_twice/2d): the inverse of :func:`integer_parts`."""
+    return ChernCharacter(r, Fraction(c1, d), Fraction(ch2_twice, 2 * d))
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -61,9 +62,13 @@ def _ratio(x) -> tuple[int, int]:
     return Fraction(x).as_integer_ratio()
 
 
-def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int, int]:
-    """(r, a, p, b, q) with c1 = a/p and ch2 = b/q in lowest terms."""
-    return (xi.r, *xi.c1.as_integer_ratio(), *xi.ch2.as_integer_ratio())
+def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int]:
+    """(r, a, b, d) with c1 = a/d and 2*ch2 = b/d, d the lcm of their denominators."""
+    a, p = xi.c1.as_integer_ratio()
+    b, q = xi.ch2.as_integer_ratio()
+    b, q = (b, q // 2) if q % 2 == 0 else (2 * b, q)
+    d = lcm(p, q)
+    return xi.r, a * (d // p), b * (d // q), d
 
 
 def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
@@ -73,10 +78,8 @@ def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
         raise ValueError("slope-discriminant coordinates need nonzero rank")
     a, p = _ratio(mu)
     b, q = _ratio(delta)
-    # ch2 = r (mu^2/2 - delta) over the common denominator 2 p^2 q
-    return ChernCharacter(
-        r, Fraction(r * a, p), Fraction(r * (a * a * q - 2 * p * p * b), 2 * p * p * q)
-    )
+    # c1 = r mu and 2 ch2 = r (mu^2 - 2 delta) over p^2 q
+    return from_integers(r, r * a * p * q, r * (a * a * q - 2 * p * p * b), p * p * q)
 
 
 def line_bundle(m: int) -> ChernCharacter:
@@ -86,13 +89,9 @@ def line_bundle(m: int) -> ChernCharacter:
 
 def twist(xi: ChernCharacter, m: int) -> ChernCharacter:
     """Multiply by e^{mL}: tensoring with the line bundle O(m)."""
-    r, a, p, b, q = integer_parts(xi)
-    # c1 + r m over p, and ch2 + c1 m + r m^2/2 over 2 p q
-    return ChernCharacter(
-        r,
-        Fraction(a + r * m * p, p),
-        Fraction(2 * p * b + 2 * q * a * m + p * q * r * m * m, 2 * p * q),
-    )
+    r, a, b, d = integer_parts(xi)
+    # c1 + r m and 2 ch2 + 2 c1 m + r m^2 over d
+    return from_integers(r, a + r * m * d, b + 2 * a * m + r * m * m * d, d)
 
 
 def dual(xi: ChernCharacter) -> ChernCharacter:
@@ -107,15 +106,11 @@ def negate(xi: ChernCharacter) -> ChernCharacter:
 
 def ring_product(xi: ChernCharacter, zeta: ChernCharacter) -> ChernCharacter:
     """Product in the Chern ring, truncated above degree 2."""
-    r1, a1, p1, b1, q1 = integer_parts(xi)
-    r2, a2, p2, b2, q2 = integer_parts(zeta)
-    # xi = (r1, a1/p1, b1/q1) and zeta = (r2, a2/p2, b2/q2): c1 over p, ch2 over p q
-    p, q = p1 * p2, q1 * q2
-    return ChernCharacter(
-        r1 * r2,
-        Fraction(r1 * a2 * p1 + r2 * a1 * p2, p),
-        Fraction((r1 * b2 * q1 + r2 * b1 * q2) * p + a1 * a2 * q, p * q),
-    )
+    r1, a1, b1, d1 = integer_parts(xi)
+    r2, a2, b2, d2 = integer_parts(zeta)
+    # c1 = r1 c1' + r2 c1 and 2 ch2 = r1 2ch2' + r2 2ch2 + 2 c1 c1' over d1 d2
+    c1, ch2_twice = r1 * a2 * d1 + r2 * a1 * d2, r1 * b2 * d1 + r2 * b1 * d2 + 2 * a1 * a2
+    return from_integers(r1 * r2, c1, ch2_twice, d1 * d2)
 
 
 def mumford_slope(xi: ChernCharacter) -> Fraction:
@@ -175,8 +170,8 @@ def hilbert_P(m) -> Fraction:
 
 def euler_char(xi: ChernCharacter) -> Fraction:
     """Riemann-Roch: chi = r + (3/2) c1 + ch2."""
-    r, a, p, b, q = integer_parts(xi)
-    return Fraction(2 * r * p * q + 3 * a * q + 2 * b * p, 2 * p * q)
+    r, a, b, d = integer_parts(xi)
+    return Fraction(2 * r * d + 3 * a + b, 2 * d)
 
 
 def euler_pairing(xi: ChernCharacter, zeta: ChernCharacter) -> Fraction:
@@ -203,17 +198,15 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
     The value is real + i*t*imag_coeff; only t^2 enters the real part, so
     both components are exact rationals.
     """
-    r, a, p, b, q = integer_parts(xi)
+    r, a, b, d = integer_parts(xi)
     sn, sd = _ratio(s)
     tn, td = _ratio(t2)
     if tn <= 0:
         raise ValueError(f"t^2 must be positive, got {Fraction(tn, td)}")
-    # real = -ch2 + s c1 - (s^2 - t^2) r/2 over the common denominator 2 p q d
-    d = sd * sd * td
-    real = 2 * (sn * a * q * sd * td - b * p * d) - (sn * sn * td - tn * sd * sd) * r * p * q
-    return CentralChargeValue(
-        Fraction(real, 2 * p * q * d), Fraction(a * sd - sn * r * p, p * sd)
-    )
+    # real = -ch2 + s c1 - (s^2 - t^2) r/2 over the common denominator 2 d e
+    e = sd * sd * td
+    real = 2 * sn * a * sd * td - b * e - (sn * sn * td - tn * sd * sd) * r * d
+    return CentralChargeValue(Fraction(real, 2 * d * e), Fraction(a * sd - sn * r * d, d * sd))
 
 
 def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:

@@ -237,7 +237,7 @@ def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
 def _candidate_wall(cut: Cut, sub, target) -> SemicircleWall:
     """The wall of two ``(r, c1, 2*ch2)`` characters; raises unless a semicircle."""
     (r1, c1, e1), (r2, c2, e2) = sub, target
-    wall = wall_from_parts(r1, c1, 1, e1, 2, r2, c2, 1, e2, 2)
+    wall = wall_from_parts(r1, c1, e1, 1, r2, c2, e2, 1)
     if not isinstance(wall, SemicircleWall):
         raise AssertionError(f"candidate wall at {cut} is not a semicircle")
     return wall

@@ -7,8 +7,9 @@ or a semicircle; semicircles store the exact center and squared radius, so a
 semicircular wall corresponds to a unique rank-1 orthogonal class through
 mu = -s - 3/2 and 2*Delta = rho^2 - 1/4.
 
-Wall arithmetic runs on the integer cores of :mod:`staircase.ktheory`;
-:func:`wall_from_parts` states the wall formula once, on integer parts.
+Wall arithmetic runs on the integer form of a character stated in
+:mod:`staircase.ktheory`; :func:`wall_from_parts` states the wall formula
+once, on that form.
 """
 
 from __future__ import annotations
@@ -44,17 +45,17 @@ def potential_wall(xi1: ChernCharacter, xi2: ChernCharacter) -> Wall:
     return wall_from_parts(*integer_parts(xi1), *integer_parts(xi2))
 
 
-def wall_from_parts(r1, a1, p1, b1, q1, r2, a2, p2, b2, q2) -> Wall:
-    """The wall of two characters as (r, a, p, b, q) parts: c1 = a/p, ch2 = b/q, p, q > 0.
+def wall_from_parts(r1, a1, b1, d1, r2, a2, b2, d2) -> Wall:
+    """The wall of two characters in the integer form ``(r, a, b, d)`` of :mod:`staircase.ktheory`.
 
-    Lowest terms are not needed, so ``(r, c1, 2*ch2)`` enters as ``(r, c1, 1, 2*ch2, 2)``.
-    The characters must be linearly independent and not both of rank 0 (an
-    empty locus).  With c1 and ch2 scaled by q, the lcm of the denominators,
-    the minors c (of r, c1), n (of r, ch2) and cross (of c1, ch2) are
-    integers: ``center = n/c``, ``radius_sq = (q n^2 + 2 c cross)/(q c^2)``.
+    Lowest terms are not needed.  The characters must be linearly
+    independent and not both of rank 0 (an empty locus).  Over q, the lcm of
+    the denominators, the minors c (of r, c1), n (of r, 2*ch2) and cross (of
+    c1, 2*ch2) are integers: ``center = n/2c``,
+    ``radius_sq = (q n^2 + 4 c cross)/(4 q c^2)``.
     """
-    q = lcm(p1, q1, p2, q2)
-    a1, b1, a2, b2 = a1 * (q // p1), b1 * (q // q1), a2 * (q // p2), b2 * (q // q2)
+    q = lcm(d1, d2)
+    a1, b1, a2, b2 = a1 * (q // d1), b1 * (q // d1), a2 * (q // d2), b2 * (q // d2)
     c = a1 * r2 - a2 * r1
     n = b1 * r2 - b2 * r1
     cross = a1 * b2 - a2 * b1
@@ -64,7 +65,7 @@ def wall_from_parts(r1, a1, p1, b1, q1, r2, a2, p2, b2, q2) -> Wall:
         if r1 == 0 and r2 == 0:
             raise ValueError("two rank-0 characters share no wall (empty locus)")
         return VerticalWall(Fraction(a1, q * r1) if r1 != 0 else Fraction(a2, q * r2))
-    return SemicircleWall(Fraction(n, c), Fraction(q * n * n + 2 * c * cross, q * c * c))
+    return SemicircleWall(Fraction(n, 2 * c), Fraction(q * n * n + 4 * c * cross, 4 * q * c * c))
 
 
 def orthogonal_invariants(wall: Wall) -> tuple[Fraction, Fraction]:

@@ -504,6 +504,10 @@ def moved_wall(dc):
     return change
 
 
+def grown_wall(obj, seq):
+    return replace(seq, wall=SemicircleWall(seq.wall.center, seq.wall.radius_sq + 1))
+
+
 def recut(index):
     def change(obj, seq):
         return replace(seq, cut=(seq.cut[0], index))
@@ -528,7 +532,21 @@ def recut(index):
             8,
             Failure((4, 3, 1), "quotient F(4,3 in 2x4) of F(4,3,1 in 3x4): mu_opt 1 < 2"),
         ),
+        (
+            "nesting",
+            RankZero((2, 2), 0),
+            grown_wall,
+            4,
+            Failure((2, 2), "quotient I(2,2 in 2L) of I(2,2): Delta_opt 7/8 > 3/8"),
+        ),
         ("triviality", RankOne((1,), 0), recut(2), 3, Failure((1,), "case 1 fails at I(1): 2^2 >= 2*1")),
+        (
+            "triviality",
+            RankOne((1, 1), 0),
+            recut(2),
+            2,
+            Failure((1, 1), "case 1 fails at I(1,1): 2^2 >= 2*2"),
+        ),
         (
             "triviality",
             RankZero((1,), 0),
@@ -549,6 +567,13 @@ def recut(index):
             recut(0),
             3,
             Failure((2, 1), "case 4 fails at F(2,1 in 2x2): 2^2 >= 2(ki - n)"),
+        ),
+        (
+            "triviality",
+            RankMinusOne((3, 3, 1), 0),
+            recut(1),
+            7,
+            Failure((3, 3, 1), "case 4 fails at F(3,3,1 in 3x3): 2^2 >= 2(ki - n)"),
         ),
     ],
 )

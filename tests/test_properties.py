@@ -2,7 +2,10 @@
 
 Skewed partitions of 50-200 rows and columns, twists in -50..50; the cut
 of every rank-1 tree node, twisted in -300..300, against the scheme slope;
-the leaf twists of I_Z's tree against its minimal free resolution; the parts
+the leaf twists of I_Z's tree against its minimal free resolution; every
+node and diagram predicate of the oracle but ``ci`` on diagrams of up to 300
+rows and columns, staircases, doubled triangles, hooks and near-rectangles,
+and ``ci`` on complete intersections to 300; the parts
 of every candidate cut of I_Z, of the rank-0 objects on its pure bottom
 slices and of its box, twisted in -300..300, against the row and column
 slices; the trees of ``decompose`` against a recursive reference with no
@@ -11,7 +14,8 @@ Fraction rule; the derived dual; the integer characters of objects,
 twisted in -300..300, against the Fraction twist; the tree writer against
 ``json.dumps`` of a reference dict (also exhaustively to degree 11), and
 the text round-trips of trees and ideals; rational Chern characters of
-rank -3..3 against the Fraction formulas of the integer arithmetic cores;
+rank -3..3 against the Fraction formulas of the integer arithmetic cores,
+and their integer form against its inverse;
 row lists of mixed types for ``as_diagram``.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
+from math import lcm, prod
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +50,7 @@ from staircase.ktheory import (
     chern_of_rank0,
     chern_of_rank_minus1,
     euler_char,
+    from_integers,
     from_slope_discriminant,
     integer_parts,
     line_bundle,
@@ -228,6 +234,58 @@ def test_rank_zero_nodes_lie_on_exactly_their_rows(diagram):
             Fraction(n - degree(slice_above(rows, k)), k) + Fraction(k - 3, 2)
             for k in range(1, row_count(rows) + 1)
         )
+
+
+@st.composite
+def wide_diagrams(draw):
+    """Up to 300 rows and 300 columns, the rows above the bottom one of uniform length."""
+    rows = draw(st.integers(1, 300))
+    cols = draw(st.integers(1, 300))
+    lengths = draw(st.lists(st.integers(1, cols), min_size=rows - 1, max_size=rows - 1))
+    return (cols, *sorted(lengths, reverse=True))
+
+
+def doubled_triangle(r):
+    """(2r, 2r, ..., 2, 2)."""
+    return tuple(2 * k for k in range(r, 0, -1) for _ in range(2))
+
+
+def lemma_details(diagram):
+    """(check, detail) of each node predicate folded over both roots' trees, then each diagram predicate but ci."""
+    details = []
+    for name, (_, node_check, item_check) in oracle._CHECKS.items():
+        if node_check:
+            folded = {}
+            for root in oracle._tree_roots(diagram):
+                details += [(name, x) for x in oracle._fold(decompose(root), node_check, folded)]
+        if item_check and name != "ci":
+            details += [(name, x) for x in item_check(diagram)]
+    return details
+
+
+@settings(max_examples=10, deadline=None)
+@given(wide_diagrams())
+@example(tuple(range(100, 0, -1)))
+@example(tuple(range(200, 0, -1)))
+@example(doubled_triangle(1))
+@example(doubled_triangle(2))
+@example(doubled_triangle(3))
+@example(doubled_triangle(75))
+@example(doubled_triangle(150))
+@example((300,) + (1,) * 299)
+@example((300,) * 299 + (299,))
+@example((300,) * 150 + (1,))
+def test_the_lemmas_hold_far_beyond_the_exhaustive_bound(diagram):
+    assert lemma_details(diagram) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300))
+@example(300, 300)
+@example(1, 300)
+def test_complete_intersections_keep_their_closed_forms_to_300(x, y):
+    a, b = sorted((x, y))
+    assert list(oracle._check_ci((a,) * b)) == []
 
 
 def fraction_pure(diagram):
@@ -461,10 +519,19 @@ def test_potential_wall_matches_the_fraction_formula(pair):
         assert type(mu) is type(delta) is Fraction
 
 
-def scaled_parts(xi, a_scale, b_scale):
-    """(r, a, p, b, q) of a character with c1 = a/p and ch2 = b/q not in lowest terms."""
-    r, a, p, b, q = integer_parts(xi)
-    return r, a * a_scale, p * a_scale, b * b_scale, q * b_scale
+@settings(max_examples=150, deadline=None)
+@given(CHARACTERS)
+def test_integer_parts_are_one_denominator_that_from_integers_inverts(xi):
+    r, a, b, d = integer_parts(xi)
+    assert d == lcm(xi.c1.denominator, (2 * xi.ch2).denominator) > 0
+    assert from_integers(r, a, b, d) == xi
+
+
+def scaled_parts(xi, *scales):
+    """(r, a, b, d) of a character with c1 = a/d and 2*ch2 = b/d, scaled by the product of ``scales``."""
+    r, a, b, d = integer_parts(xi)
+    k = prod(scales)
+    return r, a * k, b * k, d * k
 
 
 @settings(max_examples=200, deadline=None)
