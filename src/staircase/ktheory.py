@@ -13,9 +13,8 @@ The arithmetic has integer cores on one integer form of a character,
 reads it and :func:`from_integers` inverts it, so each function computes with
 plain ints and builds each rational result with a single ``Fraction``.
 Characters keep their ``Fraction`` fields, so they print as ``str(Fraction)``.
-A monomial object's ``(r, c1, 2*ch2)`` is the d = 1 case.  The rank-0
-and rank -1 functions take only the diagram D: a rank-0 scheme lies on the
-k = r(D) lines of its rows, and a rank -1 complex on D's k x i bounding box.
+Nothing here knows a diagram: the monomial objects state their own
+``(r, c1, 2*ch2)``, the d = 1 case, in :mod:`staircase.objects`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .diagram import Diagram, as_int, col_count, degree, row_count
+from .diagram import as_int
 
 
 @dataclass(frozen=True)
@@ -126,42 +125,6 @@ def discriminant(xi: ChernCharacter) -> Fraction:
     return mu * mu / 2 - Fraction(xi.ch2, xi.r)
 
 
-def ideal_integers(diagram: Diagram) -> tuple[int, int, int]:
-    """(r, c1, 2*ch2) of I_Z: (1, 0, -2n)."""
-    return 1, 0, -2 * degree(diagram)
-
-
-def rank0_integers(diagram: Diagram) -> tuple[int, int, int]:
-    """(r, c1, 2*ch2) of I_{Z in kL}, Z on the k = r(D) lines of its rows: (0, k, -k^2 - 2n)."""
-    k = row_count(diagram)
-    if k < 1:
-        raise ValueError(f"need at least one supporting line, got {k}")
-    return 0, k, -k * k - 2 * degree(diagram)
-
-
-def rank_minus1_integers(diagram: Diagram) -> tuple[int, int, int]:
-    """(r, c1, 2*ch2) of O(-k) + O(-i) -> I_Z on Z's k x i box: (-1, k+i, -(k^2+i^2) - 2n)."""
-    k, i = row_count(diagram), col_count(diagram)
-    if k < 1:
-        raise ValueError(f"box dimensions must be positive, got {k} x {i}")
-    return -1, k + i, -(k * k + i * i) - 2 * degree(diagram)
-
-
-def chern_of_ideal(diagram: Diagram) -> ChernCharacter:
-    """ch I_Z = (1, 0, -n)."""
-    return from_integers(*ideal_integers(diagram))
-
-
-def chern_of_rank0(diagram: Diagram) -> ChernCharacter:
-    """ch I_{Z in kL} = (0, k, -k^2/2 - n)."""
-    return from_integers(*rank0_integers(diagram))
-
-
-def chern_of_rank_minus1(diagram: Diagram) -> ChernCharacter:
-    """ch of O(-k) + O(-i) -> I_Z: (-1, k+i, -(k^2+i^2)/2 - n)."""
-    return from_integers(*rank_minus1_integers(diagram))
-
-
 def hilbert_P(m) -> Fraction:
     """Hilbert polynomial of the plane: P(m) = (m^2 + 3m + 2)/2."""
     m = Fraction(m)
@@ -207,19 +170,3 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
     e = sd * sd * td
     real = 2 * sn * a * sd * td - b * e - (sn * sn * td - tn * sd * sd) * r * d
     return CentralChargeValue(Fraction(real, 2 * d * e), Fraction(a * sd - sn * r * d, d * sd))
-
-
-def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
-    """Hilbert polynomial of I_{Z in kL} as (leading, constant): kx - (n + (k^2-3k)/2), k = r(D).
-
-    By Riemann-Roch it is chi of the twists of ``(0, k, 2*ch2) = rank0_integers(D)``:
-    kx + (3k + 2*ch2)/2.
-    """
-    _, k, ch2_twice = rank0_integers(diagram)
-    return Fraction(k), Fraction(3 * k + ch2_twice, 2)
-
-
-def reduced_rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
-    """The monic form x - mu_k of :func:`rank0_hilbert_polynomial`, k = r(D): x - (2n + k^2 - 3k)/2k."""
-    _, k, ch2_twice = rank0_integers(diagram)
-    return Fraction(1), Fraction(3 * k + ch2_twice, 2 * k)

@@ -58,13 +58,7 @@ from .diagram import (
     row_count,
     transpose,
 )
-from .ktheory import (
-    ChernCharacter,
-    from_integers,
-    ideal_integers,
-    rank0_integers,
-    rank_minus1_integers,
-)
+from .ktheory import ChernCharacter, from_integers
 from .slopes import is_horizontally_pure
 from .walls import SemicircleWall, is_empty, orthogonal_invariants, wall_from_parts
 from .walls import potential_wall  # noqa: F401  kept bound here: perfbench's tracer test patches it
@@ -192,9 +186,9 @@ def _rank_zero(diagram: Diagram, twist: int) -> RankZero:
 
 
 def _rank_minus_one(diagram: Diagram, twist: int) -> ShiftedLineBundle | RankMinusOne:
-    k, i = row_count(diagram), col_count(diagram)
     if not diagram:
-        raise ValueError(f"box dimensions must be positive, got {k} x {i}")
+        raise ValueError(_EMPTY[RankMinusOne])
+    k, i = row_count(diagram), col_count(diagram)
     if diagram[-1] == i:  # every row as long as the bottom one: Z fills its box
         return ShiftedLineBundle(twist - k - i)
     return RankMinusOne(diagram, twist)
@@ -204,22 +198,55 @@ def is_trivial(obj: MonomialObject) -> bool:
     return isinstance(obj, (LineBundle, ShiftedLineBundle))
 
 
-_UNTWISTED = {RankOne: ideal_integers, RankZero: rank0_integers, RankMinusOne: rank_minus1_integers}
+def _character(r: int, k: int, i: int, n: int, t: int) -> tuple[int, int, int]:
+    """``(r, c1, 2*ch2)`` of the rank-r monomial object of degree n, twisted by t.
+
+    Untwisted, I_Z is ``(1, 0, -2n)``, I_{Z in kL} is ``(0, k, -k^2 - 2n)``
+    and the complex on the k x i box is ``(-1, k + i, -(k^2 + i^2) - 2n)``;
+    O(t) and O(t)[1] are the n = 0 cases of ranks 1 and -1, on a 0 x 0 box.
+    """
+    if r == 1:
+        c1, ch2_twice = 0, -2 * n
+    elif r == 0:
+        c1, ch2_twice = k, -k * k - 2 * n
+    else:
+        c1, ch2_twice = k + i, -(k * k + i * i) - 2 * n
+    return r, c1 + r * t, ch2_twice + 2 * c1 * t + r * t * t
+
+
+_RANKS = {LineBundle: 1, RankOne: 1, RankZero: 0, RankMinusOne: -1, ShiftedLineBundle: -1}
+_EMPTY = {
+    RankOne: "need at least one box, got 0",
+    RankZero: "need at least one supporting line, got 0",
+    RankMinusOne: "box dimensions must be positive, got 0 x 0",
+}
 
 
 def integer_character(obj: MonomialObject) -> tuple[int, int, int]:
-    """``(r, c1, 2*ch2)`` of any monomial object: its type's ints, twisted to c1 + r*t, 2*ch2 + 2*c1*t + r*t^2."""
+    """``(r, c1, 2*ch2)`` of any monomial object; every cutting step reads it first.
+
+    A nontrivial object on the empty diagram, which only the unchecked dataclasses build, raises here.
+    """
     if is_trivial(obj):
-        r, c1, ch2_twice = (1 if isinstance(obj, LineBundle) else -1), 0, 0
-    else:
-        r, c1, ch2_twice = _UNTWISTED[type(obj)](obj.diagram)
-    t = obj.twist
-    return r, c1 + r * t, ch2_twice + 2 * c1 * t + r * t * t
+        return _character(_RANKS[type(obj)], 0, 0, 0, obj.twist)
+    d = obj.diagram
+    if not d:
+        raise ValueError(_EMPTY[type(obj)])
+    return _character(_RANKS[type(obj)], len(d), d[0], degree(d), obj.twist)
 
 
 def chern_of(obj: MonomialObject) -> ChernCharacter:
     """The Chern character of any monomial object."""
     return from_integers(*integer_character(obj))
+
+
+def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
+    """Hilbert polynomial of I_{Z in kL} as (leading, constant): kx - (n + (k^2-3k)/2), k = r(D).
+
+    By Riemann-Roch it is chi of the twists of ``(0, k, 2*ch2)``: kx + (3k + 2*ch2)/2, on any D, pure or not.
+    """
+    _, k, ch2_twice = integer_character(RankZero(diagram))
+    return Fraction(k), Fraction(3 * k + ch2_twice, 2)
 
 
 def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
@@ -266,14 +293,10 @@ def _families(obj: MonomialObject) -> tuple[tuple[str, Diagram, int, int], ...]:
 def _sub_character(obj: MonomialObject, lengths: Diagram, j: int, left: int) -> tuple[int, int, int]:
     """(r, c1, 2*ch2) of the sub at cut ``j`` keeping n' = ``left`` boxes, all ints.
 
-    I_{Z'}(m), m = t - j, is ``(1, m, m^2 - 2n')``, and I_{Z' in KL}(m) with
-    ``K = len(lengths) - j`` is ``(0, K, -K^2 - 2n' + 2Km)``.
+    It is I_{Z'}(t - j), or for a rank -1 object I_{Z' in KL}(t - j) with ``K = len(lengths) - j``.
     """
-    m = obj.twist - j
-    if isinstance(obj, RankMinusOne):
-        k = len(lengths) - j
-        return 0, k, -k * k - 2 * left + 2 * k * m
-    return 1, m, m * m - 2 * left
+    r = 0 if isinstance(obj, RankMinusOne) else 1
+    return _character(r, len(lengths) - j, 0, left, obj.twist - j)
 
 
 def _candidate_subs(obj: MonomialObject):
@@ -308,8 +331,8 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     vertical or empty wall raises there.  :func:`candidate_walls` stays the
     reference; the oracle's ``chern`` check compares every node's cut with it.
     """
-    families = _families(obj)
     target = r, big_k, e = integer_character(obj)
+    families = _families(obj)
     t, n = obj.twist, degree(obj.diagram)
     # the chosen (family, j, w_j) and its key p/q, q > 0, from 0/1 (below every
     # rank 1 key) or 1/0 (above every rank 0 and rank -1 key)

@@ -43,8 +43,6 @@ from .ktheory import (
     central_charge,
     euler_char,
     from_slope_discriminant,
-    ideal_integers,
-    reduced_rank0_hilbert_polynomial,
     ring_product,
     twist,
 )
@@ -58,6 +56,7 @@ from .objects import (
     chern_of,
     decompose,
     derived_dual,
+    integer_character,
     is_trivial,
     mu_opt,
     rank_minus_one,
@@ -221,7 +220,7 @@ def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:
     for sign, twists in ((1, res.generator_twists), (-1, res.syzygy_twists)):
         for m in twists:
             r, c1, ch2_twice = r + sign, c1 + sign * m, ch2_twice + sign * m * m
-    if (r, c1, ch2_twice) != ideal_integers(diagram):
+    if (r, c1, ch2_twice) != integer_character(RankOne(diagram)):
         yield "resolution chern sum differs from ideal chern character"
 
 
@@ -294,14 +293,15 @@ def _check_triviality(node: DecompositionTree) -> Iterator[str]:
 
 
 def _check_gieseker(diagram: Diagram) -> Iterator[str]:
-    """Purity agrees with the reduced Hilbert-polynomial comparisons."""
+    """Purity agrees with the reduced Hilbert-polynomial comparisons.
+
+    Slice j's reduced constant ``(3j + 2*ch2)/2j`` is read from its rank-0 ``(0, j, 2*ch2)``.
+    """
     k = row_count(diagram)
     pure = is_horizontally_pure(diagram)
-    _, const_k = reduced_rank0_hilbert_polynomial(diagram)
-    compared = all(
-        reduced_rank0_hilbert_polynomial(slice_below(diagram, j))[1] >= const_k
-        for j in range(1, k)
-    )
+    chars = [integer_character(RankZero(slice_below(diagram, j))) for j in range(1, k + 1)]
+    e = chars[-1][2]
+    compared = all((3 * j + e_j) * k >= (3 * k + e) * j for _, j, e_j in chars[:-1])
     if pure != compared:
         yield (
             f"purity ({pure}) and reduced-polynomial criterion ({compared})"

@@ -21,7 +21,7 @@ from staircase.diagram import (
     parse_ideal,
     transpose,
 )
-from staircase.ktheory import hilbert_P, rank0_hilbert_polynomial
+from staircase.ktheory import hilbert_P
 from staircase.objects import (
     LineBundle,
     RankMinusOne,
@@ -34,6 +34,7 @@ from staircase.objects import (
     destabilizing_sequence,
     mu_opt,
     parse_tree,
+    rank0_hilbert_polynomial,
     rank_minus_one,
     rank_one,
     rank_zero,

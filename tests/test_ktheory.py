@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import random
 from dataclasses import fields
 from decimal import Decimal
@@ -8,13 +9,11 @@ from functools import partial
 
 import pytest
 
+from staircase import ktheory, walls
 from staircase.diagram import enumerate_diagrams_upto
 from staircase.ktheory import (
     central_charge,
     chern,
-    chern_of_ideal,
-    chern_of_rank0,
-    chern_of_rank_minus1,
     discriminant,
     dual,
     euler_char,
@@ -25,44 +24,50 @@ from staircase.ktheory import (
     line_bundle,
     mumford_slope,
     negate,
-    rank0_hilbert_polynomial,
-    reduced_rank0_hilbert_polynomial,
     ring_product,
     twist,
+)
+from staircase.objects import (
+    RankMinusOne,
+    RankZero,
+    chern_of,
+    integer_character,
+    rank0_hilbert_polynomial,
+    rank_minus_one,
+    rank_one,
 )
 
 
 def test_pinned_characters():
     assert tuple(line_bundle(-5)) == (1, -5, Fraction(25, 2))
-    assert tuple(chern_of_ideal((7, 6, 6, 2, 1))) == (1, 0, -22)
-    assert tuple(chern_of_ideal(())) == (1, 0, 0)
-    assert tuple(chern_of_ideal((1,))) == (1, 0, -1)
-    assert tuple(chern_of_rank0((9, 9, 7, 7, 6))) == (0, 5, Fraction(-101, 2))
-    assert tuple(chern_of_rank0((1,))) == (0, 1, Fraction(-3, 2))
-    assert tuple(chern_of_rank_minus1((7, 7, 7, 7, 6))) == (-1, 12, -71)
-    assert tuple(chern_of_rank_minus1((1,))) == (-1, 2, -2)
+    assert tuple(chern_of(rank_one((7, 6, 6, 2, 1)))) == (1, 0, -22)
+    assert tuple(chern_of(rank_one(()))) == (1, 0, 0)
+    assert tuple(chern_of(rank_one((1,)))) == (1, 0, -1)
+    assert tuple(chern_of(RankZero((9, 9, 7, 7, 6)))) == (0, 5, Fraction(-101, 2))
+    assert integer_character(RankZero((9, 9, 7, 7, 6))) == (0, 5, -101)
+    assert tuple(chern_of(RankZero((1,)))) == (0, 1, Fraction(-3, 2))
+    assert tuple(chern_of(RankMinusOne((7, 7, 7, 7, 6)))) == (-1, 12, -71)
+    assert tuple(chern_of(RankMinusOne((1,)))) == (-1, 2, -2)
     # full rectangle: the complex collapses to O(-k-i)[1]
-    assert chern_of_rank_minus1((3, 3)) == negate(line_bundle(-5))
+    assert chern_of(RankMinusOne((3, 3))) == chern_of(rank_minus_one((3, 3))) == negate(line_bundle(-5))
 
 
 def test_twist_dual_negate():
     assert tuple(twist(chern(1, 0, -1), -3)) == (1, -3, Fraction(7, 2))
     assert tuple(dual(chern(1, -7, Fraction(41, 2)))) == (1, 7, Fraction(41, 2))
     assert tuple(negate(chern(1, -7, Fraction(41, 2)))) == (-1, 7, Fraction(-41, 2))
-    xi = chern_of_rank0((3, 1))
+    xi = chern_of(RankZero((3, 1)))
     assert twist(twist(xi, 4), -4) == xi
     assert dual(dual(xi)) == xi
 
 
 def test_domain_checks():
     with pytest.raises(ValueError, match="need at least one supporting line, got 0"):
-        chern_of_rank0(())
+        chern_of(RankZero(()))
     with pytest.raises(ValueError, match="need at least one supporting line, got 0"):
         rank0_hilbert_polynomial(())
-    with pytest.raises(ValueError, match="need at least one supporting line, got 0"):
-        reduced_rank0_hilbert_polynomial(())
     with pytest.raises(ValueError, match="got 0 x 0"):
-        chern_of_rank_minus1(())
+        chern_of(RankMinusOne(()))
     with pytest.raises(ValueError):
         mumford_slope(chern(0, 1, 0))
     with pytest.raises(ValueError):
@@ -78,17 +83,17 @@ def test_domain_checks():
 def test_slope_discriminant_round_trip():
     for d in enumerate_diagrams_upto(8):
         for m in (-3, 0, 2):
-            xi = twist(chern_of_ideal(d), m)
+            xi = twist(chern_of(rank_one(d)), m)
             back = from_slope_discriminant(xi.r, mumford_slope(xi), discriminant(xi))
             assert back == xi
-    assert discriminant(chern_of_ideal((1,))) == 1
+    assert discriminant(chern_of(rank_one((1,)))) == 1
 
 
 def test_discriminant_is_twist_invariant():
     for d in enumerate_diagrams_upto(8):
         for maker in (
-            lambda d: chern_of_ideal(d),
-            chern_of_rank_minus1,
+            lambda d: chern_of(rank_one(d)),
+            lambda d: chern_of(RankMinusOne(d)),
         ):
             xi = maker(d)
             for m in (-7, -1, 1, 12):
@@ -98,7 +103,7 @@ def test_discriminant_is_twist_invariant():
 
 def test_rank_minus1_discriminant_view():
     for d in enumerate_diagrams_upto(10):
-        xi = chern_of_rank_minus1(d)
+        xi = chern_of(RankMinusOne(d))
         assert discriminant(xi) == len(d) * d[0] - sum(d)
         assert discriminant(xi) >= 0
 
@@ -112,22 +117,22 @@ def test_hilbert_P_pinned():
 
 def test_euler_char_pinned():
     assert euler_char(line_bundle(0)) == 1
-    assert euler_char(chern_of_ideal((7, 6, 6, 2, 1))) == -21
-    assert euler_char(chern_of_rank0((9, 9, 7, 7, 6))) == -43
+    assert euler_char(chern_of(rank_one((7, 6, 6, 2, 1)))) == -21
+    assert euler_char(chern_of(RankZero((9, 9, 7, 7, 6)))) == -43
     for m in range(-6, 7):
         assert euler_char(line_bundle(m)) == hilbert_P(m)
 
 
 def test_euler_pairing_pinned():
-    point = chern_of_ideal((1,))
+    point = chern_of(rank_one((1,)))
     for r in (1, 2, 5):
         zeta = chern(r, 0, 0)
         assert euler_pairing(dual(zeta), point) == 0
     for d in enumerate_diagrams_upto(6):
-        xi = chern_of_ideal(d)
+        xi = chern_of(rank_one(d))
         assert euler_pairing(line_bundle(0), xi) == euler_char(xi)
     zeta = from_slope_discriminant(1, Fraction(43, 5), Fraction(17, 25))
-    xi = twist(chern_of_ideal((2, 2)), -7)
+    xi = twist(chern_of(rank_one((2, 2))), -7)
     assert tuple(xi) == (1, -7, Fraction(41, 2))
     assert euler_pairing(dual(zeta), xi) == 0
 
@@ -211,9 +216,8 @@ def test_ring_product_matches_hand_expansion():
 
 def test_rank0_hilbert_polynomial_pinned():
     assert rank0_hilbert_polynomial((9, 9, 7, 7, 6)) == (5, -43)
-    assert reduced_rank0_hilbert_polynomial((9, 9, 7, 7, 6)) == (1, Fraction(-43, 5))
     assert rank0_hilbert_polynomial((1,)) == (1, 0)
-    assert reduced_rank0_hilbert_polynomial((1,)) == (1, 0)
+    assert rank0_hilbert_polynomial((3, 1)) == (2, -3)  # not horizontally pure
 
 
 def test_rank0_hilbert_polynomial_matches_euler_char_of_twists():
@@ -221,4 +225,19 @@ def test_rank0_hilbert_polynomial_matches_euler_char_of_twists():
     for d in enumerate_diagrams_upto(8):
         leading, constant = rank0_hilbert_polynomial(d)
         for x in range(-3, 4):
-            assert euler_char(twist(chern_of_rank0(d), x)) == leading * x + constant
+            assert euler_char(twist(chern_of(RankZero(d)), x)) == leading * x + constant
+
+
+@pytest.mark.parametrize("module", [ktheory, walls])
+def test_character_arithmetic_knows_no_diagram(module):
+    """ktheory and walls take characters, never diagrams: ``as_int`` is all they import from diagram."""
+    with open(module.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("diagram", "staircase.diagram"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the module itself, by any spelling
+            names = {f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names}
+            assert not names & {"diagram", "staircase.diagram"}
+    assert imported <= {"as_int"}

@@ -19,14 +19,7 @@ from staircase.diagram import (
     slice_below,
     transpose,
 )
-from staircase.ktheory import (
-    chern,
-    chern_of_ideal,
-    chern_of_rank0,
-    hilbert_P,
-    reduced_rank0_hilbert_polynomial,
-    twist,
-)
+from staircase.ktheory import chern, hilbert_P, twist
 from staircase.objects import (
     DecompositionTree,
     DestabilizingSequence,
@@ -40,10 +33,12 @@ from staircase.objects import (
     decompose,
     derived_dual,
     destabilizing_sequence,
+    integer_character,
     is_trivial,
     leaves,
     mu_opt,
     parse_tree,
+    rank0_hilbert_polynomial,
     rank_minus_one,
     rank_one,
     rank_zero,
@@ -201,24 +196,39 @@ def test_candidate_walls_trivial_rejected():
                 step(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        (RankOne(()), "need at least one box, got 0"),
+        (RankZero((), 2), "need at least one supporting line, got 0"),
+        (RankMinusOne((), -1), "box dimensions must be positive, got 0 x 0"),
+    ],
+)
+def test_unchecked_objects_on_the_empty_diagram_rejected(obj, text):
+    """Only the unchecked dataclasses build these; every step and the character raise the same ValueError."""
+    for step in (decompose, destabilizing_sequence, mu_opt, candidate_walls, integer_character):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            step(obj)
+
+
 def slice_candidates(obj):
     """(cut, character) of every candidate subobject, sliced out one by one."""
     d, t = obj.diagram, obj.twist
     if isinstance(obj, RankOne):
         for k in range(1, row_count(d) + 1):
-            yield ("horizontal", k), twist(chern_of_ideal(slice_above(d, k)), t - k)
+            yield ("horizontal", k), twist(chern_of(rank_one(slice_above(d, k))), t - k)
         for i in range(1, col_count(d) + 1):
-            yield ("vertical", i), twist(chern_of_ideal(slice_right(d, i)), t - i)
+            yield ("vertical", i), twist(chern_of(rank_one(slice_right(d, i))), t - i)
     elif isinstance(obj, RankZero):
         for i in range(full_col_count(d), col_count(d) + 1):
-            yield ("vertical", i), twist(chern_of_ideal(slice_right(d, i)), t - i)
+            yield ("vertical", i), twist(chern_of(rank_one(slice_right(d, i))), t - i)
     else:
         k, i = obj.k, obj.i
         for j in range(full_row_count(d), k):
-            yield ("horizontal", j), twist(chern_of_rank0(slice_above(d, j)), t - j)
+            yield ("horizontal", j), twist(chern_of(RankZero(slice_above(d, j))), t - j)
         for j in range(full_col_count(d), i):
             yield ("vertical", j), twist(
-                chern_of_rank0(transpose(slice_right(d, j))), t - j
+                chern_of(RankZero(transpose(slice_right(d, j)))), t - j
             )
 
 
@@ -685,11 +695,12 @@ def test_gieseker_two_criteria_agree():
     for d in enumerate_diagrams_upto(BOUND):
         k = row_count(d)
         pure = is_horizontally_pure(d)
-        _, const_k = reduced_rank0_hilbert_polynomial(d)
-        comparisons = all(
-            reduced_rank0_hilbert_polynomial(slice_below(d, j))[1] >= const_k
-            for j in range(1, k)
-        )
+        # each bottom slice's reduced polynomial x - mu_j: the full one over its leading j
+        reduced = []
+        for j in range(1, k + 1):
+            leading, constant = rank0_hilbert_polynomial(slice_below(d, j))
+            reduced.append(constant / leading)
+        comparisons = all(c >= reduced[-1] for c in reduced[:-1])
         assert pure == comparisons
 
 

@@ -46,17 +46,12 @@ from staircase.ktheory import (
     ChernCharacter,
     central_charge,
     chern,
-    chern_of_ideal,
-    chern_of_rank0,
-    chern_of_rank_minus1,
     euler_char,
     from_integers,
     from_slope_discriminant,
     integer_parts,
     line_bundle,
     negate,
-    rank0_hilbert_polynomial,
-    reduced_rank0_hilbert_polynomial,
     ring_product,
     twist,
 )
@@ -75,6 +70,7 @@ from staircase.objects import (
     leaves,
     mu_opt,
     parse_tree,
+    rank0_hilbert_polynomial,
     rank_minus_one,
     rank_one,
     rank_zero,
@@ -324,13 +320,19 @@ def test_derived_dual_is_an_involution_with_the_slope_identity(diagram, t):
 
 
 def fraction_character(obj):
-    """The Chern character by the general Fraction twist of the object's type."""
+    """The Chern character by the Fraction formula of the object's type and the general Fraction twist."""
     if isinstance(obj, LineBundle):
         return line_bundle(obj.twist)
     if isinstance(obj, ShiftedLineBundle):
         return negate(line_bundle(obj.twist))
-    untwisted = {RankOne: chern_of_ideal, RankZero: chern_of_rank0, RankMinusOne: chern_of_rank_minus1}
-    return twist(untwisted[type(obj)](obj.diagram), obj.twist)
+    d = obj.diagram
+    k, i, n = len(d), d[0], degree(d)
+    untwisted = {
+        RankOne: (1, 0, -n),
+        RankZero: (0, k, -Fraction(k * k, 2) - n),
+        RankMinusOne: (-1, k + i, -Fraction(k * k + i * i, 2) - n),
+    }
+    return twist(chern(*untwisted[type(obj)]), obj.twist)
 
 
 @settings(max_examples=25, deadline=None)
@@ -528,10 +530,9 @@ def test_integer_parts_are_one_denominator_that_from_integers_inverts(xi):
 
 
 def scaled_parts(xi, *scales):
-    """(r, a, b, d) of a character with c1 = a/d and 2*ch2 = b/d, scaled by the product of ``scales``."""
-    r, a, b, d = integer_parts(xi)
-    k = prod(scales)
-    return r, a * k, b * k, d * k
+    """(r, a, b, d) with c1 = a/d and 2*ch2 = b/d, read from the fields over their lcm times ``scales``."""
+    d = lcm(xi.c1.denominator, (2 * xi.ch2).denominator) * prod(scales)
+    return xi.r, int(xi.c1 * d), int(2 * xi.ch2 * d), d
 
 
 @settings(max_examples=200, deadline=None)
@@ -593,15 +594,18 @@ def test_from_slope_discriminant_matches_the_fraction_formula(r, mu, delta):
 @settings(max_examples=50, deadline=None)
 @given(skewed_diagrams())
 def test_rank0_hilbert_polynomials_match_the_fraction_formula(diagram):
-    """On every bottom slice, as the gieseker check reads them."""
+    """On every bottom slice; the gieseker check's integer comparison of them agrees."""
+    reduced = []
     for j in range(1, row_count(diagram) + 1):
         d = slice_below(diagram, j)
         k, n = row_count(d), degree(d)
         leading, constant = Fraction(k), -(n + Fraction(k * k - 3 * k, 2))
-        full, reduced = rank0_hilbert_polynomial(d), reduced_rank0_hilbert_polynomial(d)
+        full = rank0_hilbert_polynomial(d)
         assert full == (leading, constant)
-        assert reduced == (Fraction(1), constant / leading)
-        assert {type(x) for x in full + reduced} == {Fraction}
+        assert {type(x) for x in full} == {Fraction}
+        reduced.append(constant / leading)
+    assert is_horizontally_pure(diagram) == all(c >= reduced[-1] for c in reduced[:-1])
+    assert not any(oracle._check_gieseker(diagram))
 
 
 ROW_ENTRIES = st.one_of(

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from staircase.diagram import degree, enumerate_diagrams_upto, from_generators, transpose
-from staircase.ktheory import chern_of_ideal, line_bundle
+from staircase.ktheory import line_bundle
+from staircase.objects import chern_of, rank_one
 from staircase.resolution import (
     BettiTable,
     betti_table,
@@ -63,7 +64,7 @@ def test_chern_sum_identity_exhaustive():
         for twist in res.syzygy_twists:
             ch = line_bundle(twist)
             total = [x - y for x, y in zip(total, ch)]
-        assert tuple(total) == tuple(chern_of_ideal(d))
+        assert tuple(total) == tuple(chern_of(rank_one(d)))
         assert total[2] == -degree(d)
 
 

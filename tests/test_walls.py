@@ -8,7 +8,6 @@ import pytest
 from staircase.ktheory import (
     central_charge,
     chern,
-    chern_of_ideal,
     discriminant,
     dual,
     euler_pairing,
@@ -17,6 +16,7 @@ from staircase.ktheory import (
     mumford_slope,
     twist,
 )
+from staircase.objects import chern_of, rank_one
 from staircase.walls import (
     SemicircleWall,
     VerticalWall,
@@ -45,7 +45,7 @@ def test_complete_intersection_walls_closed_form():
     for a in range(1, 9):
         for b in range(a, 9):
             xi1 = line_bundle(-a)
-            xi2 = chern_of_ideal(complete_intersection(a, b))
+            xi2 = chern_of(rank_one(complete_intersection(a, b)))
             wall = potential_wall(xi1, xi2)
             assert wall == SemicircleWall(
                 Fraction(-a, 2) - b, Fraction((a - 2 * b) ** 2, 4)
@@ -64,7 +64,7 @@ def test_vertical_and_error_cases():
         potential_wall(chern(0, 2, 3), chern(0, 4, 5))
     # two rank-1 ideal-sheaf-style classes of distinct slopes: never vertical
     for k in range(1, 6):
-        wall = potential_wall(chern_of_ideal((2, 1)), twist(chern_of_ideal((1,)), -k))
+        wall = potential_wall(chern_of(rank_one((2, 1))), twist(chern_of(rank_one((1,))), -k))
         assert isinstance(wall, SemicircleWall)
 
 
@@ -143,8 +143,8 @@ def test_real_part_vanishes_at_wall_top():
     cases = [
         (chern(1, -5, Fraction(5, 2)), chern(1, 0, -48)),
         (chern(1, -7, Fraction(41, 2)), chern(0, 5, Fraction(-101, 2))),
-        (line_bundle(-2), chern_of_ideal(complete_intersection(2, 5))),
-        (chern_of_ideal((3, 1)), twist(chern_of_ideal(()), -2)),
+        (line_bundle(-2), chern_of(rank_one(complete_intersection(2, 5)))),
+        (chern_of(rank_one((3, 1))), twist(chern_of(rank_one(())), -2)),
     ]
     for xi1, xi2 in cases:
         wall = potential_wall(xi1, xi2)
