@@ -200,7 +200,3 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry_point()

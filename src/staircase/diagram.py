@@ -5,6 +5,10 @@ diagram: the tuple of row lengths ``(h_1, h_2, ...)`` read bottom-to-top,
 weakly decreasing, every entry positive.  The empty tuple is the empty scheme
 (unit ideal).  Row ``j`` covers the lattice boxes ``{(a, j-1) : 0 <= a < h_j}``
 of monomials *outside* the ideal with y-exponent ``j - 1``.
+
+The tuple is read directly: ``len(d)`` is the number of rows, ``d[0]`` (the
+bottom row) the number of columns on a nonempty diagram, and ``d[:k]`` the
+slice of the bottom ``k`` rows.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from itertools import accumulate
 
 Diagram = tuple[int, ...]
 Generator = tuple[int, int]  # monomial x^a y^b as the exponent pair (a, b)
-
-EMPTY: Diagram = ()
 
 
 def as_diagram(rows) -> Diagram:
@@ -49,26 +51,6 @@ def degree(diagram: Diagram) -> int:
     return sum(diagram)
 
 
-def row_count(diagram: Diagram) -> int:
-    """Number of rows r(D)."""
-    return len(diagram)
-
-
-def col_count(diagram: Diagram) -> int:
-    """Number of columns c(D), the length of the bottom row."""
-    return diagram[0] if diagram else 0
-
-
-def full_row_count(diagram: Diagram) -> int:
-    """Number of rows of maximal length c(D)."""
-    return diagram.count(diagram[0]) if diagram else 0
-
-
-def full_col_count(diagram: Diagram) -> int:
-    """Number of columns of maximal height r(D); equals the top row length."""
-    return diagram[-1] if diagram else 0
-
-
 def transpose(diagram: Diagram) -> Diagram:
     """Reflect the diagram across the main diagonal (conjugate partition).
 
@@ -77,18 +59,11 @@ def transpose(diagram: Diagram) -> Diagram:
     so this costs O(r + c).
     """
     if not diagram:
-        return EMPTY
+        return ()
     counts = [0] * (diagram[0] + 1)  # counts[h]: the rows of length h
     for h in diagram:
         counts[h] += 1
     return tuple(accumulate(counts[:0:-1]))[::-1]
-
-
-def slice_below(diagram: Diagram, k: int) -> Diagram:
-    """The bottom k rows."""
-    if k < 0:
-        raise ValueError(f"slice index must be nonnegative, got {k}")
-    return diagram[:k]
 
 
 def complement_rotate(diagram: Diagram, k: int, i: int) -> Diagram:
@@ -97,7 +72,7 @@ def complement_rotate(diagram: Diagram, k: int, i: int) -> Diagram:
     Requires the diagram to fit in the box.  The operation is an involution
     for fixed box dimensions.
     """
-    if row_count(diagram) > k or col_count(diagram) > i:
+    if len(diagram) > k or (diagram[0] if diagram else 0) > i:
         raise ValueError(
             f"diagram {diagram} does not fit in a {k} x {i} box"
         )
@@ -190,7 +165,7 @@ def parse_ideal(text: str) -> Diagram:
 
 def _parse_rows(compact: str, start: int) -> Diagram:
     if start == len(compact):
-        return EMPTY
+        return ()
     matches = _comma_list(compact, start, _ROWS_ITEM, "a row length", "row lengths")
     rows = [int(match.group(0)) for match in matches]
     try:
@@ -267,7 +242,7 @@ def enumerate_diagrams_upto(n_max: int):
 
 def _partitions(n: int, max_part: int):
     if n == 0:
-        yield EMPTY
+        yield ()
         return
     for first in range(min(n, max_part), 0, -1):
         for rest in _partitions(n - first, first):

@@ -50,12 +50,8 @@ from .diagram import (
     Diagram,
     as_diagram,
     as_int,
-    col_count,
     complement_rotate,
     degree,
-    full_col_count,
-    full_row_count,
-    row_count,
     transpose,
 )
 from .ktheory import ChernCharacter, from_integers
@@ -175,12 +171,11 @@ def _rank_one(diagram: Diagram, twist: int) -> LineBundle | RankOne:
 
 
 def _rank_zero(diagram: Diagram, twist: int) -> RankZero:
-    k = row_count(diagram)
-    if k < 1:
-        raise ValueError(f"need at least one supporting line, got k={k}")
+    if not diagram:
+        raise ValueError(_EMPTY[RankZero])
     if not is_horizontally_pure(diagram):
         raise ValueError(
-            f"diagram {diagram} on {k} lines is not horizontally pure"
+            f"diagram {diagram} on {len(diagram)} lines is not horizontally pure"
         )
     return RankZero(diagram, twist)
 
@@ -188,7 +183,7 @@ def _rank_zero(diagram: Diagram, twist: int) -> RankZero:
 def _rank_minus_one(diagram: Diagram, twist: int) -> ShiftedLineBundle | RankMinusOne:
     if not diagram:
         raise ValueError(_EMPTY[RankMinusOne])
-    k, i = row_count(diagram), col_count(diagram)
+    k, i = len(diagram), diagram[0]
     if diagram[-1] == i:  # every row as long as the bottom one: Z fills its box
         return ShiftedLineBundle(twist - k - i)
     return RankMinusOne(diagram, twist)
@@ -275,18 +270,20 @@ def _families(obj: MonomialObject) -> tuple[tuple[str, Diagram, int, int], ...]:
 
     Cut ``j`` runs from ``first >= 1`` to ``last``, and a rank -1 family
     stops at ``len(lengths) - 1``, so every selection key has a positive
-    denominator.  A trivial object has none.
+    denominator.  A trivial object has none.  Of D's rows, ``d.count(d[0])``
+    are as long as the bottom one, and the top row's length ``d[-1]`` is the
+    number of full-height columns.
     """
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
     d = obj.diagram
     if isinstance(obj, RankOne):
-        return ("horizontal", d, 1, row_count(d)), ("vertical", transpose(d), 1, col_count(d))
+        return ("horizontal", d, 1, len(d)), ("vertical", transpose(d), 1, d[0])
     if isinstance(obj, RankZero):
-        return (("vertical", transpose(d), full_col_count(d), col_count(d)),)
+        return (("vertical", transpose(d), d[-1], d[0]),)
     return (
-        ("horizontal", d, full_row_count(d), obj.k - 1),
-        ("vertical", transpose(d), full_col_count(d), obj.i - 1),
+        ("horizontal", d, d.count(d[0]), obj.k - 1),
+        ("vertical", transpose(d), d[-1], obj.i - 1),
     )
 
 
@@ -585,13 +582,13 @@ def object_from_dict(data: dict) -> MonomialObject:
         obj = _rank_one(_diagram(data), twist)
     elif kind == "rank0":
         diagram, k = _diagram(data), _member(data, "lines", int)
-        if row_count(diagram) != k:
+        if len(diagram) != k:
             raise ValueError(f"diagram {diagram} does not lie on exactly {k} lines")
         obj = _rank_zero(diagram, twist)
     elif kind == "rank-1":
         diagram = _diagram(data)
         k, i = _member(data, "lines", int), _member(data, "colines", int)
-        if (row_count(diagram), col_count(diagram)) != (k, i):
+        if (len(diagram), diagram[0] if diagram else 0) != (k, i):
             raise ValueError(f"diagram {diagram} does not fill a {k} x {i} bounding box")
         obj = _rank_minus_one(diagram, twist)
     else:

@@ -31,12 +31,9 @@ from typing import Callable, Iterator
 
 from .diagram import (
     Diagram,
-    col_count,
     complement_rotate,
     degree,
     enumerate_diagrams_upto,
-    row_count,
-    slice_below,
 )
 from .ktheory import (
     ChernCharacter,
@@ -239,7 +236,7 @@ def _check_root_wall(diagram: Diagram) -> Iterator[str]:
 
 def _check_ci(rectangle: Diagram) -> Iterator[str]:
     """Closed forms for a complete intersection at the first two steps of its tree."""
-    a, b = col_count(rectangle), row_count(rectangle)
+    a, b = rectangle[0], len(rectangle)
     tree = decompose(rank_one(rectangle))
     seq, second = tree.sequence, tree.quotient.sequence
     mu, delta = orthogonal_invariants(seq.wall)
@@ -297,9 +294,9 @@ def _check_gieseker(diagram: Diagram) -> Iterator[str]:
 
     Slice j's reduced constant ``(3j + 2*ch2)/2j`` is read from its rank-0 ``(0, j, 2*ch2)``.
     """
-    k = row_count(diagram)
+    k = len(diagram)
     pure = is_horizontally_pure(diagram)
-    chars = [integer_character(RankZero(slice_below(diagram, j))) for j in range(1, k + 1)]
+    chars = [integer_character(RankZero(diagram[:j])) for j in range(1, k + 1)]
     e = chars[-1][2]
     compared = all((3 * j + e_j) * k >= (3 * k + e) * j for _, j, e_j in chars[:-1])
     if pure != compared:

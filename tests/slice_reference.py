@@ -1,13 +1,13 @@
 """The row and column slice reference for the parts of a destabilizing step.
 
 Each part is cut out of the object's diagram by the ``slice_*`` functions
-here and ``diagram.slice_below``, and built by a public factory, which
+here and the bottom slice ``d[:k]``, and built by a public factory, which
 validates it, independently of the slicing in ``objects._sequence_parts``.
 """
 
 from __future__ import annotations
 
-from staircase.diagram import EMPTY, slice_below, transpose
+from staircase.diagram import transpose
 from staircase.objects import RankOne, RankZero, rank_minus_one, rank_one, rank_zero
 
 
@@ -24,7 +24,7 @@ def slice_right(diagram, k):
 def slice_left(diagram, k):
     """The left k columns."""
     if k == 0:
-        return EMPTY
+        return ()
     return tuple(min(h, k) for h in diagram)
 
 
@@ -36,7 +36,7 @@ def slice_parts(obj, cut):
         if direction == "horizontal":
             return (
                 rank_one(slice_above(d, index), t - index),
-                rank_zero(slice_below(d, index), t),
+                rank_zero(d[:index], t),
             )
         return (
             rank_one(slice_right(d, index), t - index),
@@ -50,7 +50,7 @@ def slice_parts(obj, cut):
     if direction == "horizontal":
         return (
             rank_zero(slice_above(d, index), t - index),
-            rank_minus_one(slice_below(d, index), t),
+            rank_minus_one(d[:index], t),
         )
     return (
         rank_zero(transpose(slice_right(d, index)), t - index),

@@ -371,3 +371,15 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     usage_error = run_python("-m", "staircase", "bogus")
     assert usage_error[0] == 2
     assert usage_error == run(capsys, "bogus")
+
+
+def test_the_console_script_exits_with_the_code_main_returns(capsys, monkeypatch):
+    """``cli.entry_point``, the ``staircase`` script's target, runs ``main`` on ``sys.argv``."""
+    for argv, code in ((["slope", "x,y"], 0), (["bogus"], 2)):
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["staircase", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry_point()
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == expected
+        assert expected[0] == code

@@ -8,18 +8,13 @@ import pytest
 from staircase.diagram import (
     IdealSyntaxError,
     as_diagram,
-    col_count,
     complement_rotate,
     degree,
     enumerate_diagrams,
     enumerate_diagrams_upto,
     from_generators,
-    full_col_count,
-    full_row_count,
     parse_ideal,
     render_ideal,
-    row_count,
-    slice_below,
     to_generators,
     transpose,
 )
@@ -94,15 +89,7 @@ def test_every_boundary_states_the_integer_rule_in_the_same_words(noun, read, va
 def test_basic_statistics():
     d = (7, 6, 6, 2, 1)
     assert degree(d) == 22
-    assert row_count(d) == 5
-    assert col_count(d) == 7
-    assert full_row_count(d) == 1
-    assert full_col_count(d) == 1
     assert degree(()) == 0
-    assert row_count(()) == col_count(()) == 0
-    assert full_row_count(()) == full_col_count(()) == 0
-    assert full_row_count((4, 4, 2)) == 2
-    assert full_col_count((4, 4, 2)) == 2
 
 
 def test_transpose_pinned_and_involutive():
@@ -112,31 +99,27 @@ def test_transpose_pinned_and_involutive():
         t = transpose(d)
         assert transpose(t) == d
         assert degree(t) == degree(d)
-        assert row_count(t) == col_count(d)
-        assert full_row_count(t) == full_col_count(d)
+        assert len(t) == d[0]
+        assert t.count(t[0]) == d[-1]
 
 
 def test_slices_pinned_values():
     d = (7, 6, 6, 2, 1)
     assert slice_above(d, 3) == (2, 1)
-    assert slice_below(d, 3) == (7, 6, 6)
     assert slice_right(d, 2) == (5, 4, 4)
     assert slice_left(d, 2) == (2, 2, 2, 2, 1)
     assert slice_above(d, 0) == d
     assert slice_above(d, 9) == ()
-    assert slice_below(d, 0) == ()
     assert slice_right(d, 7) == ()
     assert slice_left(d, 0) == ()
-    with pytest.raises(ValueError, match="slice index must be nonnegative, got -1"):
-        slice_below(d, -1)
 
 
 def test_slices_agree_with_transposed_counterparts():
     for d in enumerate_diagrams_upto(BOUND):
-        for k in range(0, max(row_count(d), col_count(d)) + 2):
+        for k in range(0, max(len(d), d[0]) + 2):
             assert slice_right(d, k) == transpose(slice_above(transpose(d), k))
-            assert slice_left(d, k) == transpose(slice_below(transpose(d), k))
-            assert degree(slice_above(d, k)) + degree(slice_below(d, k)) == degree(d)
+            assert slice_left(d, k) == transpose(transpose(d)[:k])
+            assert degree(slice_above(d, k)) + degree(d[:k]) == degree(d)
             assert degree(slice_right(d, k)) + degree(slice_left(d, k)) == degree(d)
 
 
@@ -145,14 +128,17 @@ def test_complement_rotate_pinned_values():
     assert complement_rotate((3, 1), 2, 3) == (2,)
     assert complement_rotate((), 2, 3) == (3, 3)
     assert complement_rotate((3, 3), 2, 3) == ()
+    assert complement_rotate((), 0, 0) == ()
+    with pytest.raises(ValueError, match=re.escape("diagram () does not fit in a 0 x -1 box")):
+        complement_rotate((), 0, -1)
     with pytest.raises(ValueError):
         complement_rotate((3, 1), 1, 3)
 
 
 def test_complement_rotate_is_an_involution():
     for d in enumerate_diagrams_upto(BOUND):
-        k = row_count(d)
-        i = col_count(d)
+        k = len(d)
+        i = d[0]
         for dk in range(3):
             for di in range(3):
                 c = complement_rotate(d, k + dk, i + di)

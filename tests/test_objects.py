@@ -12,11 +12,6 @@ from staircase import objects, oracle
 from staircase.diagram import (
     degree,
     enumerate_diagrams_upto,
-    row_count,
-    col_count,
-    full_col_count,
-    full_row_count,
-    slice_below,
     transpose,
 )
 from staircase.ktheory import chern, hilbert_P, twist
@@ -64,7 +59,7 @@ def pure_bottom(d):
     best = scheme_slope(d)
     if best.orientation == "vertical":
         d = transpose(d)
-    return slice_below(d, best.index), best.index
+    return d[:best.index], best.index
 
 
 def all_test_objects(bound):
@@ -215,18 +210,18 @@ def slice_candidates(obj):
     """(cut, character) of every candidate subobject, sliced out one by one."""
     d, t = obj.diagram, obj.twist
     if isinstance(obj, RankOne):
-        for k in range(1, row_count(d) + 1):
+        for k in range(1, len(d) + 1):
             yield ("horizontal", k), twist(chern_of(rank_one(slice_above(d, k))), t - k)
-        for i in range(1, col_count(d) + 1):
+        for i in range(1, d[0] + 1):
             yield ("vertical", i), twist(chern_of(rank_one(slice_right(d, i))), t - i)
     elif isinstance(obj, RankZero):
-        for i in range(full_col_count(d), col_count(d) + 1):
+        for i in range(d[-1], d[0] + 1):
             yield ("vertical", i), twist(chern_of(rank_one(slice_right(d, i))), t - i)
     else:
         k, i = obj.k, obj.i
-        for j in range(full_row_count(d), k):
+        for j in range(d.count(d[0]), k):
             yield ("horizontal", j), twist(chern_of(RankZero(slice_above(d, j))), t - j)
-        for j in range(full_col_count(d), i):
+        for j in range(d[-1], i):
             yield ("vertical", j), twist(
                 chern_of(RankZero(transpose(slice_right(d, j)))), t - j
             )
@@ -405,7 +400,7 @@ def test_empty_scheme_is_a_leaf():
 def test_degenerate_rank0_on_empty_diagram():
     """The empty diagram has no rows, so no rank-0 object lies on it."""
     for twist in (0, 2, -3):
-        with pytest.raises(ValueError, match="need at least one supporting line, got k=0"):
+        with pytest.raises(ValueError, match="need at least one supporting line, got 0"):
             rank_zero((), twist)
 
 
@@ -567,7 +562,7 @@ def test_candidate_centers_match_closed_forms():
                     w = degree(slice_above(transpose(d), index))
                 expected = Fraction(-index, 2) + Fraction(w - n, index) + t
                 assert wall.center == expected
-        k, i = row_count(d), col_count(d)
+        k, i = len(d), d[0]
         obj = rank_minus_one(d)
         if is_trivial(obj):
             continue
@@ -652,7 +647,7 @@ def test_derived_dual_slope_identity_exhaustive():
         if is_trivial(obj):
             continue
         dual_diagram, twist = derived_dual(obj)
-        assert twist == row_count(d) + col_count(d)
+        assert twist == len(d) + d[0]
         assert mu_opt(obj) == -scheme_slope(dual_diagram).value + twist - 3
 
 
@@ -687,18 +682,18 @@ def test_purity_propagation():
                 continue
             for child in (node.sequence.sub, node.sequence.quotient):
                 if isinstance(child, RankZero):
-                    assert child.k == row_count(child.diagram)
+                    assert child.k == len(child.diagram)
                     assert is_horizontally_pure(child.diagram)
 
 
 def test_gieseker_two_criteria_agree():
     for d in enumerate_diagrams_upto(BOUND):
-        k = row_count(d)
+        k = len(d)
         pure = is_horizontally_pure(d)
         # each bottom slice's reduced polynomial x - mu_j: the full one over its leading j
         reduced = []
         for j in range(1, k + 1):
-            leading, constant = rank0_hilbert_polynomial(slice_below(d, j))
+            leading, constant = rank0_hilbert_polynomial(d[:j])
             reduced.append(constant / leading)
         comparisons = all(c >= reduced[-1] for c in reduced[:-1])
         assert pure == comparisons
@@ -750,6 +745,15 @@ def test_parse_tree_rejects_a_rank_minus_one_box_that_is_not_the_bounding_box():
         data["object"].update(lines=lines, colines=colines)
         with pytest.raises(ValueError, match=f"does not fill a {lines} x {colines} bounding"):
             parse_tree(json.dumps(data))
+
+
+def test_an_empty_rank_minus_one_diagram_is_rejected_by_its_box():
+    node = {"type": "rank-1", "diagram": [], "twist": 0}
+    with pytest.raises(ValueError, match="box dimensions must be positive, got 0 x 0"):
+        objects.object_from_dict(dict(node, lines=0, colines=0))
+    for lines, colines in ((0, 1), (1, 0), (1, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"diagram () does not fill a {lines} x {colines}")):
+            objects.object_from_dict(dict(node, lines=lines, colines=colines))
 
 
 def test_parse_tree_rejects_a_rank_zero_whose_lines_are_not_its_row_count():

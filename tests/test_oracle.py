@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from staircase import cli, objects, oracle, slopes
-from staircase.diagram import enumerate_diagrams_upto, slice_below, transpose
+from staircase.diagram import enumerate_diagrams_upto, transpose
 from staircase.objects import (
     DecompositionTree,
     DestabilizingSequence,
@@ -393,7 +393,7 @@ def test_tree_roots_are_read_from_the_rank_one_tree(monkeypatch):
     for d in oracle._diagrams(14):
         best = slopes.scheme_slope(d)
         base = transpose(d) if best.orientation == "vertical" else d
-        quotient = rank_zero(slice_below(base, best.index))
+        quotient = rank_zero(base[:best.index])
         assert quotient == decompose(rank_one(d)).quotient.node
         box = rank_minus_one(d)
         expected = [rank_one(d)] if is_trivial(box) else [rank_one(d), box]
@@ -556,6 +556,13 @@ def recut(index):
         ),
         (
             "triviality",
+            RankZero((2, 2), 0),
+            recut(3),
+            4,
+            Failure((2, 2), "case 2 fails at I(2,2 in 2L): 3 >= n/k + k/2"),
+        ),
+        (
+            "triviality",
             RankZero((1,), 0),
             recut(0),
             3,
@@ -580,6 +587,15 @@ def recut(index):
 def test_each_node_clause_reports_a_tampered_step(tamper, name, target, change, bound, witness):
     tamper(target, change)
     assert witness in run_check(name, bound).failures
+
+
+def test_triviality_case_3_holds_on_its_bound(tamper):
+    """I(2,2 in 2L) has a trivial sub and quotient and n/k - k/2 = 1: a cut at 1 lies on the bound."""
+    target = RankZero((2, 2), 0)
+    tamper(target, recut(1))
+    seq = decompose(target).sequence
+    assert seq.cut[1] == 1 and is_trivial(seq.sub) and is_trivial(seq.quotient)
+    assert run_check("triviality", 4).passed
 
 
 def wrong_chern_of_line_bundles(real):

@@ -7,8 +7,6 @@ import pytest
 from staircase.diagram import (
     degree,
     enumerate_diagrams_upto,
-    row_count,
-    col_count,
     transpose,
 )
 from staircase.slopes import (
@@ -105,7 +103,7 @@ def test_purity_with_padding():
 def test_purity_matches_padded_slope_definition():
     """Purity is mu_j <= mu_r for j <= r = r(D), on checker-recounted slopes."""
     for d in enumerate_diagrams_upto(BOUND):
-        r = row_count(d)
+        r = len(d)
         top = checker_slope(d, r) if r else None
         expected = all(checker_slope(d, j) <= top for j in range(1, r))
         assert is_horizontally_pure(d) == expected
@@ -114,7 +112,7 @@ def test_purity_matches_padded_slope_definition():
 def test_checker_identity_relating_slices():
     """(i+k) mu_{i+k}(Z) = k mu_k(Z) + i mu_i(W_k) + i k for i + k <= r."""
     for d in enumerate_diagrams_upto(BOUND):
-        r = row_count(d)
+        r = len(d)
         for k in range(1, r):
             above = slice_above(d, k)
             slopes, above_slopes = slope_table(d)[0], slope_table(above)[0]
@@ -127,10 +125,10 @@ def test_checker_identity_relating_slices():
 def test_vertical_slopes_shift_under_horizontal_slicing():
     """mu'_i(slice_above(D, k)) = mu'_i(D) - k wherever both sides exist."""
     for d in enumerate_diagrams_upto(BOUND):
-        for k in range(1, row_count(d)):
+        for k in range(1, len(d)):
             above = slice_above(d, k)
             vertical, above_vertical = slope_table(d)[1], slope_table(above)[1]
-            for i in range(1, col_count(above) + 1):
+            for i in range(1, above[0] + 1):
                 assert above_vertical[i - 1] == vertical[i - 1] - k
 
 
@@ -138,6 +136,6 @@ def test_closed_form_matches_definition():
     for d in enumerate_diagrams_upto(10):
         n = degree(d)
         horizontal = slope_table(d)[0]
-        for k in range(1, row_count(d) + 1):
+        for k in range(1, len(d) + 1):
             w = degree(slice_above(d, k))
             assert horizontal[k - 1] == Fraction(n - w, k) + Fraction(k - 3, 2)

@@ -169,6 +169,7 @@ def test_nesting_rules():
     assert is_nested(outer, inner, "right")
     empty = SemicircleWall(Fraction(-9), Fraction(-1, 4))
     assert is_empty(empty)
+    assert is_empty(SemicircleWall(Fraction(-9), Fraction(0)))
     assert is_nested(empty, inner, "left")
     assert is_nested(empty, inner, "right")
     with pytest.raises(ValueError):
