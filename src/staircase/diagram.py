@@ -69,10 +69,10 @@ def transpose(diagram: Diagram) -> Diagram:
 def complement_rotate(diagram: Diagram, k: int, i: int) -> Diagram:
     """Complement of the diagram inside a k x i box, rotated half a turn.
 
-    Requires the diagram to fit in the box.  The operation is an involution
-    for fixed box dimensions.
+    Requires at most k rows, weakly decreasing from at most i to at least 0.
+    The operation is an involution for fixed box dimensions.
     """
-    if len(diagram) > k or (diagram[0] if diagram else 0) > i:
+    if len(diagram) > k or not all(map(int.__ge__, (i,) + diagram, diagram + (0,))):
         raise ValueError(
             f"diagram {diagram} does not fit in a {k} x {i} box"
         )

@@ -32,8 +32,9 @@ chosen cut's wall; :func:`candidate_walls` evaluates the general
 selection is tested against.  Decomposing yields a finite tree of trivial
 leaves.
 
-:func:`decompose`, :func:`walk` and the writers keep an explicit stack, so
-tree depth is not bounded by the recursion limit; only :func:`parse_tree` is.
+:func:`walk` is the one preorder reader; :func:`decompose`, :func:`serialize_tree`
+and :func:`tree_to_dot` finish a node at a marker pushed below its children.  All
+keep an explicit stack, so only :func:`parse_tree` is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -411,10 +412,6 @@ def decompose(obj: MonomialObject) -> DecompositionTree:
     Every tree built is memoized, subtrees included; ``cache_info()`` and
     ``cache_clear()`` count and clear the lookups as ``lru_cache``'s do.
     """
-    tree = _trees.get(obj)
-    if tree is not None:
-        _lookups["hits"] += 1
-        return tree
     built = []  # finished trees; a sub's tree lies below its quotient's
     stack: list = [obj]  # an object to look up, or an (object, sequence) pair to build
     while stack:
@@ -664,24 +661,20 @@ def parse_tree(text: str) -> DecompositionTree:
 
 def tree_to_dot(tree: DecompositionTree) -> str:
     """Graphviz rendering: sub child on the left, quotient on the right."""
-    lines = [
-        "digraph decomposition {",
-        "  node [shape=box];",
-        "  graph [ordering=out];",
-    ]
-    # internal nodes whose edges follow their subtree: [name, depth, quotient]
-    pending: list[list] = []
-
-    def close(depth: int) -> None:
-        while pending and pending[-1][1] >= depth:
-            name, _, quotient = pending.pop()
-            lines.append(f'  n{name} -> n{name + 1} [label="sub"];')
-            lines.append(f'  n{name} -> n{quotient} [label="quotient"];')
-
-    for name, (t, depth, role) in enumerate(walk(tree)):
-        close(depth)
-        if role == "quotient":
-            pending[-1][2] = name
+    lines = ["digraph decomposition {", "  node [shape=box];", "  graph [ordering=out];"]
+    name = -1  # the last name given, in preorder
+    # (subtree, its parent's edge record; the root's is spare), or a record [parent, sub, quotient]
+    stack: list = [(tree, [])]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            parent, sub, quotient = item
+            lines.append(f'  n{parent} -> n{sub} [label="sub"];')
+            lines.append(f'  n{parent} -> n{quotient} [label="quotient"];')
+            continue
+        t, edge = item
+        name += 1
+        edge.append(name)
         label = text_name(t.node).replace('"', r"\"")
         if t.is_leaf:
             lines.append(f'  n{name} [label="{label}"];')
@@ -691,7 +684,7 @@ def tree_to_dot(tree: DecompositionTree) -> str:
             f'  n{name} [label="{label}\\ncenter {wall.center},'
             f' radius_sq {wall.radius_sq}"];'
         )
-        pending.append([name, depth, None])
-    close(0)
+        edge = [name]
+        stack += edge, (t.quotient, edge), (t.sub, edge)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -336,26 +336,27 @@ def _fold(tree: DecompositionTree, node_check: Callable, folded: dict) -> tuple[
 
     A leaf has none; an internal subtree's details are ``node_check`` of its
     root, then those of its sub subtree, then those of its quotient subtree.
-    One explicit-stack postorder adds every subtree missing from ``folded``,
-    children first, and never descends into a subtree already there.  Only
+    A subtree missing from ``folded`` pushes the marker ``(node,)`` below its
+    children, which folds it from theirs; one already there is skipped.  Only
     the first ``FAILURE_CAP`` details are kept, all that a report can show.
     """
-    stack = [tree]
+    stack: list = [tree]
     while stack:
-        node = stack[-1]
-        if id(node) in folded:
-            stack.pop()
-        elif node.is_leaf:
-            folded[id(node)] = node, ()
-        elif id(node.sub) not in folded or id(node.quotient) not in folded:
-            stack += (node.quotient, node.sub)
-        else:
+        node = stack.pop()
+        if type(node) is tuple:
+            (node,) = node
             details = tuple(node_check(node))
             sub_details = folded[id(node.sub)][1]
             quotient_details = folded[id(node.quotient)][1]
             if sub_details or quotient_details:
                 details = (details + sub_details + quotient_details)[:FAILURE_CAP]
             folded[id(node)] = node, details
+        elif id(node) in folded:
+            continue
+        elif node.is_leaf:
+            folded[id(node)] = node, ()
+        else:
+            stack += (node,), node.quotient, node.sub
     return folded[id(tree)][1]
 
 

@@ -135,6 +135,17 @@ def test_complement_rotate_pinned_values():
         complement_rotate((3, 1), 1, 3)
 
 
+def test_complement_rotate_rejects_rows_out_of_order_or_out_of_the_box():
+    """Every row is checked, not only the bottom one: (1, 3) neither decreases nor fits a 2 x 2 box."""
+    with pytest.raises(ValueError, match=re.escape("diagram (1, 3) does not fit in a 2 x 2 box")):
+        complement_rotate((1, 3), 2, 2)
+    with pytest.raises(ValueError, match=re.escape("diagram (1, 3) does not fit in a 2 x 3 box")):
+        complement_rotate((1, 3), 2, 3)
+    for bad in ((3, -1), (-1,), (2, 3, 1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            complement_rotate(bad, 3, 3)
+
+
 def test_complement_rotate_is_an_involution():
     for d in enumerate_diagrams_upto(BOUND):
         k = len(d)

@@ -767,12 +767,22 @@ def test_parse_tree_rejects_a_rank_zero_whose_lines_are_not_its_row_count():
 
 
 def test_dot_export_structure():
-    dot = tree_to_dot(decompose(rank_one((1,))))
-    assert dot.startswith("digraph")
-    assert dot.count('label="sub"') == 2
-    assert dot.count('label="quotient"') == 2
-    assert "I(1)" in dot
-    assert "O(-2)[1]" in dot
+    """Nodes in preorder, and each internal node's edges once both its subtrees are written."""
+    assert tree_to_dot(decompose(rank_one((1,)))) == (
+        "digraph decomposition {\n"
+        "  node [shape=box];\n"
+        "  graph [ordering=out];\n"
+        '  n0 [label="I(1)\\ncenter -3/2, radius_sq 1/4"];\n'
+        '  n1 [label="O(-1)"];\n'
+        '  n2 [label="I(1 in 1L)\\ncenter -3/2, radius_sq 1/4"];\n'
+        '  n3 [label="O(-1)"];\n'
+        '  n4 [label="O(-2)[1]"];\n'
+        '  n2 -> n3 [label="sub"];\n'
+        '  n2 -> n4 [label="quotient"];\n'
+        '  n0 -> n1 [label="sub"];\n'
+        '  n0 -> n2 [label="quotient"];\n'
+        "}\n"
+    )
 
 
 def test_text_names():

@@ -430,6 +430,20 @@ def test_decompose_builds_the_recursive_reference_tree_and_counts_as_lru_cache(d
 
 @settings(max_examples=10, deadline=None)
 @given(skewed_diagrams())
+def test_decompose_returns_a_memoized_root_as_one_hit(diagram):
+    """A second call on a root gives the very tree of the first, for one hit and no miss or entry."""
+    for root in oracle._tree_roots(diagram):
+        decompose.cache_clear()
+        tree = decompose(root)
+        before = decompose.cache_info()
+        assert decompose(root) is tree
+        after = decompose.cache_info()
+        assert after.hits == before.hits + 1
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+@settings(max_examples=10, deadline=None)
+@given(skewed_diagrams())
 def test_trees_round_trip_through_their_text(diagram):
     tree = decompose(rank_one(diagram))
     for pretty in (False, True):
