@@ -72,6 +72,8 @@ def complement_rotate(diagram: Diagram, k: int, i: int) -> Diagram:
     Requires at most k rows, weakly decreasing from at most i to at least 0.
     The operation is an involution for fixed box dimensions.
     """
+    if set(map(type, diagram)) - {int}:  # the rule of as_diagram: a row is read as an int or raises
+        diagram = tuple(as_int(h, "row length") for h in diagram)
     if len(diagram) > k or not all(map(int.__ge__, (i,) + diagram, diagram + (0,))):
         raise ValueError(
             f"diagram {diagram} does not fit in a {k} x {i} box"

@@ -27,10 +27,10 @@ on every part.
 
 Destabilization picks the largest candidate wall by the per-type integer
 keys that :func:`destabilizing_sequence` states, and computes only the
-chosen cut's wall; :func:`candidate_walls` evaluates the general
-:func:`wall_from_parts` on every candidate and stays the reference the
-selection is tested against.  Decomposing yields a finite tree of trivial
-leaves.
+chosen cut's wall.  :func:`candidate_walls` builds every candidate's wall with
+the general :func:`wall_from_parts`, the tests' reference; the oracle's ``chern``
+check re-derives the choice by :func:`first_largest_candidate` from the integer
+:func:`wall_minors` of each candidate.  Decomposing yields a tree of trivial leaves.
 
 :func:`walk` is the one preorder reader; :func:`decompose`, :func:`serialize_tree`
 and :func:`tree_to_dot` finish a node at a marker pushed below its children.  All
@@ -57,7 +57,7 @@ from .diagram import (
 )
 from .ktheory import ChernCharacter, from_integers
 from .slopes import is_horizontally_pure
-from .walls import SemicircleWall, is_empty, orthogonal_invariants, wall_from_parts
+from .walls import SemicircleWall, is_empty, orthogonal_invariants, wall_from_parts, wall_minors
 from .walls import potential_wall  # noqa: F401  kept bound here: perfbench's tracer test patches it
 
 Cut = tuple[str, int]  # ("horizontal" | "vertical", index)
@@ -251,10 +251,28 @@ def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
     Walls come from the general formula :func:`wall_from_parts` between the
     candidate subobject's integer character and the object's own, never from
     specialized radius formulas.  :func:`destabilizing_sequence` picks its
-    cut without these walls, and the tests compare the two.
+    cut without these walls; the tests compare it and :func:`first_largest_candidate` with them.
     """
     target = integer_character(obj)
     return [(cut, _candidate_wall(cut, sub, target)) for cut, sub, _ in _candidate_subs(obj)]
+
+
+def first_largest_candidate(obj: MonomialObject) -> tuple[Cut, SemicircleWall]:
+    """The ``(cut, wall)`` that ``min``/``max`` takes from :func:`candidate_walls`, building one wall.
+
+    Each candidate's :func:`wall_minors` (q = 1) give a key ``p/c^2``, maximized by cross-multiplying:
+    ``n^2 + 4c cross`` is 4 radius_sq at rank 0, ``-r nc`` is -2r center at rank r = +-1; the first wins.
+    """
+    r2, c2, e2 = integer_character(obj)
+    best, bp, bd = None, -1, 0  # -1/0 is below every key
+    for cut, (r1, c1, e1), _ in _candidate_subs(obj):
+        minors = _, c, n, cross = wall_minors(r1, c1, e1, 1, r2, c2, e2, 1)
+        if c == 0:
+            raise AssertionError(f"candidate wall at {cut} is not a semicircle")
+        p, d = (n * n + 4 * c * cross if r2 == 0 else -r2 * n * c), c * c
+        if p * bd > bp * d:
+            best, bp, bd = (cut, minors), p, d
+    return best[0], SemicircleWall.from_minors(*best[1])
 
 
 def _candidate_wall(cut: Cut, sub, target) -> SemicircleWall:
@@ -326,8 +344,8 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
 
     Keys compare by cross-multiplication.  Only the chosen cut gets its
     character and its wall, from :func:`wall_from_parts`, so a dependent,
-    vertical or empty wall raises there.  :func:`candidate_walls` stays the
-    reference; the oracle's ``chern`` check compares every node's cut with it.
+    vertical or empty wall raises there.  The tests compare the choice with :func:`candidate_walls`,
+    and the oracle's ``chern`` check compares every node's with :func:`first_largest_candidate`.
     """
     target = r, big_k, e = integer_character(obj)
     families = _families(obj)

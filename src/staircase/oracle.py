@@ -14,11 +14,12 @@ Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
 wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
 ``duality`` is the only fresh step.  The ``chern`` check recomputes each node
 wall with :func:`potential_wall` from the Chern characters of the sliced sub,
-node and quotient, and the chosen cut with :func:`candidate_walls`, which
-evaluates :func:`wall_from_parts` on every candidate, so the general wall
-formula stays the reference for every tree, as the general ``Fraction`` twist
-does for each node's fast :func:`integer_character`.  Its arithmetic runs on
-the integer cores of :mod:`staircase.ktheory`.
+node and quotient, and the chosen cut with :func:`first_largest_candidate`,
+which runs the integer core :func:`wall_minors` of the general wall formula on
+every candidate and builds the one chosen wall, so that formula stays the
+reference for every tree, as the general ``Fraction`` twist does for each
+node's fast :func:`integer_character`.  Its arithmetic runs on the integer
+cores of :mod:`staircase.ktheory` and :mod:`staircase.walls`.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from .objects import (
     RankMinusOne,
     RankOne,
     RankZero,
-    candidate_walls,
     chern_of,
     decompose,
     derived_dual,
+    first_largest_candidate,
     integer_character,
     is_trivial,
     mu_opt,
@@ -178,12 +179,7 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
         yield f"W(sub, node) differs from node wall at {text_name(node.node)}"
     if potential_wall(total, quot) != seq.wall:
         yield f"W(node, quot) differs from node wall at {text_name(node.node)}"
-    # the first largest candidate: least center at rank 1, else the first
-    # maximum of radius_sq (rank 0) or of center (rank -1)
-    cut, wall = (min if total.r == 1 else max)(
-        candidate_walls(node.node),
-        key=lambda item: item[1].center if total.r else item[1].radius_sq,
-    )
+    cut, wall = first_largest_candidate(node.node)
     if (cut, wall) != (seq.cut, seq.wall):
         yield (
             f"cut {seq.cut} is not the first largest candidate {cut}"

@@ -8,8 +8,8 @@ semicircular wall corresponds to a unique rank-1 orthogonal class through
 mu = -s - 3/2 and 2*Delta = rho^2 - 1/4.
 
 Wall arithmetic runs on the integer form of a character stated in
-:mod:`staircase.ktheory`; :func:`wall_from_parts` states the wall formula
-once, on that form.
+:mod:`staircase.ktheory`; :func:`wall_minors` states the wall formula once, on
+that form, and :func:`wall_from_parts` builds the wall from it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ class SemicircleWall:
     center: Fraction
     radius_sq: Fraction
 
+    @classmethod
+    def from_minors(cls, q: int, c: int, n: int, cross: int) -> SemicircleWall:
+        """The semicircle of the :func:`wall_minors` ``(q, c, n, cross)``, ``c != 0``."""
+        return cls(Fraction(n, 2 * c), Fraction(q * n * n + 4 * c * cross, 4 * q * c * c))
+
 
 Wall = VerticalWall | SemicircleWall
 
@@ -46,13 +51,19 @@ def potential_wall(xi1: ChernCharacter, xi2: ChernCharacter) -> Wall:
 
 
 def wall_from_parts(r1, a1, b1, d1, r2, a2, b2, d2) -> Wall:
-    """The wall of two characters in the integer form ``(r, a, b, d)`` of :mod:`staircase.ktheory`.
+    """The wall of two ``(r, a, b, d)`` characters: vertical at ``s = c1/r`` when the minor c is 0."""
+    minors = wall_minors(r1, a1, b1, d1, r2, a2, b2, d2)
+    if minors[1] == 0:
+        return VerticalWall(Fraction(a1, d1 * r1) if r1 != 0 else Fraction(a2, d2 * r2))
+    return SemicircleWall.from_minors(*minors)
 
-    Lowest terms are not needed.  The characters must be linearly
-    independent and not both of rank 0 (an empty locus).  Over q, the lcm of
-    the denominators, the minors c (of r, c1), n (of r, 2*ch2) and cross (of
-    c1, 2*ch2) are integers: ``center = n/2c``,
-    ``radius_sq = (q n^2 + 4 c cross)/(4 q c^2)``.
+
+def wall_minors(r1, a1, b1, d1, r2, a2, b2, d2) -> tuple[int, int, int, int]:
+    """The minors ``(q, c, n, cross)`` of two ``(r, a, b, d)`` characters of :mod:`staircase.ktheory`.
+
+    Lowest terms are not needed; the characters must be linearly independent and not both of
+    rank 0 (an empty locus).  Over q, the lcm of the denominators, c (of r, c1), n (of r, 2*ch2)
+    and cross (of c1, 2*ch2) are integers: ``center = n/2c``, ``radius_sq = (q n^2 + 4 c cross)/(4 q c^2)``.
     """
     q = lcm(d1, d2)
     a1, b1, a2, b2 = a1 * (q // d1), b1 * (q // d1), a2 * (q // d2), b2 * (q // d2)
@@ -61,11 +72,9 @@ def wall_from_parts(r1, a1, b1, d1, r2, a2, b2, d2) -> Wall:
     cross = a1 * b2 - a2 * b1
     if c == 0 and n == 0 and cross == 0:
         raise ValueError("linearly dependent characters bound no wall")
-    if c == 0:
-        if r1 == 0 and r2 == 0:
-            raise ValueError("two rank-0 characters share no wall (empty locus)")
-        return VerticalWall(Fraction(a1, q * r1) if r1 != 0 else Fraction(a2, q * r2))
-    return SemicircleWall(Fraction(n, 2 * c), Fraction(q * n * n + 4 * c * cross, 4 * q * c * c))
+    if c == 0 and r1 == 0 and r2 == 0:
+        raise ValueError("two rank-0 characters share no wall (empty locus)")
+    return q, c, n, cross
 
 
 def orthogonal_invariants(wall: Wall) -> tuple[Fraction, Fraction]:

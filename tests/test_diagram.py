@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,19 @@ def test_complement_rotate_rejects_rows_out_of_order_or_out_of_the_box():
     for bad in ((3, -1), (-1,), (2, 3, 1)):
         with pytest.raises(ValueError, match="does not fit"):
             complement_rotate(bad, 3, 3)
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_complement_rotate_reads_rows_by_the_integer_rule(action):
+    """A non-integer row raises ValueError, with or without warnings as errors; an integral one is that int."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError, match=re.escape("row length 1.5 is not an integer")):
+            complement_rotate((1.5,), 1, 2)
+        with pytest.raises(ValueError, match=re.escape("row length Fraction(5, 2) is not an integer")):
+            complement_rotate((3, Fraction(5, 2)), 2, 3)
+        result = complement_rotate((2.0, True), 2, 3)
+    assert result == (2, 1) and all(type(h) is int for h in result)
 
 
 def test_complement_rotate_is_an_involution():

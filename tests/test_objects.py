@@ -28,6 +28,7 @@ from staircase.objects import (
     decompose,
     derived_dual,
     destabilizing_sequence,
+    first_largest_candidate,
     integer_character,
     is_trivial,
     leaves,
@@ -242,6 +243,7 @@ def reference_step(obj):
 
 
 def test_integer_selection_matches_the_reference_on_every_tree_node():
+    """The selection and the oracle's chooser both pick the reference's cut and wall."""
     for d in enumerate_diagrams_upto(12):
         for root in oracle._tree_roots(d):
             for node, _, _ in walk(decompose(root)):
@@ -249,7 +251,7 @@ def test_integer_selection_matches_the_reference_on_every_tree_node():
                     continue
                 obj = node.node
                 seq = destabilizing_sequence(obj)
-                assert (seq.cut, seq.wall) == reference_step(obj)
+                assert (seq.cut, seq.wall) == reference_step(obj) == first_largest_candidate(obj)
                 scaled = list(objects._candidate_subs(obj))
                 assert all(type(x) is int for _, sub, _ in scaled for x in sub)
                 assert all(lengths == family(obj, cut) for cut, _, lengths in scaled)
@@ -303,6 +305,25 @@ def test_candidate_walls_raise_on_a_degenerate_candidate(monkeypatch):
         monkeypatch.setattr(objects, "_candidate_subs", lambda _: iter(candidates))
         with pytest.raises(error):
             candidate_walls(obj)
+
+
+@pytest.mark.parametrize(
+    "first, second, error, text",
+    [
+        ((1, -5, 7), (1, -5, 5), AssertionError, "candidate wall at ('horizontal', 1) is not a semicircle"),
+        ((1, -5, 5), (1, -5, 7), ValueError, "linearly dependent characters bound no wall"),
+    ],
+    ids=["vertical_then_dependent", "dependent_then_vertical"],
+)
+def test_first_largest_candidate_raises_as_candidate_walls(monkeypatch, first, second, error, text):
+    """A vertical candidate (same slope) and a dependent one (the object's own character): the first raises."""
+    obj = rank_one((4, 3, 3), -5)
+    candidates = [(("horizontal", 1), first, obj.diagram), (("horizontal", 2), second, obj.diagram)]
+    monkeypatch.setattr(objects, "_candidate_subs", lambda _: iter(candidates))
+    for choose in (candidate_walls, first_largest_candidate):
+        with pytest.raises(error) as raised:
+            choose(obj)
+        assert type(raised.value) is error and str(raised.value) == text
 
 
 def test_destabilizing_sequence_raises_on_an_empty_selected_wall(monkeypatch):

@@ -37,7 +37,7 @@ from staircase.oracle import (
     render_reports,
     run_check,
 )
-from staircase.walls import SemicircleWall, potential_wall, wall_from_parts
+from staircase.walls import SemicircleWall, potential_wall, wall_minors
 
 BOUND = 12
 
@@ -475,25 +475,27 @@ def test_an_empty_node_wall_is_a_witness_not_an_abort(tamper, monkeypatch, capsy
 
 
 def test_chern_evaluates_potential_wall_on_every_candidate(monkeypatch):
-    """The candidate clause keeps the general wall formula as its reference."""
-    walls, per_call = 0, []
-    candidates = oracle.candidate_walls
+    """The candidate clause keeps the general wall formula as its reference: each chooser call
+    sends every candidate, in order, through the formula's integer core exactly once."""
+    sent, per_call = [], []
+    chooser = oracle.first_largest_candidate
 
-    def counting_wall(*parts):
-        nonlocal walls
-        walls += 1
-        return wall_from_parts(*parts)
+    def counting_core(*parts):
+        sent.append(parts)
+        return wall_minors(*parts)
 
-    def counting_candidates(obj):
-        before = walls
-        result = candidates(obj)
-        per_call.append((len(result), walls - before))
+    def counting_chooser(obj):
+        before = len(sent)
+        result = chooser(obj)
+        target = objects.integer_character(obj)
+        expected = [(*sub, 1, *target, 1) for _, sub, _ in objects._candidate_subs(obj)]
+        per_call.append((len(expected), sent[before:] == expected))
         return result
 
-    monkeypatch.setattr(objects, "wall_from_parts", counting_wall)
-    monkeypatch.setattr(oracle, "candidate_walls", counting_candidates)
+    monkeypatch.setattr(objects, "wall_minors", counting_core)
+    monkeypatch.setattr(oracle, "first_largest_candidate", counting_chooser)
     assert run_check("chern", BOUND).passed
-    assert all(count == calls for count, calls in per_call)
+    assert all(once for _, once in per_call)
     assert (len(per_call), sum(count for count, _ in per_call)) == (611, 4259)
 
 

@@ -10,7 +10,8 @@ of every candidate cut of I_Z, of the rank-0 objects on its pure bottom
 slices and of its box, twisted in -300..300, against the row and column
 slices; the trees of ``decompose`` against a recursive reference with no
 memo, and the memo's counts; the integer slope comparisons against the
-Fraction rule; the derived dual; the integer characters of objects,
+Fraction rule; the oracle's first-largest-candidate chooser against the
+candidate walls; the derived dual; the integer characters of objects,
 twisted in -300..300, against the Fraction twist; the tree writer against
 ``json.dumps`` of a reference dict (also exhaustively to degree 11), and
 the text round-trips of trees and ideals; rational Chern characters of
@@ -64,6 +65,7 @@ from staircase.objects import (
     decompose,
     derived_dual,
     destabilizing_sequence,
+    first_largest_candidate,
     is_trivial,
     leaves,
     mu_opt,
@@ -84,6 +86,7 @@ from staircase.walls import (
     orthogonal_invariants,
     potential_wall,
     wall_from_parts,
+    wall_minors,
 )
 import decompose_reference
 from slice_reference import parts_or_error, slice_above, slice_parts
@@ -126,7 +129,7 @@ def test_integer_selection_is_the_candidate_wall_minimum(diagram, t):
     for root in (*oracle._tree_roots(diagram), rank_zero_root):
         obj = replace(root, twist=t)
         seq = destabilizing_sequence(obj)
-        assert (seq.cut, seq.wall) == first_minimum(obj)
+        assert (seq.cut, seq.wall) == first_minimum(obj) == first_largest_candidate(obj)
 
 
 @settings(max_examples=10, deadline=None)
@@ -554,10 +557,21 @@ def scaled_parts(xi, *scales):
 @example((chern(1, Fraction(2, 3), Fraction(3, 7)), chern(2, Fraction(4, 3), Fraction(6, 7))), [3, 1, 1, 2])
 @example((chern(0, Fraction(2, 9), 3), chern(0, 4, Fraction(5, 11))), [1, 1, 6, 6])
 def test_integer_wall_core_agrees_with_potential_wall(pair, scales):
-    """Vertical walls and both errors included, on parts in and out of lowest terms."""
+    """Vertical walls and both errors included, on parts in and out of lowest terms.
+
+    The integer core raises the same errors, and its minors give the same semicircle.
+    """
     xi1, xi2 = pair
     parts = scaled_parts(xi1, *scales[:2]) + scaled_parts(xi2, *scales[2:])
-    assert outcome(wall_from_parts, *parts) == outcome(potential_wall, xi1, xi2)
+    wall = outcome(wall_from_parts, *parts)
+    assert wall == outcome(potential_wall, xi1, xi2)
+    minors = outcome(wall_minors, *parts)
+    if not isinstance(wall, (VerticalWall, SemicircleWall)):
+        assert minors == wall
+    elif isinstance(wall, VerticalWall):
+        assert minors[1] == 0
+    else:
+        assert minors[0] == lcm(parts[3], parts[7]) and SemicircleWall.from_minors(*minors) == wall
 
 
 @settings(max_examples=150, deadline=None)
