@@ -70,8 +70,10 @@ def complement_rotate(diagram: Diagram, k: int, i: int) -> Diagram:
     """Complement of the diagram inside a k x i box, rotated half a turn.
 
     Requires at most k rows, weakly decreasing from at most i to at least 0.
-    The operation is an involution for fixed box dimensions.
+    The box sides, like the rows, are read as ints.  The operation is an
+    involution for fixed box dimensions.
     """
+    k, i = as_int(k, "box side"), as_int(i, "box side")
     if set(map(type, diagram)) - {int}:  # the rule of as_diagram: a row is read as an int or raises
         diagram = tuple(as_int(h, "row length") for h in diagram)
     if len(diagram) > k or not all(map(int.__ge__, (i,) + diagram, diagram + (0,))):

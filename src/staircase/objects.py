@@ -27,10 +27,10 @@ on every part.
 
 Destabilization picks the largest candidate wall by the per-type integer
 keys that :func:`destabilizing_sequence` states, and computes only the
-chosen cut's wall.  :func:`candidate_walls` builds every candidate's wall with
-the general :func:`wall_from_parts`, the tests' reference; the oracle's ``chern``
-check re-derives the choice by :func:`first_largest_candidate` from the integer
-:func:`wall_minors` of each candidate.  Decomposing yields a tree of trivial leaves.
+chosen cut's wall.  Every wall of a step, chosen or listed, comes from the integer
+:func:`wall_minors` of the general wall formula: :func:`candidate_walls` builds each
+candidate's, the tests' reference, and the oracle's ``chern`` check re-derives the
+choice by :func:`first_largest_candidate` from them.  Decomposing yields a tree of trivial leaves.
 
 :func:`walk` is the one preorder reader; :func:`decompose`, :func:`serialize_tree`
 and :func:`tree_to_dot` finish a node at a marker pushed below its children.  All
@@ -57,7 +57,7 @@ from .diagram import (
 )
 from .ktheory import ChernCharacter, from_integers
 from .slopes import is_horizontally_pure
-from .walls import SemicircleWall, is_empty, orthogonal_invariants, wall_from_parts, wall_minors
+from .walls import SemicircleWall, is_empty, orthogonal_invariants, wall_minors
 from .walls import potential_wall  # noqa: F401  kept bound here: perfbench's tracer test patches it
 
 Cut = tuple[str, int]  # ("horizontal" | "vertical", index)
@@ -248,13 +248,16 @@ def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:
 def candidate_walls(obj: MonomialObject) -> list[tuple[Cut, SemicircleWall]]:
     """Every candidate destabilizing cut with its wall: the reference path.
 
-    Walls come from the general formula :func:`wall_from_parts` between the
-    candidate subobject's integer character and the object's own, never from
+    Walls come from the minors of the general formula, :func:`wall_minors`, between
+    the candidate subobject's integer character and the object's own, never from
     specialized radius formulas.  :func:`destabilizing_sequence` picks its
     cut without these walls; the tests compare it and :func:`first_largest_candidate` with them.
     """
     target = integer_character(obj)
-    return [(cut, _candidate_wall(cut, sub, target)) for cut, sub, _ in _candidate_subs(obj)]
+    return [
+        (cut, SemicircleWall.from_minors(*_candidate_minors(cut, sub, target)))
+        for cut, sub, _ in _candidate_subs(obj)
+    ]
 
 
 def first_largest_candidate(obj: MonomialObject) -> tuple[Cut, SemicircleWall]:
@@ -263,25 +266,22 @@ def first_largest_candidate(obj: MonomialObject) -> tuple[Cut, SemicircleWall]:
     Each candidate's :func:`wall_minors` (q = 1) give a key ``p/c^2``, maximized by cross-multiplying:
     ``n^2 + 4c cross`` is 4 radius_sq at rank 0, ``-r nc`` is -2r center at rank r = +-1; the first wins.
     """
-    r2, c2, e2 = integer_character(obj)
+    target = r, _, _ = integer_character(obj)
     best, bp, bd = None, -1, 0  # -1/0 is below every key
-    for cut, (r1, c1, e1), _ in _candidate_subs(obj):
-        minors = _, c, n, cross = wall_minors(r1, c1, e1, 1, r2, c2, e2, 1)
-        if c == 0:
-            raise AssertionError(f"candidate wall at {cut} is not a semicircle")
-        p, d = (n * n + 4 * c * cross if r2 == 0 else -r2 * n * c), c * c
+    for cut, sub, _ in _candidate_subs(obj):
+        minors = _, c, n, cross = _candidate_minors(cut, sub, target)
+        p, d = (n * n + 4 * c * cross if r == 0 else -r * n * c), c * c
         if p * bd > bp * d:
             best, bp, bd = (cut, minors), p, d
     return best[0], SemicircleWall.from_minors(*best[1])
 
 
-def _candidate_wall(cut: Cut, sub, target) -> SemicircleWall:
-    """The wall of two ``(r, c1, 2*ch2)`` characters; raises unless a semicircle."""
-    (r1, c1, e1), (r2, c2, e2) = sub, target
-    wall = wall_from_parts(r1, c1, e1, 1, r2, c2, e2, 1)
-    if not isinstance(wall, SemicircleWall):
+def _candidate_minors(cut: Cut, sub, target) -> tuple[int, int, int, int]:
+    """:func:`wall_minors` of two ``(r, c1, 2*ch2)`` characters; raises unless they bound a semicircle."""
+    minors = wall_minors(*sub, 1, *target, 1)
+    if minors[1] == 0:
         raise AssertionError(f"candidate wall at {cut} is not a semicircle")
-    return wall
+    return minors
 
 
 def _families(obj: MonomialObject) -> tuple[tuple[str, Diagram, int, int], ...]:
@@ -289,13 +289,16 @@ def _families(obj: MonomialObject) -> tuple[tuple[str, Diagram, int, int], ...]:
 
     Cut ``j`` runs from ``first >= 1`` to ``last``, and a rank -1 family
     stops at ``len(lengths) - 1``, so every selection key has a positive
-    denominator.  A trivial object has none.  Of D's rows, ``d.count(d[0])``
-    are as long as the bottom one, and the top row's length ``d[-1]`` is the
-    number of full-height columns.
+    denominator.  A trivial object has none, nor has a rank -1 object on
+    a full box, which only the unchecked dataclass builds.  Of D's rows,
+    ``d.count(d[0])`` are as long as the bottom one, and the top row's
+    length ``d[-1]`` is the number of full-height columns.
     """
     if is_trivial(obj):
         raise ValueError(f"trivial object {obj!r} has no candidate walls")
     d = obj.diagram
+    if isinstance(obj, RankMinusOne) and d[-1] == d[0]:
+        raise ValueError(f"{obj!r} fills its box, so it is trivial and has no candidate walls")
     if isinstance(obj, RankOne):
         return ("horizontal", d, 1, len(d)), ("vertical", transpose(d), 1, d[0])
     if isinstance(obj, RankZero):
@@ -332,7 +335,7 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
     (rank 0, all candidates concentric), least negative center (rank -1);
     the first cut of :func:`_families` wins a tie.  One loop per object type
     walks each family once with ``w_j = sum(lengths[:j])`` and scores each
-    cut by one integer key, read off :func:`wall_from_parts` with
+    cut by one integer key, read off the general wall formula with
     ``m = t - j``, ``n' = n - w_j``:
 
     * rank 1: center ``t - (j^2 + 2w_j)/2j``, so the first maximum of
@@ -343,7 +346,7 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
       so the first minimum of ``(K'^2 + 2n' - 2K'm)/K'``.
 
     Keys compare by cross-multiplication.  Only the chosen cut gets its
-    character and its wall, from :func:`wall_from_parts`, so a dependent,
+    character and its wall, from :func:`wall_minors`, so a dependent,
     vertical or empty wall raises there.  The tests compare the choice with :func:`candidate_walls`,
     and the oracle's ``chern`` check compares every node's with :func:`first_largest_candidate`.
     """
@@ -378,7 +381,8 @@ def destabilizing_sequence(obj: MonomialObject) -> DestabilizingSequence:
                     best, bp, bq = (family, j, w), p, k
     (direction, lengths, _, _), j, w = best
     cut = direction, j
-    wall = _candidate_wall(cut, _sub_character(obj, lengths, j, n - w), target)
+    minors = _candidate_minors(cut, _sub_character(obj, lengths, j, n - w), target)
+    wall = SemicircleWall.from_minors(*minors)
     if is_empty(wall):
         raise AssertionError(f"selected wall at {cut} for {obj!r} is empty")
     return DestabilizingSequence(*_sequence_parts(obj, cut, lengths), wall, cut)
@@ -394,29 +398,17 @@ def _sequence_parts(obj: MonomialObject, cut: Cut, lengths) -> tuple[MonomialObj
     """(sub, quotient) at ``cut`` of its family ``lengths``, by the slicing rule of the module docstring."""
     direction, j = cut
     d, t = obj.diagram, obj.twist
+    if isinstance(obj, RankMinusOne):
+        sub = _rank_zero(lengths[j:], t - j)
+    elif direction == "horizontal":
+        sub = _rank_one(d[j:], t - j)
+    else:  # right of column j: the first lengths[j] rows less j each, and none right of the last
+        right = tuple(map(operator.sub, d[: lengths[j]], repeat(j))) if j < len(lengths) else ()
+        sub = _rank_one(right, t - j)
     if isinstance(obj, RankOne):
-        return _rank_one(_rows_past(d, cut, lengths), t - j), _rank_zero(lengths[:j], t)
-    if isinstance(obj, RankZero):
-        return _rank_one(_rows_past(d, cut, lengths), t - j), _rank_minus_one(_rows_before(d, cut), t)
-    return _rank_zero(lengths[j:], t - j), _rank_minus_one(_rows_before(d, cut), t)
-
-
-def _rows_past(d: Diagram, cut: Cut, lengths) -> Diagram:
-    """The rows of ``d`` above cut ``j``, or right of column ``j``.
-
-    Right of column ``j`` lie the first ``lengths[j]`` rows, each less ``j``,
-    and nothing right of the last column.
-    """
-    direction, j = cut
-    if direction == "horizontal":
-        return d[j:]
-    return tuple(map(operator.sub, d[: lengths[j]], repeat(j))) if j < len(lengths) else ()
-
-
-def _rows_before(d: Diagram, cut: Cut) -> Diagram:
-    """The rows of ``d`` below cut ``j``, or left of column ``j``: every row capped at ``j``."""
-    direction, j = cut
-    return d[:j] if direction == "horizontal" else tuple(map(min, d, repeat(j)))
+        return sub, _rank_zero(lengths[:j], t)
+    # below cut j, or left of column j: every row capped at j
+    return sub, _rank_minus_one(d[:j] if direction == "horizontal" else tuple(map(min, d, repeat(j))), t)
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

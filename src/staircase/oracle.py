@@ -304,7 +304,7 @@ def _check_gieseker(diagram: Diagram) -> Iterator[str]:
 
 @cache
 def _diagrams(n_max: int) -> tuple[Diagram, ...]:
-    return tuple(d for d in enumerate_diagrams_upto(n_max) if d)
+    return tuple(enumerate_diagrams_upto(n_max))
 
 
 @cache

@@ -9,7 +9,7 @@ mu = -s - 3/2 and 2*Delta = rho^2 - 1/4.
 
 Wall arithmetic runs on the integer form of a character stated in
 :mod:`staircase.ktheory`; :func:`wall_minors` states the wall formula once, on
-that form, and :func:`wall_from_parts` builds the wall from it.
+that form, and :func:`potential_wall` builds the wall from it.
 """
 
 from __future__ import annotations
@@ -46,12 +46,8 @@ def is_empty(wall: Wall) -> bool:
 
 
 def potential_wall(xi1: ChernCharacter, xi2: ChernCharacter) -> Wall:
-    """The potential wall W(xi1, xi2): :func:`wall_from_parts` of their integer parts."""
-    return wall_from_parts(*integer_parts(xi1), *integer_parts(xi2))
-
-
-def wall_from_parts(r1, a1, b1, d1, r2, a2, b2, d2) -> Wall:
-    """The wall of two ``(r, a, b, d)`` characters: vertical at ``s = c1/r`` when the minor c is 0."""
+    """The potential wall W(xi1, xi2): vertical at ``s = c1/r`` of the nonzero rank when the minor c is 0."""
+    (r1, a1, b1, d1), (r2, a2, b2, d2) = integer_parts(xi1), integer_parts(xi2)
     minors = wall_minors(r1, a1, b1, d1, r2, a2, b2, d2)
     if minors[1] == 0:
         return VerticalWall(Fraction(a1, d1 * r1) if r1 != 0 else Fraction(a2, d2 * r2))

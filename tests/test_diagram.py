@@ -160,6 +160,16 @@ def test_complement_rotate_reads_rows_by_the_integer_rule(action):
     assert result == (2, 1) and all(type(h) is int for h in result)
 
 
+def test_complement_rotate_reads_box_sides_by_the_integer_rule():
+    """An integral side is that int; any other side raises ValueError, not TypeError."""
+    with pytest.raises(ValueError, match=re.escape("box side 2.5 is not an integer")):
+        complement_rotate((1,), 1, 2.5)
+    with pytest.raises(ValueError, match=re.escape("box side 1.5 is not an integer")):
+        complement_rotate((1,), 1.5, 2)
+    result = complement_rotate((1,), 1, 2.0)
+    assert result == (1,) and type(result[0]) is int
+
+
 def test_complement_rotate_is_an_involution():
     for d in enumerate_diagrams_upto(BOUND):
         k = len(d)

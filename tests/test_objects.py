@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 from dataclasses import fields, replace
@@ -46,9 +47,9 @@ from staircase.objects import (
 )
 from staircase.resolution import minimal_free_resolution
 from staircase.slopes import is_horizontally_pure, scheme_slope
-from staircase.walls import SemicircleWall, orthogonal_invariants, potential_wall, wall_from_parts
+from staircase.walls import SemicircleWall, is_empty, orthogonal_invariants, potential_wall, wall_minors
 from slice_reference import family, parts_or_error, slice_above, slice_parts, slice_right
-from tree_asserts import assert_same_text, assert_same_tree
+from tree_asserts import assert_actual_wall, assert_same_text, assert_same_tree, in_heart_along
 
 BOUND = 10
 
@@ -189,6 +190,15 @@ def test_candidate_walls_trivial_rejected():
     for obj in (LineBundle(0), ShiftedLineBundle(-2)):
         for step in (candidate_walls, destabilizing_sequence, mu_opt):
             with pytest.raises(ValueError, match=re.escape(f"trivial object {obj!r} has no candidate walls")):
+                step(obj)
+
+
+def test_a_rank_minus_one_object_on_a_full_box_has_no_candidate_walls():
+    """Only the unchecked dataclass builds one; every step ends in a domain error, not inside the loops."""
+    for obj in (RankMinusOne((3, 3)), RankMinusOne((1,), 4)):
+        message = re.escape(f"{obj!r} fills its box, so it is trivial and has no candidate walls")
+        for step in (destabilizing_sequence, decompose, mu_opt, first_largest_candidate, candidate_walls):
+            with pytest.raises(ValueError, match=message):
                 step(obj)
 
 
@@ -354,12 +364,42 @@ def test_one_potential_wall_per_tree_node(monkeypatch):
     def counting(*parts):
         nonlocal calls
         calls += 1
-        return wall_from_parts(*parts)
+        return wall_minors(*parts)
 
-    monkeypatch.setattr(objects, "wall_from_parts", counting)
+    monkeypatch.setattr(objects, "wall_minors", counting)
     decompose.cache_clear()
     tree = decompose(rank_one(tuple(range(150, 0, -1))))
     assert calls == sum(not node.is_leaf for node, _, _ in walk(tree))
+
+
+def internal_nodes(bound):
+    """Each distinct internal node of both roots' trees to degree ``bound``, as its tree."""
+    nodes = {}
+    for d in enumerate_diagrams_upto(bound):
+        for root in oracle._tree_roots(d):
+            nodes.update((t.node, t) for t, _, _ in walk(decompose(root)) if not t.is_leaf)
+    return nodes
+
+
+def test_tree_walls_are_actual_walls_to_degree_16():
+    """Sub, node and quotient lie in the heart along each wall (A), and the sub destabilizes inside it (B)."""
+    nodes = internal_nodes(16)
+    assert len(nodes) == 2045
+    for tree in nodes.values():
+        assert_actual_wall(tree)
+
+
+def test_the_heart_clause_fails_at_candidate_cuts_the_selection_passes_over():
+    """Clause A has teeth: 1,096 nonempty non-chosen candidate walls to degree 14 leave the heart."""
+    failing = 0
+    for obj, tree in internal_nodes(14).items():
+        node = integer_character(obj)
+        walls = dict(candidate_walls(obj))
+        for cut, sub, _ in objects._candidate_subs(obj):
+            if cut != tree.sequence.cut and not is_empty(walls[cut]):
+                quotient = tuple(map(operator.sub, node, sub))
+                failing += not all(in_heart_along(x, walls[cut]) for x in (sub, node, quotient))
+    assert failing == 1096
 
 
 def test_destabilizing_sequence_big_chain():

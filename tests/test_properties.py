@@ -2,7 +2,8 @@
 
 Skewed partitions of 50-200 rows and columns, twists in -50..50; the cut
 of every rank-1 tree node, twisted in -300..300, against the scheme slope;
-the leaf twists of I_Z's tree against its minimal free resolution; every
+the leaf twists of I_Z's tree against its minimal free resolution; the
+clauses of ``assert_actual_wall`` on every tree wall; every
 node and diagram predicate of the oracle but ``ci`` on diagrams of up to 300
 rows and columns, staircases, doubled triangles, hooks and near-rectangles,
 and ``ci`` on complete intersections to 300; the parts
@@ -85,12 +86,11 @@ from staircase.walls import (
     VerticalWall,
     orthogonal_invariants,
     potential_wall,
-    wall_from_parts,
     wall_minors,
 )
 import decompose_reference
 from slice_reference import parts_or_error, slice_above, slice_parts
-from tree_asserts import assert_same_text, assert_same_tree
+from tree_asserts import assert_actual_wall, assert_same_text, assert_same_tree
 
 
 @st.composite
@@ -231,6 +231,16 @@ def test_rank_zero_nodes_lie_on_exactly_their_rows(diagram):
             Fraction(n - degree(slice_above(rows, k)), k) + Fraction(k - 3, 2)
             for k in range(1, len(rows) + 1)
         )
+
+
+@settings(max_examples=8, deadline=None)
+@given(skewed_diagrams())
+def test_tree_walls_are_actual_walls(diagram):
+    """Clauses A and B of every internal node of both roots' trees, beyond the exhaustive bound."""
+    for root in oracle._tree_roots(diagram):
+        for node, _, _ in walk(decompose(root)):
+            if not node.is_leaf:
+                assert_actual_wall(node)
 
 
 @st.composite
@@ -559,19 +569,20 @@ def scaled_parts(xi, *scales):
 def test_integer_wall_core_agrees_with_potential_wall(pair, scales):
     """Vertical walls and both errors included, on parts in and out of lowest terms.
 
-    The integer core raises the same errors, and its minors give the same semicircle.
+    The integer core raises the same errors, its minor c is 0 exactly for a vertical wall,
+    and its minors give the same semicircle.
     """
     xi1, xi2 = pair
     parts = scaled_parts(xi1, *scales[:2]) + scaled_parts(xi2, *scales[2:])
-    wall = outcome(wall_from_parts, *parts)
-    assert wall == outcome(potential_wall, xi1, xi2)
+    wall = outcome(potential_wall, xi1, xi2)
     minors = outcome(wall_minors, *parts)
     if not isinstance(wall, (VerticalWall, SemicircleWall)):
         assert minors == wall
     elif isinstance(wall, VerticalWall):
         assert minors[1] == 0
     else:
-        assert minors[0] == lcm(parts[3], parts[7]) and SemicircleWall.from_minors(*minors) == wall
+        assert minors[0] == lcm(parts[3], parts[7]) and minors[1] != 0
+        assert SemicircleWall.from_minors(*minors) == wall
 
 
 @settings(max_examples=150, deadline=None)
