@@ -8,11 +8,13 @@ character together with r, and the pairing has the closed form
 ``r(A) r(B) (P(mu(B) - mu(A)) - Delta(A) - Delta(B))`` with P the Hilbert
 polynomial of the plane.
 
-The arithmetic has integer cores on one integer form of a character,
-``(r, a, b, d)`` with c1 = a/d, 2*ch2 = b/d and d > 0: :func:`integer_parts`
-reads it and :func:`from_integers` inverts it, so each function computes with
-plain ints and builds each rational result with a single ``Fraction``.
-Characters keep their ``Fraction`` fields, so they print as ``str(Fraction)``.
+A character is stored in one integer form, its fields ``(r, a, b, d)`` with
+c1 = a/d, 2*ch2 = b/d, d > 0 and gcd(a, b, d) = 1.  That form is unique, with
+d the lcm of the two denominators, so equality and hashing are exact rational
+equality.  :func:`from_integers` reduces any ``(r, a, b, d)`` to it and
+:func:`integer_parts` reads it; each function computes with plain ints, and
+only the ``c1`` and ``ch2`` properties and the rational results build a
+``Fraction``.
 Nothing here knows a diagram: the monomial objects state their own
 ``(r, c1, 2*ch2)``, the d = 1 case, in :mod:`staircase.objects`.
 """
@@ -21,22 +23,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .diagram import as_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChernCharacter:
+    """(r, c1, ch2) stored as ``(r, a, b, d)``; build it with :func:`chern` or :func:`from_integers`."""
+
     r: int
-    c1: Fraction
-    ch2: Fraction
+    a: int
+    b: int
+    d: int
+
+    @property
+    def c1(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def ch2(self) -> Fraction:
+        return Fraction(self.b, 2 * self.d)
 
     def __iter__(self):
         return iter((self.r, self.c1, self.ch2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CentralChargeValue:
     """Value r + i*t*imag_coeff of the central charge, t kept symbolic."""
 
@@ -46,12 +59,20 @@ class CentralChargeValue:
 
 def chern(r, c1, ch2) -> ChernCharacter:
     """Build a character of exact rationals, read as ``Fraction`` reads them: a float at its binary value."""
-    return ChernCharacter(as_int(r, "rank"), Fraction(c1), Fraction(ch2))
+    r = as_int(r, "rank")
+    a, p = _ratio(c1)
+    b, q = _ratio(ch2)
+    return from_integers(r, a * q, 2 * b * p, p * q)
 
 
 def from_integers(r: int, c1: int, ch2_twice: int, d: int = 1) -> ChernCharacter:
-    """The character (r, c1/d, ch2_twice/2d): the inverse of :func:`integer_parts`."""
-    return ChernCharacter(r, Fraction(c1, d), Fraction(ch2_twice, 2 * d))
+    """The character (r, c1/d, ch2_twice/2d) of ints, in lowest terms: the inverse of :func:`integer_parts`."""
+    g = gcd(c1, ch2_twice, d)
+    if d <= 0:
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({c1}, 0)")
+        g = -g
+    return ChernCharacter(r, c1 // g, ch2_twice // g, d // g)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -62,12 +83,8 @@ def _ratio(x) -> tuple[int, int]:
 
 
 def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int]:
-    """(r, a, b, d) with c1 = a/d and 2*ch2 = b/d, d the lcm of their denominators."""
-    a, p = xi.c1.as_integer_ratio()
-    b, q = xi.ch2.as_integer_ratio()
-    b, q = (b, q // 2) if q % 2 == 0 else (2 * b, q)
-    d = lcm(p, q)
-    return xi.r, a * (d // p), b * (d // q), d
+    """(r, a, b, d) with c1 = a/d and 2*ch2 = b/d, d the lcm of their denominators: the stored fields."""
+    return xi.r, xi.a, xi.b, xi.d
 
 
 def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
@@ -95,12 +112,12 @@ def twist(xi: ChernCharacter, m: int) -> ChernCharacter:
 
 def dual(xi: ChernCharacter) -> ChernCharacter:
     """Dual character: c1 changes sign."""
-    return ChernCharacter(xi.r, -xi.c1, xi.ch2)
+    return ChernCharacter(xi.r, -xi.a, xi.b, xi.d)
 
 
 def negate(xi: ChernCharacter) -> ChernCharacter:
     """Homological shift [1]: all components change sign."""
-    return ChernCharacter(-xi.r, -xi.c1, -xi.ch2)
+    return ChernCharacter(-xi.r, -xi.a, -xi.b, xi.d)
 
 
 def ring_product(xi: ChernCharacter, zeta: ChernCharacter) -> ChernCharacter:
@@ -116,13 +133,13 @@ def mumford_slope(xi: ChernCharacter) -> Fraction:
     """mu = c1/r, defined for nonzero rank."""
     if xi.r == 0:
         raise ValueError("rank-0 characters have no Mumford slope")
-    return Fraction(xi.c1, xi.r)
+    return Fraction(xi.a, xi.d * xi.r)
 
 
 def discriminant(xi: ChernCharacter) -> Fraction:
     """Delta = mu^2/2 - ch2/r, defined for nonzero rank."""
     mu = mumford_slope(xi)
-    return mu * mu / 2 - Fraction(xi.ch2, xi.r)
+    return mu * mu / 2 - Fraction(xi.b, 2 * xi.d * xi.r)
 
 
 def hilbert_P(m) -> Fraction:

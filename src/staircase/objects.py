@@ -63,21 +63,21 @@ from .walls import potential_wall  # noqa: F401  kept bound here: perfbench's tr
 Cut = tuple[str, int]  # ("horizontal" | "vertical", index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineBundle:
     """O(twist): the trivial rank-1 object."""
 
     twist: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShiftedLineBundle:
     """O(twist)[1]: the trivial shifted object."""
 
     twist: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankOne:
     """I_Z(twist), built unchecked: outside input goes through :func:`rank_one`."""
 
@@ -85,7 +85,7 @@ class RankOne:
     twist: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankZero:
     """I_{Z in kL}(twist), built unchecked: outside input goes through :func:`rank_zero`."""
 
@@ -97,7 +97,7 @@ class RankZero:
         return len(self.diagram)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankMinusOne:
     """The rank -1 complex on Z's box, built unchecked: outside input goes through :func:`rank_minus_one`."""
 
@@ -116,7 +116,7 @@ class RankMinusOne:
 MonomialObject = LineBundle | ShiftedLineBundle | RankOne | RankZero | RankMinusOne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DestabilizingSequence:
     sub: MonomialObject
     quotient: MonomialObject
@@ -124,7 +124,7 @@ class DestabilizingSequence:
     cut: Cut
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionTree:
     node: MonomialObject
     sequence: DestabilizingSequence | None = None

@@ -17,7 +17,7 @@ wall with :func:`potential_wall` from the Chern characters of the sliced sub,
 node and quotient, and the chosen cut with :func:`first_largest_candidate`,
 which runs the integer core :func:`wall_minors` of the general wall formula on
 every candidate and builds the one chosen wall, so that formula stays the
-reference for every tree, as the general ``Fraction`` twist does for each
+reference for every tree, as the general twist :func:`twist` does for each
 node's fast :func:`integer_character`.  Its arithmetic runs on the integer
 cores of :mod:`staircase.ktheory` and :mod:`staircase.walls`.
 """
@@ -37,10 +37,11 @@ from .diagram import (
     enumerate_diagrams_upto,
 )
 from .ktheory import (
-    ChernCharacter,
     central_charge,
     euler_char,
+    from_integers,
     from_slope_discriminant,
+    integer_parts,
     ring_product,
     twist,
 )
@@ -172,7 +173,8 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
     sub, quot = chern_of(seq.sub), chern_of(seq.quotient)
     if total != twist(chern_of(type(obj)(obj.diagram)), obj.twist):
         yield f"integer character differs from the general twist at {text_name(obj)}"
-    if ChernCharacter(sub.r + quot.r, sub.c1 + quot.c1, sub.ch2 + quot.ch2) != total:
+    (r1, a1, b1, d1), (r2, a2, b2, d2) = integer_parts(sub), integer_parts(quot)
+    if from_integers(r1 + r2, a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2) != total:
         yield f"chern additivity fails at {text_name(node.node)}"
     # the stored wall came from the cut's integer character, not from this slice
     if potential_wall(sub, total) != seq.wall:

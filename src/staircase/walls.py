@@ -21,12 +21,12 @@ from math import lcm
 from .ktheory import ChernCharacter, integer_parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerticalWall:
     s: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemicircleWall:
     center: Fraction
     radius_sq: Fraction

@@ -6,12 +6,14 @@ from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 
 from staircase import ktheory, walls
 from staircase.diagram import enumerate_diagrams_upto
 from staircase.ktheory import (
+    ChernCharacter,
     central_charge,
     chern,
     discriminant,
@@ -19,8 +21,10 @@ from staircase.ktheory import (
     euler_char,
     euler_pairing,
     euler_pairing_closed,
+    from_integers,
     from_slope_discriminant,
     hilbert_P,
+    integer_parts,
     line_bundle,
     mumford_slope,
     negate,
@@ -203,8 +207,11 @@ def test_rational_arguments_read_as_their_fraction(x):
             expected = outcome(func, *converted)
         value = outcome(func, *args)
         assert value == expected
-        if not isinstance(value, tuple):
-            assert all(type(getattr(value, f.name)) is Fraction for f in fields(value) if f.name != "r")
+        if isinstance(value, ChernCharacter):
+            assert type(value.c1) is type(value.ch2) is Fraction
+            assert value.d > 0 and gcd(value.a, value.b, value.d) == 1
+        elif not isinstance(value, tuple):
+            assert all(type(getattr(value, f.name)) is Fraction for f in fields(value))
 
 
 def test_ring_product_matches_hand_expansion():
@@ -241,3 +248,14 @@ def test_character_arithmetic_knows_no_diagram(module):
             names = {f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names}
             assert not names & {"diagram", "staircase.diagram"}
     assert imported <= {"as_int"}
+
+
+def test_a_character_stores_its_lowest_terms_integer_form():
+    """``(r, a, b, d)`` with c1 = a/d, 2*ch2 = b/d, d > 0 and gcd(a, b, d) = 1, whatever the input's terms."""
+    xi = chern(2, Fraction(1, 3), Fraction(-5, 4))
+    assert [f.name for f in fields(xi)] == ["r", "a", "b", "d"]
+    assert (xi.r, xi.a, xi.b, xi.d) == (2, 2, -15, 6)
+    assert from_integers(2, -4, 30, -12) == xi
+    assert integer_parts(from_integers(1, 0, 0, -7)) == (1, 0, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        from_integers(1, 1, 0, 0)

@@ -17,7 +17,8 @@ twisted in -300..300, against the Fraction twist; the tree writer against
 ``json.dumps`` of a reference dict (also exhaustively to degree 11), and
 the text round-trips of trees and ideals; rational Chern characters of
 rank -3..3 against the Fraction formulas of the integer arithmetic cores,
-and their integer form against its inverse;
+and their integer form against its inverse; the stored lowest-terms form
+after every builder, and equality as exact rational equality;
 row lists of mixed types for ``as_diagram``.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -43,9 +44,9 @@ from staircase.diagram import (
 )
 from staircase.ktheory import (
     CentralChargeValue,
-    ChernCharacter,
     central_charge,
     chern,
+    dual,
     euler_char,
     from_integers,
     from_slope_discriminant,
@@ -360,7 +361,7 @@ def test_integer_characters_are_the_fraction_twist(diagram, t):
     for obj in found:
         obj = replace(obj, twist=t)
         assert chern_of(obj) == fraction_character(obj)
-        assert_fraction_fields(chern_of(obj))
+        assert_lowest_terms(chern_of(obj))
 
 
 # -- the tree writer against json.dumps, and the text round-trips --
@@ -479,7 +480,7 @@ def test_ideals_round_trip_through_their_text(diagram):
 
 RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 RANKS = st.integers(-3, 3)
-CHARACTERS = st.builds(ChernCharacter, RANKS, RATIONALS, RATIONALS)
+CHARACTERS = st.builds(chern, RANKS, RATIONALS, RATIONALS)
 
 
 def outcome(func, *args):
@@ -495,6 +496,13 @@ def assert_fraction_fields(value):
     assert all(type(getattr(value, f.name)) is Fraction for f in fields(value) if f.name != "r")
 
 
+def assert_lowest_terms(xi):
+    """``c1`` and ``ch2`` are Fractions, and the stored ints ``(r, a, b, d)`` have d > 0 and gcd(a, b, d) = 1."""
+    assert type(xi.c1) is type(xi.ch2) is Fraction
+    assert [type(getattr(xi, f.name)) for f in fields(xi)] == [int] * 4
+    assert xi.d > 0 and gcd(xi.a, xi.b, xi.d) == 1
+
+
 @st.composite
 def wall_pairs(draw):
     """Independent pairs, dependent pairs, rank-0 pairs and equal-slope pairs."""
@@ -502,14 +510,14 @@ def wall_pairs(draw):
     kind = draw(st.sampled_from(("any", "dependent", "rank0", "same_slope")))
     if kind == "dependent":
         scale = draw(st.integers(-3, 3))
-        other = ChernCharacter(scale * xi.r, scale * xi.c1, scale * xi.ch2)
+        other = chern(scale * xi.r, scale * xi.c1, scale * xi.ch2)
     elif kind == "rank0":
-        xi = ChernCharacter(0, xi.c1, xi.ch2)
-        other = ChernCharacter(0, draw(RATIONALS), draw(RATIONALS))
+        xi = chern(0, xi.c1, xi.ch2)
+        other = chern(0, draw(RATIONALS), draw(RATIONALS))
     elif kind == "same_slope":
-        xi = ChernCharacter(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), xi.c1, xi.ch2)
+        xi = chern(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), xi.c1, xi.ch2)
         r = draw(RANKS)
-        other = ChernCharacter(r, xi.c1 * r / xi.r, draw(RATIONALS))
+        other = chern(r, xi.c1 * r / xi.r, draw(RATIONALS))
     else:
         other = draw(CHARACTERS)
     return (xi, other) if draw(st.booleans()) else (other, xi)
@@ -552,6 +560,58 @@ def test_integer_parts_are_one_denominator_that_from_integers_inverts(xi):
     r, a, b, d = integer_parts(xi)
     assert d == lcm(xi.c1.denominator, (2 * xi.ch2).denominator) > 0
     assert from_integers(r, a, b, d) == xi
+
+
+NONZERO = st.integers(-12, 12).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RANKS, st.integers(-60, 60), st.integers(-60, 60), NONZERO, CHARACTERS, st.integers(-20, 20))
+@example(1, 2, -4, -6, chern(0, 0, 0), 0)
+@example(0, 0, 0, -3, chern(-1, Fraction(1, 2), Fraction(-1, 4)), 1)
+def test_every_builder_stores_the_lowest_terms_form(r, a, b, d, zeta, m):
+    """d > 0 and gcd(a, b, d) = 1 after ``chern``, ``from_integers`` of any sign of d, and every operation."""
+    xi = from_integers(r, a, b, d)
+    assert (xi.c1, 2 * xi.ch2) == (Fraction(a, d), Fraction(b, d))
+    built = [xi, chern(r, Fraction(a, d), Fraction(b, 2 * d)), twist(xi, m), ring_product(xi, zeta)]
+    built += [dual(xi), negate(xi), from_slope_discriminant(r or 1, Fraction(a, d), Fraction(b, d))]
+    for value in built:
+        assert_lowest_terms(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RANKS, st.integers(-60, 60), st.integers(-60, 60), NONZERO, NONZERO)
+@example(2, 3, 5, 4, -1)
+def test_scaled_integer_forms_are_one_character(r, a, b, d, scale):
+    """Every nonzero scale, negative included, gives an equal character of equal hash."""
+    xi, scaled = from_integers(r, a, b, d), from_integers(r, scale * a, scale * b, scale * d)
+    assert scaled == xi and hash(scaled) == hash(xi)
+    assert (scaled.r, scaled.a, scaled.b, scaled.d) == (xi.r, xi.a, xi.b, xi.d)
+
+
+@st.composite
+def character_pairs(draw):
+    """Independent pairs, and pairs of one character reached by another builder or a nudged one."""
+    xi = draw(CHARACTERS)
+    kind = draw(st.sampled_from(("any", "same", "nudged")))
+    if kind == "any":
+        return xi, draw(CHARACTERS)
+    r, a, b, d = integer_parts(xi)
+    if kind == "same":
+        scale = draw(NONZERO)
+        return xi, from_integers(r, scale * a, scale * b, scale * d)
+    nudge = [0, 0, 0]
+    nudge[draw(st.integers(0, 2))] = draw(NONZERO)
+    return xi, chern(r + nudge[0], xi.c1 + Fraction(nudge[1], 7), xi.ch2 + Fraction(nudge[2], 11))
+
+
+@settings(max_examples=150, deadline=None)
+@given(character_pairs())
+def test_characters_are_equal_exactly_when_their_rationals_are(pair):
+    xi, zeta = pair
+    assert (xi == zeta) == (tuple(xi) == tuple(zeta))
+    if xi == zeta:
+        assert hash(xi) == hash(zeta)
 
 
 def scaled_parts(xi, *scales):
@@ -604,11 +664,11 @@ def test_central_charge_matches_the_fraction_formula(xi, s, t2):
 @given(CHARACTERS, CHARACTERS, st.integers(-20, 20))
 def test_twist_ring_product_euler_char_match_the_fraction_formulas(xi, zeta, m):
     twisted = twist(xi, m)
-    assert twisted == ChernCharacter(
+    assert twisted == chern(
         xi.r, xi.c1 + xi.r * m, xi.ch2 + xi.c1 * m + Fraction(xi.r * m * m, 2)
     )
     product = ring_product(xi, zeta)
-    assert product == ChernCharacter(
+    assert product == chern(
         xi.r * zeta.r,
         xi.r * zeta.c1 + zeta.r * xi.c1,
         xi.r * zeta.ch2 + xi.c1 * zeta.c1 + xi.ch2 * zeta.r,
@@ -616,7 +676,7 @@ def test_twist_ring_product_euler_char_match_the_fraction_formulas(xi, zeta, m):
     chi = euler_char(xi)
     assert chi == xi.r + Fraction(3, 2) * xi.c1 + xi.ch2
     for value in (twisted, product):
-        assert_fraction_fields(value)
+        assert_lowest_terms(value)
     assert type(chi) is Fraction
 
 
@@ -624,8 +684,8 @@ def test_twist_ring_product_euler_char_match_the_fraction_formulas(xi, zeta, m):
 @given(st.sampled_from((-3, -2, -1, 1, 2, 3)), RATIONALS, RATIONALS)
 def test_from_slope_discriminant_matches_the_fraction_formula(r, mu, delta):
     xi = from_slope_discriminant(r, mu, delta)
-    assert xi == ChernCharacter(r, r * mu, r * (mu * mu / 2 - delta))
-    assert_fraction_fields(xi)
+    assert xi == chern(r, r * mu, r * (mu * mu / 2 - delta))
+    assert_lowest_terms(xi)
 
 
 @settings(max_examples=50, deadline=None)
