@@ -11,10 +11,9 @@ polynomial of the plane.
 A character is stored in one integer form, its fields ``(r, a, b, d)`` with
 c1 = a/d, 2*ch2 = b/d, d > 0 and gcd(a, b, d) = 1.  That form is unique, with
 d the lcm of the two denominators, so equality and hashing are exact rational
-equality.  :func:`from_integers` reduces any ``(r, a, b, d)`` to it and
-:func:`integer_parts` reads it; each function computes with plain ints, and
-only the ``c1`` and ``ch2`` properties and the rational results build a
-``Fraction``.
+equality.  :func:`from_integers` reduces any ``(r, a, b, d)`` to it; each
+function reads the fields in place and computes with plain ints, and only the
+``c1`` and ``ch2`` properties and the rational results build a ``Fraction``.
 Nothing here knows a diagram: the monomial objects state their own
 ``(r, c1, 2*ch2)``, the d = 1 case, in :mod:`staircase.objects`.
 """
@@ -30,7 +29,7 @@ from .diagram import as_int
 
 @dataclass(frozen=True, slots=True)
 class ChernCharacter:
-    """(r, c1, ch2) stored as ``(r, a, b, d)``; build it with :func:`chern` or :func:`from_integers`."""
+    """(r, c1, ch2) stored as ``(r, a, b, d)``: built by :func:`chern`, :func:`from_integers` or in that form."""
 
     r: int
     a: int
@@ -66,7 +65,7 @@ def chern(r, c1, ch2) -> ChernCharacter:
 
 
 def from_integers(r: int, c1: int, ch2_twice: int, d: int = 1) -> ChernCharacter:
-    """The character (r, c1/d, ch2_twice/2d) of ints, in lowest terms: the inverse of :func:`integer_parts`."""
+    """The character (r, c1/d, ch2_twice/2d) of ints, reduced to the stored form: the one reducer."""
     g = gcd(c1, ch2_twice, d)
     if d <= 0:
         if d == 0:
@@ -80,11 +79,6 @@ def _ratio(x) -> tuple[int, int]:
     if type(x) is int or type(x) is Fraction:
         return x.as_integer_ratio()
     return Fraction(x).as_integer_ratio()
-
-
-def integer_parts(xi: ChernCharacter) -> tuple[int, int, int, int]:
-    """(r, a, b, d) with c1 = a/d and 2*ch2 = b/d, d the lcm of their denominators: the stored fields."""
-    return xi.r, xi.a, xi.b, xi.d
 
 
 def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
@@ -105,7 +99,7 @@ def line_bundle(m: int) -> ChernCharacter:
 
 def twist(xi: ChernCharacter, m: int) -> ChernCharacter:
     """Multiply by e^{mL}: tensoring with the line bundle O(m)."""
-    r, a, b, d = integer_parts(xi)
+    r, a, b, d = xi.r, xi.a, xi.b, xi.d
     # c1 + r m and 2 ch2 + 2 c1 m + r m^2 over d
     return from_integers(r, a + r * m * d, b + 2 * a * m + r * m * m * d, d)
 
@@ -122,8 +116,8 @@ def negate(xi: ChernCharacter) -> ChernCharacter:
 
 def ring_product(xi: ChernCharacter, zeta: ChernCharacter) -> ChernCharacter:
     """Product in the Chern ring, truncated above degree 2."""
-    r1, a1, b1, d1 = integer_parts(xi)
-    r2, a2, b2, d2 = integer_parts(zeta)
+    r1, a1, b1, d1 = xi.r, xi.a, xi.b, xi.d
+    r2, a2, b2, d2 = zeta.r, zeta.a, zeta.b, zeta.d
     # c1 = r1 c1' + r2 c1 and 2 ch2 = r1 2ch2' + r2 2ch2 + 2 c1 c1' over d1 d2
     c1, ch2_twice = r1 * a2 * d1 + r2 * a1 * d2, r1 * b2 * d1 + r2 * b1 * d2 + 2 * a1 * a2
     return from_integers(r1 * r2, c1, ch2_twice, d1 * d2)
@@ -150,8 +144,7 @@ def hilbert_P(m) -> Fraction:
 
 def euler_char(xi: ChernCharacter) -> Fraction:
     """Riemann-Roch: chi = r + (3/2) c1 + ch2."""
-    r, a, b, d = integer_parts(xi)
-    return Fraction(2 * r * d + 3 * a + b, 2 * d)
+    return Fraction(2 * xi.r * xi.d + 3 * xi.a + xi.b, 2 * xi.d)
 
 
 def euler_pairing(xi: ChernCharacter, zeta: ChernCharacter) -> Fraction:
@@ -178,7 +171,7 @@ def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
     The value is real + i*t*imag_coeff; only t^2 enters the real part, so
     both components are exact rationals.
     """
-    r, a, b, d = integer_parts(xi)
+    r, a, b, d = xi.r, xi.a, xi.b, xi.d
     sn, sd = _ratio(s)
     tn, td = _ratio(t2)
     if tn <= 0:

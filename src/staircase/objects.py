@@ -55,7 +55,7 @@ from .diagram import (
     degree,
     transpose,
 )
-from .ktheory import ChernCharacter, from_integers
+from .ktheory import ChernCharacter
 from .slopes import is_horizontally_pure
 from .walls import SemicircleWall, is_empty, orthogonal_invariants, wall_minors
 from .walls import potential_wall  # noqa: F401  kept bound here: perfbench's tracer test patches it
@@ -232,8 +232,8 @@ def integer_character(obj: MonomialObject) -> tuple[int, int, int]:
 
 
 def chern_of(obj: MonomialObject) -> ChernCharacter:
-    """The Chern character of any monomial object."""
-    return from_integers(*integer_character(obj))
+    """The Chern character of any monomial object; its ints with d = 1 are already the stored form."""
+    return ChernCharacter(*integer_character(obj), 1)
 
 
 def rank0_hilbert_polynomial(diagram: Diagram) -> tuple[Fraction, Fraction]:

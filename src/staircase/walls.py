@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ktheory import ChernCharacter, integer_parts
+from .ktheory import ChernCharacter, mumford_slope
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,10 +47,9 @@ def is_empty(wall: Wall) -> bool:
 
 def potential_wall(xi1: ChernCharacter, xi2: ChernCharacter) -> Wall:
     """The potential wall W(xi1, xi2): vertical at ``s = c1/r`` of the nonzero rank when the minor c is 0."""
-    (r1, a1, b1, d1), (r2, a2, b2, d2) = integer_parts(xi1), integer_parts(xi2)
-    minors = wall_minors(r1, a1, b1, d1, r2, a2, b2, d2)
+    minors = wall_minors(xi1.r, xi1.a, xi1.b, xi1.d, xi2.r, xi2.a, xi2.b, xi2.d)
     if minors[1] == 0:
-        return VerticalWall(Fraction(a1, d1 * r1) if r1 != 0 else Fraction(a2, d2 * r2))
+        return VerticalWall(mumford_slope(xi1 if xi1.r != 0 else xi2))
     return SemicircleWall.from_minors(*minors)
 
 

@@ -24,7 +24,6 @@ from staircase.ktheory import (
     from_integers,
     from_slope_discriminant,
     hilbert_P,
-    integer_parts,
     line_bundle,
     mumford_slope,
     negate,
@@ -256,6 +255,7 @@ def test_a_character_stores_its_lowest_terms_integer_form():
     assert [f.name for f in fields(xi)] == ["r", "a", "b", "d"]
     assert (xi.r, xi.a, xi.b, xi.d) == (2, 2, -15, 6)
     assert from_integers(2, -4, 30, -12) == xi
-    assert integer_parts(from_integers(1, 0, 0, -7)) == (1, 0, 0, 1)
+    zero = from_integers(1, 0, 0, -7)
+    assert (zero.r, zero.a, zero.b, zero.d) == (1, 0, 0, 1)
     with pytest.raises(ZeroDivisionError):
         from_integers(1, 1, 0, 0)

@@ -4,7 +4,7 @@ import json
 import operator
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +15,7 @@ from staircase.diagram import (
     enumerate_diagrams_upto,
     transpose,
 )
-from staircase.ktheory import chern, hilbert_P, twist
+from staircase.ktheory import central_charge, chern, hilbert_P, twist
 from staircase.objects import (
     DecompositionTree,
     DestabilizingSequence,
@@ -47,7 +47,14 @@ from staircase.objects import (
 )
 from staircase.resolution import minimal_free_resolution
 from staircase.slopes import is_horizontally_pure, scheme_slope
-from staircase.walls import SemicircleWall, is_empty, orthogonal_invariants, potential_wall, wall_minors
+from staircase.walls import (
+    SemicircleWall,
+    VerticalWall,
+    is_empty,
+    orthogonal_invariants,
+    potential_wall,
+    wall_minors,
+)
 from slice_reference import family, parts_or_error, slice_above, slice_parts, slice_right
 from tree_asserts import assert_actual_wall, assert_same_text, assert_same_tree, in_heart_along
 
@@ -136,6 +143,36 @@ def test_rank_zero_and_minus_one_are_their_diagram_and_twist():
         RankZero((1,), 3, 0)  # the padded shape: one row on three lines
     with pytest.raises(TypeError):
         RankMinusOne((3, 1), 1, 3, 0)
+
+
+FROZEN = [
+    chern(1, Fraction(1, 2), 3),
+    central_charge(chern(1, 0, -2), 1, 2),
+    VerticalWall(Fraction(1, 2)),
+    SemicircleWall(Fraction(-5, 2), Fraction(1, 4)),
+    LineBundle(-2),
+    ShiftedLineBundle(1),
+    rank_one((2, 1)),
+    rank_zero((2, 2)),
+    rank_minus_one((3, 1)),
+    destabilizing_sequence(rank_one((2, 1))),
+    decompose(rank_one((2, 1))),
+]
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=[type(value).__name__ for value in FROZEN])
+def test_every_dataclass_is_frozen_and_slotted(value):
+    """Objects are memo keys, so no field may change, and ``slots=True`` leaves no ``__dict__``.
+
+    A field is reassigned its own value, so a class that lost ``frozen=True`` fails without
+    changing a shared object.  A new name raises ``TypeError`` on CPython's slotted frozen classes.
+    """
+    assert not hasattr(value, "__dict__")
+    for field in fields(value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+    with pytest.raises((FrozenInstanceError, TypeError, AttributeError)):
+        value.unexpected = 1
 
 
 def test_chern_of_pinned():

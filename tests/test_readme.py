@@ -1,10 +1,12 @@
 """The README's "Library use" example runs as written from a checkout, each
 "Command line" example exits 0 and prints the lines shown beneath it, its
-"Tree serialization" example is what the command it names prints, and every
-library name it cites in backticks exists."""
+"Tree serialization" example is what the command it names prints, every
+library name it cites in backticks exists, and every Sphinx-style reference in
+the package's own sources resolves."""
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import re
 import shlex
@@ -14,7 +16,8 @@ import pytest
 
 from staircase import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_use_block_runs():
@@ -72,4 +75,30 @@ def test_module_references_resolve():
         for module, name in references
         if not hasattr(importlib.import_module(f"staircase.{module}"), name)
     ]
+    assert not missing
+
+
+def _resolves(module, target: str) -> bool:
+    """An attribute of ``module``, a builtin, or a ``staircase.<module>[.<name>]`` that exists."""
+    if hasattr(module, target) or hasattr(builtins, target):
+        return True
+    package, _, rest = target.partition(".")
+    name, _, attribute = rest.partition(".")
+    if package != "staircase" or not name:
+        return False
+    try:
+        found = importlib.import_module(f"staircase.{name}")
+    except ModuleNotFoundError:
+        return False
+    return not attribute or hasattr(found, attribute)
+
+
+def test_docstring_references_resolve():
+    """Every ``:func:``, ``:class:``, ``:mod:``, ``:meth:``, ``:attr:`` and ``:data:`` target in the package resolves."""
+    missing = []
+    for path in sorted((ROOT / "src" / "staircase").glob("*.py")):
+        module = importlib.import_module("staircase" if path.stem == "__init__" else f"staircase.{path.stem}")
+        text = path.read_text(encoding="utf-8")
+        targets = re.findall(r":(?:func|class|mod|meth|attr|data):`~?([\w.]+)`", text)
+        missing += [f"{path.name}: {target}" for target in targets if not _resolves(module, target)]
     assert not missing
