@@ -41,9 +41,12 @@ def as_diagram(rows) -> Diagram:
 
 def as_int(value, noun: str) -> int:
     """``value`` as an int; a ValueError naming it as ``noun`` unless it is integral."""
-    if value != int(value):
-        raise ValueError(f"{noun} {value!r} is not an integer")
-    return int(value)
+    try:
+        if value == int(value):
+            return int(value)
+    except (OverflowError, ValueError):  # inf, nan or an unreadable string
+        pass
+    raise ValueError(f"{noun} {value!r} is not an integer")
 
 
 def degree(diagram: Diagram) -> int:

@@ -1,12 +1,10 @@
 """Exact Chern-character arithmetic on the plane.
 
 Characters are triples (r, c1, ch2).  Riemann-Roch on the plane reads
-``chi = r + (3/2) c1 + ch2``; the Euler pairing is ``chi(A, B) = chi(A* B)``
-with the Chern ring product truncated in degree 2.  For nonzero rank the
-slope mu = c1/r and discriminant Delta = mu^2/2 - ch2/r determine the
-character together with r, and the pairing has the closed form
-``r(A) r(B) (P(mu(B) - mu(A)) - Delta(A) - Delta(B))`` with P the Hilbert
-polynomial of the plane.
+``chi = r + (3/2) c1 + ch2``; with the Chern ring product truncated in degree
+2, ``chi(A . B)`` is the Euler characteristic of a tensor product.  For nonzero
+rank, mu = c1/r and Delta = mu^2/2 - ch2/r determine the character with r:
+:func:`from_slope_discriminant` reads a character in those coordinates.
 
 A character is stored in one integer form, its fields ``(r, a, b, d)`` with
 c1 = a/d, 2*ch2 = b/d, d > 0 and gcd(a, b, d) = 1.  That form is unique, with
@@ -92,26 +90,11 @@ def from_slope_discriminant(r, mu, delta) -> ChernCharacter:
     return from_integers(r, r * a * p * q, r * (a * a * q - 2 * p * p * b), p * p * q)
 
 
-def line_bundle(m: int) -> ChernCharacter:
-    """ch O(m) = (1, m, m^2/2)."""
-    return from_integers(1, m, m * m)
-
-
 def twist(xi: ChernCharacter, m: int) -> ChernCharacter:
     """Multiply by e^{mL}: tensoring with the line bundle O(m)."""
     r, a, b, d = xi.r, xi.a, xi.b, xi.d
     # c1 + r m and 2 ch2 + 2 c1 m + r m^2 over d
     return from_integers(r, a + r * m * d, b + 2 * a * m + r * m * m * d, d)
-
-
-def dual(xi: ChernCharacter) -> ChernCharacter:
-    """Dual character: c1 changes sign."""
-    return ChernCharacter(xi.r, -xi.a, xi.b, xi.d)
-
-
-def negate(xi: ChernCharacter) -> ChernCharacter:
-    """Homological shift [1]: all components change sign."""
-    return ChernCharacter(-xi.r, -xi.a, -xi.b, xi.d)
 
 
 def ring_product(xi: ChernCharacter, zeta: ChernCharacter) -> ChernCharacter:
@@ -130,12 +113,6 @@ def mumford_slope(xi: ChernCharacter) -> Fraction:
     return Fraction(xi.a, xi.d * xi.r)
 
 
-def discriminant(xi: ChernCharacter) -> Fraction:
-    """Delta = mu^2/2 - ch2/r, defined for nonzero rank."""
-    mu = mumford_slope(xi)
-    return mu * mu / 2 - Fraction(xi.b, 2 * xi.d * xi.r)
-
-
 def hilbert_P(m) -> Fraction:
     """Hilbert polynomial of the plane: P(m) = (m^2 + 3m + 2)/2."""
     m = Fraction(m)
@@ -145,24 +122,6 @@ def hilbert_P(m) -> Fraction:
 def euler_char(xi: ChernCharacter) -> Fraction:
     """Riemann-Roch: chi = r + (3/2) c1 + ch2."""
     return Fraction(2 * xi.r * xi.d + 3 * xi.a + xi.b, 2 * xi.d)
-
-
-def euler_pairing(xi: ChernCharacter, zeta: ChernCharacter) -> Fraction:
-    """chi(xi, zeta) = chi(xi* . zeta)."""
-    return euler_char(ring_product(dual(xi), zeta))
-
-
-def euler_pairing_closed(xi: ChernCharacter, zeta: ChernCharacter) -> Fraction:
-    """The (r, mu, Delta) form of the pairing; both ranks must be nonzero."""
-    return (
-        xi.r
-        * zeta.r
-        * (
-            hilbert_P(mumford_slope(zeta) - mumford_slope(xi))
-            - discriminant(xi)
-            - discriminant(zeta)
-        )
-    )
 
 
 def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:

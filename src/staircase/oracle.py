@@ -32,6 +32,7 @@ from typing import Callable, Iterator
 
 from .diagram import (
     Diagram,
+    as_int,
     complement_rotate,
     degree,
     enumerate_diagrams_upto,
@@ -373,6 +374,7 @@ def run_check(name: str, n_max: int | None = None) -> VerificationReport:
         raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
     if n_max is None:
         n_max = DEFAULT_CI_BOUND if name == "ci" else DEFAULT_BOUND
+    n_max = as_int(n_max, "degree bound")
     if n_max < 0:
         raise ValueError(f"degree bound must be nonnegative, got {n_max}")
     enumerate_instances, node_check, item_check = _CHECKS[name]

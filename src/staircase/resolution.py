@@ -29,10 +29,6 @@ class MatrixEntry(NamedTuple):
     x_exp: int
     y_exp: int
 
-    @property
-    def degree(self) -> int:
-        return self.x_exp + self.y_exp
-
 
 @dataclass(frozen=True)
 class FreeResolution:

@@ -62,7 +62,9 @@ def test_validation_rejects_bad_rows():
 
 
 @pytest.mark.parametrize(
-    "value, expected", [(1.5, None), (Fraction(5, 2), None), (2.0, 2), (Fraction(3), 3), (True, 1)], ids=repr
+    "value, expected",
+    [(1.5, None), (Fraction(5, 2), None), (float("nan"), None), (float("inf"), None), (2.0, 2), (Fraction(3), 3), (True, 1)],
+    ids=repr,
 )
 @pytest.mark.parametrize(
     "noun, read",

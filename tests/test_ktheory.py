@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import random
 from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
@@ -16,17 +15,11 @@ from staircase.ktheory import (
     ChernCharacter,
     central_charge,
     chern,
-    discriminant,
-    dual,
     euler_char,
-    euler_pairing,
-    euler_pairing_closed,
     from_integers,
     from_slope_discriminant,
     hilbert_P,
-    line_bundle,
     mumford_slope,
-    negate,
     ring_product,
     twist,
 )
@@ -41,8 +34,13 @@ from staircase.objects import (
 )
 
 
+def discriminant(xi):
+    """Delta = mu^2/2 - ch2/r, for nonzero rank."""
+    return mumford_slope(xi) ** 2 / 2 - xi.ch2 / xi.r
+
+
 def test_pinned_characters():
-    assert tuple(line_bundle(-5)) == (1, -5, Fraction(25, 2))
+    assert tuple(chern(1, -5, Fraction(25, 2))) == (1, -5, Fraction(25, 2))
     assert tuple(chern_of(rank_one((7, 6, 6, 2, 1)))) == (1, 0, -22)
     assert tuple(chern_of(rank_one(()))) == (1, 0, 0)
     assert tuple(chern_of(rank_one((1,)))) == (1, 0, -1)
@@ -52,16 +50,13 @@ def test_pinned_characters():
     assert tuple(chern_of(RankMinusOne((7, 7, 7, 7, 6)))) == (-1, 12, -71)
     assert tuple(chern_of(RankMinusOne((1,)))) == (-1, 2, -2)
     # full rectangle: the complex collapses to O(-k-i)[1]
-    assert chern_of(RankMinusOne((3, 3))) == chern_of(rank_minus_one((3, 3))) == negate(line_bundle(-5))
+    assert chern_of(RankMinusOne((3, 3))) == chern_of(rank_minus_one((3, 3))) == chern(-1, 5, Fraction(-25, 2))
 
 
-def test_twist_dual_negate():
+def test_twist_pinned_and_invertible():
     assert tuple(twist(chern(1, 0, -1), -3)) == (1, -3, Fraction(7, 2))
-    assert tuple(dual(chern(1, -7, Fraction(41, 2)))) == (1, 7, Fraction(41, 2))
-    assert tuple(negate(chern(1, -7, Fraction(41, 2)))) == (-1, 7, Fraction(-41, 2))
     xi = chern_of(RankZero((3, 1)))
     assert twist(twist(xi, 4), -4) == xi
-    assert dual(dual(xi)) == xi
 
 
 def test_domain_checks():
@@ -119,52 +114,30 @@ def test_hilbert_P_pinned():
 
 
 def test_euler_char_pinned():
-    assert euler_char(line_bundle(0)) == 1
+    assert euler_char(chern(1, 0, 0)) == 1
     assert euler_char(chern_of(rank_one((7, 6, 6, 2, 1)))) == -21
     assert euler_char(chern_of(RankZero((9, 9, 7, 7, 6)))) == -43
     for m in range(-6, 7):
-        assert euler_char(line_bundle(m)) == hilbert_P(m)
+        assert euler_char(chern(1, m, Fraction(m * m, 2))) == hilbert_P(m)
 
 
-def test_euler_pairing_pinned():
+def test_euler_char_of_ring_product_pinned():
     point = chern_of(rank_one((1,)))
     for r in (1, 2, 5):
         zeta = chern(r, 0, 0)
-        assert euler_pairing(dual(zeta), point) == 0
+        assert euler_char(ring_product(zeta, point)) == 0
     for d in enumerate_diagrams_upto(6):
         xi = chern_of(rank_one(d))
-        assert euler_pairing(line_bundle(0), xi) == euler_char(xi)
+        assert euler_char(ring_product(chern(1, 0, 0), xi)) == euler_char(xi)
     zeta = from_slope_discriminant(1, Fraction(43, 5), Fraction(17, 25))
     xi = twist(chern_of(rank_one((2, 2))), -7)
     assert tuple(xi) == (1, -7, Fraction(41, 2))
-    assert euler_pairing(dual(zeta), xi) == 0
-
-
-def test_euler_pairing_closed_form_agrees_on_random_classes():
-    rng = random.Random(20260823)
-    for _ in range(1000):
-        a = chern(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-9, 9), Fraction(rng.randint(-40, 40), 2))
-        b = chern(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-9, 9), Fraction(rng.randint(-40, 40), 2))
-        assert euler_pairing(a, b) == euler_pairing_closed(a, b)
-
-
-def test_euler_pairing_is_biadditive():
-    rng = random.Random(7)
-    classes = [
-        chern(rng.randint(-3, 3), rng.randint(-8, 8), Fraction(rng.randint(-30, 30), 2))
-        for _ in range(12)
-    ]
-    add = lambda p, q: chern(p.r + q.r, p.c1 + q.c1, p.ch2 + q.ch2)
-    for a in classes[:4]:
-        for b in classes[4:8]:
-            for c in classes[8:]:
-                assert euler_pairing(a, add(b, c)) == euler_pairing(a, b) + euler_pairing(a, c)
-                assert euler_pairing(add(a, b), c) == euler_pairing(a, c) + euler_pairing(b, c)
+    assert euler_char(ring_product(zeta, xi)) == 0
 
 
 def test_central_charge_values():
-    assert central_charge(line_bundle(0), 0, 1) == central_charge(chern(1, 0, 0), 0, 1)
-    value = central_charge(line_bundle(0), 0, 1)
+    assert central_charge(from_integers(1, 0, 0), 0, 1) == central_charge(chern(1, 0, 0), 0, 1)
+    value = central_charge(chern(1, 0, 0), 0, 1)
     assert value.real == Fraction(1, 2)
     assert value.imag_coeff == 0
     xi = chern(0, 3, Fraction(-7, 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -64,6 +65,14 @@ def test_zero_bound_is_vacuous():
 def test_negative_bound_is_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         run_check("nesting", -3)
+
+
+def test_bound_is_read_by_the_integer_rule():
+    with pytest.raises(ValueError, match=re.escape("degree bound 2.5 is not an integer")):
+        run_check("nesting", 2.5)
+    report = run_check("ci", True)
+    assert report.degree_bound == 1 and type(report.degree_bound) is int
+    assert "bound: 1" in render_report(report).splitlines()
 
 
 def test_run_check_picks_the_default_bounds():

@@ -1,11 +1,13 @@
 """The README's "Library use" example runs as written from a checkout, each
 "Command line" example exits 0 and prints the lines shown beneath it, its
 "Tree serialization" example is what the command it names prints, every
-library name it cites in backticks exists, and every Sphinx-style reference in
-the package's own sources resolves."""
+library name it cites in backticks exists, every Sphinx-style reference in
+the package's own sources resolves, and every public function of the package
+has a caller inside it or a stated reason to stay."""
 
 from __future__ import annotations
 
+import ast
 import builtins
 import importlib
 import re
@@ -102,3 +104,38 @@ def test_docstring_references_resolve():
         targets = re.findall(r":(?:func|class|mod|meth|attr|data):`~?([\w.]+)`", text)
         missing += [f"{path.name}: {target}" for target in targets if not _resolves(module, target)]
     assert not missing
+
+
+# Public functions with no caller in src/, each kept for a stated reason.
+UNCALLED = {
+    "chern": "the public constructor of a character from its rationals",
+    "rank_zero": "the public constructor of a rank-0 object",
+    "parse_tree": "the reader of serialize_tree's text",
+    "candidate_walls": "tests/test_acceptance.py imports it",
+    "rank0_hilbert_polynomial": "tests/test_acceptance.py imports it",
+    "hilbert_P": "tests/test_acceptance.py imports it; the Drezet-Le Potier check is to call it",
+    "leaves": "the opt-in leaf counters are to call it",
+    "in_stable_base_locus": "the baselocus command is to call it",
+}
+
+
+def test_every_public_function_has_a_caller():
+    """Each public module-level def is named in src/ outside its own body, imports aside, or is in ``UNCALLED``."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "staircase").glob("*.py")}
+    defs = {
+        node.name: (path, node)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    called = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in defs:
+                home, body = defs[name]
+                if home != path or not body.lineno <= node.lineno <= body.end_lineno:
+                    called.add(name)
+    uncalled = set(defs) - called
+    assert sorted(uncalled - set(UNCALLED)) == [], "public functions with no caller in src/"
+    assert sorted(set(UNCALLED) - uncalled) == [], "allowlisted names that are gone or now have a caller"
