@@ -100,7 +100,7 @@ def _cmd_resolution(args) -> int:
     print(render_resolution(res))
     print("betti:")
     print(render_betti(betti_table(res)))
-    if args.matrix and res.syzygy_count:
+    if args.matrix and res.syzygy_twists:
         print("syzygy matrix:")
         print(render_matrix(res))
     return 0
@@ -199,4 +199,11 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left, as ``| head`` does
+        # point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(2)
+    sys.exit(code)

@@ -44,7 +44,7 @@ def as_int(value, noun: str) -> int:
     try:
         if value == int(value):
             return int(value)
-    except (OverflowError, ValueError):  # inf, nan or an unreadable string
+    except (OverflowError, TypeError, ValueError):  # inf, nan, a non-number or bad text
         pass
     raise ValueError(f"{noun} {value!r} is not an integer")
 
@@ -136,7 +136,7 @@ class IdealSyntaxError(ValueError):
         self.position = position
 
 
-_MONOMIAL = re.compile(r"x(?:\^(\d+))?(?:y(?:\^(\d+))?)?|y(?:\^(\d+))?|1")
+_MONOMIAL = re.compile(r"1|(?=[xy])(x(?:\^(\d+))?)?(y(?:\^(\d+))?)?")
 _ROWS_ITEM = re.compile(r"\d+")
 _SPLIT_NUMBER = re.compile(r"\d\s+(?=\d)")
 
@@ -204,13 +204,8 @@ def _comma_list(compact: str, pos: int, pattern: re.Pattern, item: str, items: s
 
 def _exponents(match: re.Match) -> Generator:
     """The exponent pair (a, b) of a matched monomial; an omitted exponent is 1."""
-    token = match.group(0)
-    a, b, b_alone = (int(e) if e is not None else 1 for e in match.groups())
-    if token == "1":
-        return (0, 0)
-    if token.startswith("x"):
-        return (a, b if "y" in token else 0)
-    return (0, b_alone)
+    x, a, y, b = match.groups()  # all None for the unit ideal ``1``
+    return (int(a or 1) if x else 0, int(b or 1) if y else 0)
 
 
 def render_ideal(diagram: Diagram) -> str:

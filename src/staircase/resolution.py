@@ -8,8 +8,9 @@ relation between each pair of consecutive generators:
     0 -> (+)_{i<r} O(-a_i - b_{i+1}) -> (+)_i O(-a_i - b_i) -> I_Z -> 0
 
 The syzygy matrix is bidiagonal, with entries ``y^{b_{i+1}-b_i}`` and
-``-x^{a_i-a_{i+1}}`` in column ``i``; entries are stored as signed exponent
-pairs, so no polynomial arithmetic is involved.
+``-x^{a_i-a_{i+1}}`` in column ``i``.  For twists ``g_i`` and ``s_i`` these
+exponents are ``g_i - s_i`` and ``g_{i+1} - s_i``, so the two twist lists fix
+the matrix and are all that is stored.
 """
 
 from __future__ import annotations
@@ -21,43 +22,20 @@ from typing import NamedTuple
 from .diagram import as_diagram, render_monomial, to_generators
 
 
-class MatrixEntry(NamedTuple):
-    """A monomial entry ``sign * x^x_exp * y^y_exp`` at the given row."""
-
-    row: int
-    sign: int
-    x_exp: int
-    y_exp: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeResolution:
-    """Twist data and syzygy matrix, rows/columns in generator order."""
+    """Twists of the generators and of the syzygies, in generator order."""
 
     generator_twists: tuple[int, ...]
     syzygy_twists: tuple[int, ...]
-    matrix: tuple[tuple[MatrixEntry, MatrixEntry], ...]  # one pair per column
-
-    @property
-    def generator_count(self) -> int:
-        return len(self.generator_twists)
-
-    @property
-    def syzygy_count(self) -> int:
-        return len(self.syzygy_twists)
 
 
 def minimal_free_resolution(diagram) -> FreeResolution:
     """Resolve the ideal sheaf I_Z of the diagram's minimal generators."""
     gens = to_generators(as_diagram(diagram))  # descending a, ascending b
-    pairs = list(zip(gens, gens[1:]))
     return FreeResolution(
         tuple(-(a + b) for a, b in gens),
-        tuple(-(a + b_next) for (a, _), (_, b_next) in pairs),
-        tuple(
-            (MatrixEntry(i, 1, 0, b_next - b), MatrixEntry(i + 1, -1, a - a_next, 0))
-            for i, ((a, b), (a_next, b_next)) in enumerate(pairs)
-        ),
+        tuple(-(a + b_next) for (a, _), (_, b_next) in zip(gens, gens[1:])),
     )
 
 
@@ -94,10 +72,6 @@ def render_resolution(res: FreeResolution) -> str:
     )
 
 
-def _entry_str(entry: MatrixEntry) -> str:
-    return ("-" if entry.sign < 0 else "") + render_monomial(entry.x_exp, entry.y_exp)
-
-
 def _aligned(rows) -> list[str]:
     """Each row's cells right-aligned to the widest cell of their column, two spaces apart."""
     widths = [max(map(len, column)) for column in zip(*rows)]
@@ -106,10 +80,11 @@ def _aligned(rows) -> list[str]:
 
 def render_matrix(res: FreeResolution) -> str:
     """The syzygy matrix as an aligned grid of monomials, one row per line."""
-    cells = [["0"] * res.syzygy_count for _ in range(res.generator_count)]
-    for col, entries in enumerate(res.matrix):
-        for entry in entries:
-            cells[entry.row][col] = _entry_str(entry)
+    g, s = res.generator_twists, res.syzygy_twists
+    cells = [["0"] * len(s) for _ in g]
+    for i, twist in enumerate(s):
+        cells[i][i] = render_monomial(0, g[i] - twist)
+        cells[i + 1][i] = "-" + render_monomial(g[i + 1] - twist, 0)
     return "\n".join(f"[ {line} ]" for line in _aligned(cells))
 
 

@@ -347,13 +347,16 @@ def test_help_width_follows_the_terminal_on_every_call(capsys, monkeypatch):
     assert helps[1] != helps[0]
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports staircase from this checkout."""
+def checkout_env():
+    """The environment of a fresh interpreter that imports staircase from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*args):
     proc = subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=checkout_env(), timeout=60
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -371,6 +374,20 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     usage_error = run_python("-m", "staircase", "bogus")
     assert usage_error[0] == 2
     assert usage_error == run(capsys, "bogus")
+
+
+def test_a_reader_that_leaves_early_ends_the_cli_quietly_with_status_2():
+    """As ``staircase decompose ... | head -1`` does: ~0.9 MB of tree text outlasts a 64 KiB pipe."""
+    rows = ",".join(map(str, range(300, 0, -1)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "staircase", "decompose", f"rows:{rows}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=checkout_env(),
+    )
+    assert proc.stdout.readline().startswith("I(300,299,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, "")
 
 
 def test_the_console_script_exits_with_the_code_main_returns(capsys, monkeypatch):

@@ -63,7 +63,7 @@ def test_validation_rejects_bad_rows():
 
 @pytest.mark.parametrize(
     "value, expected",
-    [(1.5, None), (Fraction(5, 2), None), (float("nan"), None), (float("inf"), None), (2.0, 2), (Fraction(3), 3), (True, 1)],
+    [(1.5, None), (Fraction(5, 2), None), (float("nan"), None), (float("inf"), None), (None, None), ([1], None), (2.0, 2), (Fraction(3), 3), (True, 1)],
     ids=repr,
 )
 @pytest.mark.parametrize(

@@ -125,7 +125,7 @@ def test_every_public_factory_validates_its_twist(factory, rows):
     """A twist that is no integer fails at the factory, not inside a later step."""
     with pytest.raises(ValueError, match="twist '1' is not an integer"):
         factory(rows, "1")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="twist None is not an integer"):
         factory(rows, None)
     obj, expected = factory(rows, 2.0), factory(rows, 2)
     assert text_name(obj) == text_name(expected)
@@ -157,6 +157,7 @@ FROZEN = [
     rank_minus_one((3, 1)),
     destabilizing_sequence(rank_one((2, 1))),
     decompose(rank_one((2, 1))),
+    minimal_free_resolution((2, 1)),
 ]
 
 

@@ -2,7 +2,8 @@
 
 Skewed partitions of 50-200 rows and columns, twists in -50..50; the cut
 of every rank-1 tree node, twisted in -300..300, against the scheme slope;
-the leaf twists of I_Z's tree against its minimal free resolution; the
+the leaf twists of I_Z's tree against its minimal free resolution, and
+its syzygy matrix against the steps of the generator exponents; the
 clauses of ``assert_actual_wall`` on every tree wall; every
 node and diagram predicate of the oracle but ``ci`` on diagrams of up to 300
 rows and columns, staircases, doubled triangles, hooks and near-rectangles,
@@ -40,6 +41,7 @@ from staircase.diagram import (
     enumerate_diagrams_upto,
     parse_ideal,
     render_ideal,
+    to_generators,
     transpose,
 )
 from staircase.ktheory import (
@@ -76,7 +78,7 @@ from staircase.objects import (
     text_name,
     walk,
 )
-from staircase.resolution import minimal_free_resolution
+from staircase.resolution import minimal_free_resolution, render_matrix
 from staircase.slopes import is_horizontally_pure, scheme_slope, slope_table
 from staircase.walls import (
     SemicircleWall,
@@ -201,6 +203,24 @@ def test_leaf_twists_are_the_minimal_free_resolution(diagram):
     assert len(line_bundles) + len(shifted) == len(tree_leaves)
     assert sorted(line_bundles) == sorted(res.generator_twists)
     assert sorted(shifted) == sorted(res.syzygy_twists)
+
+
+@settings(max_examples=8, deadline=None)
+@given(skewed_diagrams())
+def test_matrix_is_the_bidiagonal_of_generator_exponent_steps(diagram):
+    """Column i holds y^(b_{i+1}-b_i) in row i and -x^(a_i-a_{i+1}) in row i+1, else 0."""
+    gens = to_generators(diagram)
+
+    def power(var, e):
+        return var if e == 1 else f"{var}^{e}"
+
+    expected = [["0"] * (len(gens) - 1) for _ in gens]
+    for i, ((a, b), (a_next, b_next)) in enumerate(zip(gens, gens[1:])):
+        expected[i][i] = power("y", b_next - b)
+        expected[i + 1][i] = "-" + power("x", a - a_next)
+    lines = render_matrix(minimal_free_resolution(diagram)).split("\n")
+    assert all(line.startswith("[ ") and line.endswith(" ]") for line in lines)
+    assert [line[2:-2].split() for line in lines] == expected
 
 
 @settings(max_examples=15, deadline=None)
