@@ -419,7 +419,8 @@ _lookups = Counter()  # its hits and misses since the last cache_clear
 def decompose(obj: MonomialObject) -> DecompositionTree:
     """The full decomposition tree; trivial objects give leaves.
 
-    Every tree built is memoized, subtrees included; ``cache_info()`` and
+    Every tree built is memoized, subtrees included, and a node's step holds
+    its children's nodes, so each object is stored once; ``cache_info()`` and
     ``cache_clear()`` count and clear the lookups as ``lru_cache``'s do.
     """
     built = []  # finished trees; a sub's tree lies below its quotient's
@@ -427,8 +428,9 @@ def decompose(obj: MonomialObject) -> DecompositionTree:
     while stack:
         item = stack.pop()
         if type(item) is tuple:
-            quotient = built.pop()
-            tree = _trees[item[0]] = DecompositionTree(*item, built.pop(), quotient)
+            (node, seq), quotient, sub = item, built.pop(), built.pop()
+            sequence = DestabilizingSequence(sub.node, quotient.node, seq.wall, seq.cut)
+            tree = _trees[node] = DecompositionTree(node, sequence, sub, quotient)
         elif (tree := _trees.get(item)) is not None:
             _lookups["hits"] += 1
         else:

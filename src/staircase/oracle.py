@@ -11,12 +11,13 @@ folds each distinct subtree once is stated in :func:`run_check` and
 :func:`_fold`.
 
 Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
-wall, from the nodes that :func:`decompose` built; the dual's ``mu_opt`` in
-``duality`` is the only fresh step.  The ``chern`` check recomputes each node
-wall with :func:`potential_wall` from the Chern characters of the sliced sub,
-node and quotient, and the chosen cut with :func:`first_largest_candidate`,
-which runs the integer core :func:`~staircase.walls.wall_minors` of the general
-wall formula on every candidate and builds the one chosen wall, so that formula
+wall, from the nodes that :func:`decompose` built; ``duality`` compares each
+rank -1 wall with ``mu(Z')`` of its dual in closed form, and ``rootwall``
+reaches only duals up to the bound.  The ``chern`` check recomputes each node
+wall with :func:`potential_wall` from the Chern characters of the sub, node and
+quotient, and the chosen cut with :func:`first_largest_candidate`, which runs
+the integer core :func:`~staircase.walls.wall_minors` of the general wall
+formula on every candidate and builds the one chosen wall, so that formula
 stays the reference for every tree, as the general twist :func:`twist` does for
 each node's fast :func:`integer_character`.  Its arithmetic runs on the integer
 cores of :mod:`staircase.ktheory` and :mod:`staircase.walls`.
@@ -57,7 +58,6 @@ from .objects import (
     first_largest_candidate,
     integer_character,
     is_trivial,
-    mu_opt,
     rank_minus_one,
     rank_one,
     text_name,
@@ -146,24 +146,20 @@ def _check_purity(node: DecompositionTree) -> Iterator[str]:
 
 
 def _check_duality(node: DecompositionTree) -> Iterator[str]:
-    """Derived-dual slope identity and involutivity at rank -1 nodes."""
+    """Involutivity, and the wall's ``mu_opt`` against ``mu(Z')`` in closed form, at rank -1 nodes.
+
+    No dual is decomposed: ``rootwall`` reaches ``mu_opt(I_{Z'}) = mu(Z')`` only up to the bound.
+    """
     obj = node.node
     if not isinstance(obj, RankMinusOne):
         return
     dual_diagram, twist = derived_dual(obj)
-    if twist != obj.k + obj.i - obj.twist:
-        yield f"unexpected dual twist at {text_name(obj)}"
-    if dual_diagram != complement_rotate(obj.diagram, obj.k, obj.i):
-        yield f"dual diagram is not the rotated complement at {text_name(obj)}"
     if complement_rotate(dual_diagram, obj.k, obj.i) != obj.diagram:
         yield f"complement rotation not involutive at {text_name(obj)}"
     untwisted = orthogonal_invariants(node.sequence.wall)[0] + obj.twist
-    expected = -mu_opt(rank_one(dual_diagram)) + obj.i + obj.k - 3
+    expected = -scheme_slope(dual_diagram).value + twist + obj.twist - 3
     if untwisted != expected:
-        yield (
-            f"dual slope identity fails at {text_name(obj)}:"
-            f" {untwisted} != {expected}"
-        )
+        yield f"dual slope identity fails at {text_name(obj)}: {untwisted} != {expected}"
 
 
 def _check_chern(node: DecompositionTree) -> Iterator[str]:

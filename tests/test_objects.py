@@ -427,6 +427,16 @@ def test_tree_walls_are_actual_walls_to_degree_16():
         assert_actual_wall(tree)
 
 
+def test_each_step_holds_its_children_nodes():
+    """A node's step stores the very objects its subtrees hold, after a memo hit and after parsing."""
+    trees = [decompose(root) for d in enumerate_diagrams_upto(16) for root in oracle._tree_roots(d)]
+    trees.append(parse_tree(serialize_tree(decompose(rank_one(tuple(range(150, 0, -1)))))))
+    internal = [t for tree in trees for t, _, _ in walk(tree) if not t.is_leaf]
+    assert len(internal) == 7992 + 300  # node visits to degree 16, and the staircase's
+    for t in internal:
+        assert t.sequence.sub is t.sub.node and t.sequence.quotient is t.quotient.node, text_name(t.node)
+
+
 def test_the_heart_clause_fails_at_candidate_cuts_the_selection_passes_over():
     """Clause A has teeth: 1,096 nonempty non-chosen candidate walls to degree 14 leave the heart."""
     failing = 0

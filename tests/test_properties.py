@@ -13,7 +13,8 @@ slices and of its box, twisted in -300..300, against the row and column
 slices; the trees of ``decompose`` against a recursive reference with no
 memo, and the memo's counts; the integer slope comparisons against the
 Fraction rule; the oracle's first-largest-candidate chooser against the
-candidate walls; the derived dual; the integer characters of objects,
+candidate walls; the derived dual, and ``mu_opt`` of the dual of every
+rank -1 tree node against its scheme slope; the integer characters of objects,
 twisted in -300..300, against the Fraction twist; the tree writer against
 ``json.dumps`` of a reference dict (also exhaustively to degree 11), and
 the text round-trips of trees and ideals; rational Chern characters of
@@ -345,6 +346,17 @@ def test_derived_dual_is_an_involution_with_the_slope_identity(diagram, t):
     assert dual_twist == box.k + box.i - t
     assert complement_rotate(dual, box.k, box.i) == diagram
     assert mu_opt(box) + t == -mu_opt(rank_one(dual)) + box.i + box.k - 3
+
+
+@settings(max_examples=10, deadline=None)
+@given(skewed_diagrams())
+def test_the_dual_of_every_rank_minus_one_node_has_its_scheme_slope_as_mu_opt(diagram):
+    """mu_opt(I_{Z'}) = mu(Z') for the dual Z' of each internal rank -1 node: the oracle's duality reads mu(Z')."""
+    for root in oracle._tree_roots(diagram):
+        for node, _, _ in walk(decompose(root)):
+            if isinstance(node.node, RankMinusOne) and not node.is_leaf:
+                dual, _ = derived_dual(node.node)
+                assert mu_opt(rank_one(dual)) == scheme_slope(dual).value, text_name(node.node)
 
 
 def fraction_character(obj):

@@ -112,6 +112,7 @@ UNCALLED = {
     "rank_zero": "the public constructor of a rank-0 object",
     "parse_tree": "the reader of serialize_tree's text",
     "candidate_walls": "tests/test_acceptance.py imports it",
+    "mu_opt": "tests/test_acceptance.py imports it",
     "rank0_hilbert_polynomial": "tests/test_acceptance.py imports it",
     "hilbert_P": "tests/test_acceptance.py imports it; the Drezet-Le Potier check is to call it",
     "leaves": "the opt-in leaf counters are to call it",
