@@ -14,8 +14,8 @@ Checks read each destabilizing sequence, and ``(mu_opt, Delta_opt)`` of its
 wall, from the nodes that :func:`decompose` built; ``duality`` compares each
 rank -1 wall with ``mu(Z')`` of its dual in closed form, and ``rootwall``
 reaches only duals up to the bound.  The ``chern`` check recomputes each node
-wall with :func:`potential_wall` from the Chern characters of the sub, node and
-quotient, and the chosen cut with :func:`first_largest_candidate`, which runs
+wall with :func:`potential_wall` from the Chern characters of the sub and the
+node, and the chosen cut with :func:`first_largest_candidate`, which runs
 the integer core :func:`~staircase.walls.wall_minors` of the general wall
 formula on every candidate and builds the one chosen wall, so that formula
 stays the reference for every tree, as the general twist :func:`twist` does for
@@ -163,44 +163,42 @@ def _check_duality(node: DecompositionTree) -> Iterator[str]:
 
 
 def _check_chern(node: DecompositionTree) -> Iterator[str]:
-    """Twist agreement, Chern additivity, wall agreement, largest cut, orthogonality on a nonempty wall."""
+    """Twist agreement, Chern additivity, wall agreement, largest cut, orthogonality on a nonempty wall.
+
+    The wall, pairing and central charge are checked on the sub and the node only.  Once
+    additivity holds, ``quot = total - sub`` exactly, since every :func:`chern_of` has ``d = 1``;
+    the minors ``(c, n, cross)`` of :func:`~staircase.walls.wall_minors` are bilinear and
+    antisymmetric, so ``W(total, quot) = W(sub, total)``, and ``chi(zeta . -)`` and ``Re Z`` are
+    linear.  So a quotient clause could fail only where additivity or its sub-side twin fails.
+    """
     seq, obj = node.sequence, node.node
-    total = chern_of(obj)
-    sub, quot = chern_of(seq.sub), chern_of(seq.quotient)
+    total, sub, quot = chern_of(obj), chern_of(seq.sub), chern_of(seq.quotient)
     if total != twist(chern_of(type(obj)(obj.diagram)), obj.twist):
         yield f"integer character differs from the general twist at {text_name(obj)}"
     if from_integers(
         sub.r + quot.r, sub.a * quot.d + quot.a * sub.d, sub.b * quot.d + quot.b * sub.d, sub.d * quot.d
     ) != total:
-        yield f"chern additivity fails at {text_name(node.node)}"
+        yield f"chern additivity fails at {text_name(obj)}"
     # the stored wall came from the cut's integer character, not from this slice
     if potential_wall(sub, total) != seq.wall:
-        yield f"W(sub, node) differs from node wall at {text_name(node.node)}"
-    if potential_wall(total, quot) != seq.wall:
-        yield f"W(node, quot) differs from node wall at {text_name(node.node)}"
-    cut, wall = first_largest_candidate(node.node)
+        yield f"W(sub, node) differs from node wall at {text_name(obj)}"
+    cut, wall = first_largest_candidate(obj)
     if (cut, wall) != (seq.cut, seq.wall):
-        yield (
-            f"cut {seq.cut} is not the first largest candidate {cut}"
-            f" (wall {wall}) at {text_name(node.node)}"
-        )
+        yield f"cut {seq.cut} is not the first largest candidate {cut} (wall {wall}) at {text_name(obj)}"
     if is_empty(seq.wall):
-        yield f"empty node wall {seq.wall} at {text_name(node.node)}"
+        yield f"empty node wall {seq.wall} at {text_name(obj)}"
         return
     mu, delta = orthogonal_invariants(seq.wall)
     zeta = from_slope_discriminant(1, mu, delta)
-    for name, ch in (("sub", sub), ("node", total), ("quotient", quot)):
+    for name, ch in (("sub", sub), ("node", total)):
         pairing = euler_char(ring_product(zeta, ch))
         if pairing != 0:
-            yield (
-                f"orthogonal class pairs to {pairing} with {name}"
-                f" at {text_name(node.node)}"
-            )
+            yield f"orthogonal class pairs to {pairing} with {name} at {text_name(obj)}"
         top = central_charge(ch, seq.wall.center, seq.wall.radius_sq)
         if top.real != 0:
             yield (
                 f"central charge of {name} has real part {top.real}"
-                f" at the top of the wall of {text_name(node.node)}"
+                f" at the top of the wall of {text_name(obj)}"
             )
 
 
@@ -308,6 +306,7 @@ def _diagrams(n_max: int) -> tuple[Diagram, ...]:
 
 @cache
 def _rectangles(a_max: int) -> tuple[Diagram, ...]:
+    """``(a,) * b`` for ``a <= b <= a_max``: the bound is on the sides, so degrees reach ``a_max**2``."""
     return tuple((a,) * b for a in range(1, a_max + 1) for b in range(a, a_max + 1))
 
 
@@ -356,7 +355,7 @@ def _fold(tree: DecompositionTree, node_check: Callable, folded: dict) -> tuple[
 
 
 def run_check(name: str, n_max: int | None = None) -> VerificationReport:
-    """Run one named check over its instance list up to the degree bound.
+    """Run one named check up to the bound: on each diagram's degree, or for ``ci`` on the rectangle's sides.
 
     The instance list and the root objects come from the per-process
     caches; the trees come from ``decompose`` at each call.  The subtree

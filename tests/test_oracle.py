@@ -225,15 +225,21 @@ def test_node_predicates_run_once_per_distinct_node(monkeypatch):
         if not node.is_leaf
     }
     assert len(distinct) == 611
-    pairings = 0
-    euler_char = oracle.euler_char
+    pairings = walls = 0
+    euler_char, potential_wall = oracle.euler_char, oracle.potential_wall
 
     def counting_pairing(ch):
         nonlocal pairings
         pairings += 1
         return euler_char(ch)
 
+    def counting_wall(xi1, xi2):
+        nonlocal walls
+        walls += 1
+        return potential_wall(xi1, xi2)
+
     monkeypatch.setattr(oracle, "euler_char", counting_pairing)
+    monkeypatch.setattr(oracle, "potential_wall", counting_wall)
     node_checks = [name for name in CHECK_NAMES if oracle._CHECKS[name][1]]
     assert node_checks == ["nesting", "purity", "duality", "chern", "triviality"]
     for name in node_checks:
@@ -245,11 +251,12 @@ def test_node_predicates_run_once_per_distinct_node(monkeypatch):
             yield from node_check(node)
 
         monkeypatch.setitem(oracle._CHECKS, name, (enumerate_instances, counting_check, item_check))
-        pairings = 0
+        pairings = walls = 0
         assert run_check(name, BOUND).passed
         assert sorted(runs) == sorted(distinct), name
-        # three pairings per node, in chern only
-        assert pairings == (3 * len(distinct) if name == "chern" else 0), name
+        # two pairings, of the sub and the node, and one wall per node, in chern only
+        expected = (2 * len(distinct), len(distinct)) if name == "chern" else (0, 0)
+        assert (pairings, walls) == expected, name
 
 
 @pytest.mark.parametrize("name", ["nesting", "chern"])
@@ -340,7 +347,7 @@ def test_each_witness_of_a_tampered_shared_node_is_reported_once(tamper):
     tamper(SHARED, shifted_wall)
     report = run_check("chern", 8)
     pairs = [(failure.diagram, failure.detail) for failure in report.failures]
-    assert len(pairs) == 98
+    assert len(pairs) == 84
     assert len(set(pairs)) == len(pairs)
 
 
@@ -592,6 +599,64 @@ def recut(index):
             recut(1),
             7,
             Failure((3, 3, 1), "case 4 fails at F(3,3,1 in 3x3): 2^2 >= 2(ki - n)"),
+        ),
+        (
+            "chern",
+            RankOne((1,), 0),
+            shifted_wall,
+            1,
+            Failure((1,), "W(sub, node) differs from node wall at I(1)"),
+        ),
+        (
+            "chern",
+            RankOne((2, 1), 0),
+            shifted_wall,
+            3,
+            Failure((2, 1), "orthogonal class pairs to 2 with sub at I(2,1)"),
+        ),
+        (
+            "chern",
+            RankOne((2, 1), 0),
+            shifted_wall,
+            3,
+            Failure((2, 1), "orthogonal class pairs to 3 with node at I(2,1)"),
+        ),
+        (
+            "chern",
+            RankOne((2, 1), 0),
+            shifted_wall,
+            3,
+            Failure((2, 1), "central charge of sub has real part -2 at the top of the wall of I(2,1)"),
+        ),
+        (
+            "chern",
+            RankOne((2, 1), 0),
+            shifted_wall,
+            3,
+            Failure((2, 1), "central charge of node has real part -3 at the top of the wall of I(2,1)"),
+        ),
+        (
+            "purity",
+            RankOne((1,), 0),
+            swapped_parts,
+            1,
+            Failure((1,), "quotient of I(1) is not a rank-0 object"),
+        ),
+        (
+            "purity",
+            RankMinusOne((2, 1), 0),
+            swapped_parts,
+            3,
+            Failure((2, 1), "sub of F(2,1 in 2x2) is not a rank-0 object"),
+        ),
+        # the diagram clauses of rootwall read the root step of I_Z's tree
+        ("rootwall", RankOne((1,), 0), shifted_wall, 1, Failure((1,), "root wall center -5/2 != -3/2")),
+        (
+            "rootwall",
+            RankOne((2, 1), 0),
+            grown_wall,
+            3,
+            Failure((2, 1), "root wall radius^2 5/4 != center^2 - 2n"),
         ),
     ],
 )

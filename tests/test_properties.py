@@ -19,7 +19,9 @@ twisted in -300..300, against the Fraction twist; the tree writer against
 ``json.dumps`` of a reference dict (also exhaustively to degree 11), and
 the text round-trips of trees and ideals; rational Chern characters of
 rank -3..3 against the Fraction formulas of the integer arithmetic cores,
-and their integer form against its inverse; the stored lowest-terms form
+and their integer form against its inverse; the linearity of the wall,
+pairing and central charge in ``total - sub``, on those characters and on
+every tree node to degree 12; the stored lowest-terms form
 after every builder, and equality as exact rational equality;
 row lists of mixed types for ``as_diagram``.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, replace
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 from hypothesis import assume, example, given, settings
@@ -686,6 +689,50 @@ def test_central_charge_matches_the_fraction_formula(xi, s, t2):
     assert value == outcome(reference, xi, s, t2)
     if t2 > 0:
         assert_fraction_fields(value)
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+
+
+def assert_quotient_follows(sub, total, zeta, s, t2):
+    """With quot = total - sub: W(total, quot) = W(sub, total), and chi(zeta . -) and Re Z are linear.
+
+    These are why the ``chern`` check tests its wall, pairing and central charge on the sub
+    and the node only.
+    """
+    quot = chern(total.r - sub.r, total.c1 - sub.c1, total.ch2 - sub.ch2)
+    assert outcome(potential_wall, total, quot) == outcome(potential_wall, sub, total)
+    total_chi, sub_chi, quot_chi = (euler_char(ring_product(zeta, xi)) for xi in (total, sub, quot))
+    assert quot_chi == total_chi - sub_chi
+    total_re, sub_re, quot_re = (central_charge(xi, s, t2).real for xi in (total, sub, quot))
+    assert quot_re == total_re - sub_re
+
+
+@cache
+def node_characters(n_max):
+    """The distinct (sub, node, quotient) characters of the oracle's tree nodes to degree ``n_max``."""
+    characters = {}
+    for d in oracle._diagrams(n_max):
+        for root in oracle._tree_roots(d):
+            for node, _, _ in walk(decompose(root)):
+                if not node.is_leaf:
+                    parts = node.sub.node, node.node, node.quotient.node
+                    characters[tuple(map(chern_of, parts))] = None
+    return tuple(characters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wall_pairs(), CHARACTERS, RATIONALS, POSITIVE)
+def test_the_quotient_wall_pairing_and_central_charge_follow_from_the_sub_and_node(pair, zeta, s, t2):
+    assert_quotient_follows(*pair, zeta, s, t2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(CHARACTERS, RATIONALS, POSITIVE)
+def test_every_tree_node_to_degree_12_splits_its_quotient_clauses(zeta, s, t2):
+    for sub, total, quot in node_characters(12):
+        assert quot == chern(total.r - sub.r, total.c1 - sub.c1, total.ch2 - sub.ch2)
+        assert_quotient_follows(sub, total, zeta, s, t2)
 
 
 @settings(max_examples=150, deadline=None)
