@@ -231,6 +231,7 @@ def render_monomial(a: int, b: int) -> str:
 
 def enumerate_diagrams(n: int):
     """Yield every diagram of degree n in reverse-lexicographic order."""
+    n = as_int(n, "degree")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     yield from _partitions(n, n)
@@ -238,6 +239,7 @@ def enumerate_diagrams(n: int):
 
 def enumerate_diagrams_upto(n_max: int):
     """Yield every nonempty diagram of degree 1..n_max, degrees ascending."""
+    n_max = as_int(n_max, "degree bound")
     for n in range(1, n_max + 1):
         yield from enumerate_diagrams(n)
 

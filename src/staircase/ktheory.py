@@ -46,14 +46,6 @@ class ChernCharacter:
         return iter((self.r, self.c1, self.ch2))
 
 
-@dataclass(frozen=True, slots=True)
-class CentralChargeValue:
-    """Value r + i*t*imag_coeff of the central charge, t kept symbolic."""
-
-    real: Fraction
-    imag_coeff: Fraction
-
-
 def chern(r, c1, ch2) -> ChernCharacter:
     """Build a character of exact rationals, read as ``Fraction`` reads them: a float at its binary value."""
     r = as_int(r, "rank")
@@ -123,19 +115,3 @@ def euler_char(xi: ChernCharacter) -> Fraction:
     """Riemann-Roch: chi = r + (3/2) c1 + ch2."""
     return Fraction(2 * xi.r * xi.d + 3 * xi.a + xi.b, 2 * xi.d)
 
-
-def central_charge(xi: ChernCharacter, s, t2) -> CentralChargeValue:
-    """Central charge at (s, t), with t^2 = t2 > 0 rational.
-
-    The value is real + i*t*imag_coeff; only t^2 enters the real part, so
-    both components are exact rationals.
-    """
-    r, a, b, d = xi.r, xi.a, xi.b, xi.d
-    sn, sd = _ratio(s)
-    tn, td = _ratio(t2)
-    if tn <= 0:
-        raise ValueError(f"t^2 must be positive, got {Fraction(tn, td)}")
-    # real = -ch2 + s c1 - (s^2 - t^2) r/2 over the common denominator 2 d e
-    e = sd * sd * td
-    real = 2 * sn * a * sd * td - b * e - (sn * sn * td - tn * sd * sd) * r * d
-    return CentralChargeValue(Fraction(real, 2 * d * e), Fraction(a * sd - sn * r * d, d * sd))

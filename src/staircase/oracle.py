@@ -39,7 +39,6 @@ from .diagram import (
     enumerate_diagrams_upto,
 )
 from .ktheory import (
-    central_charge,
     euler_char,
     from_integers,
     from_slope_discriminant,
@@ -165,11 +164,17 @@ def _check_duality(node: DecompositionTree) -> Iterator[str]:
 def _check_chern(node: DecompositionTree) -> Iterator[str]:
     """Twist agreement, Chern additivity, wall agreement, largest cut, orthogonality on a nonempty wall.
 
-    The wall, pairing and central charge are checked on the sub and the node only.  Once
-    additivity holds, ``quot = total - sub`` exactly, since every :func:`chern_of` has ``d = 1``;
-    the minors ``(c, n, cross)`` of :func:`~staircase.walls.wall_minors` are bilinear and
-    antisymmetric, so ``W(total, quot) = W(sub, total)``, and ``chi(zeta . -)`` and ``Re Z`` are
-    linear.  So a quotient clause could fail only where additivity or its sub-side twin fails.
+    The wall and the pairing are checked on the sub and the node only.  Once additivity holds,
+    ``quot = total - sub`` exactly, since every :func:`chern_of` has ``d = 1``; the minors
+    ``(c, n, cross)`` of :func:`~staircase.walls.wall_minors` are bilinear and antisymmetric, so
+    ``W(total, quot) = W(sub, total)``, and ``chi(zeta . -)`` is linear.  So a quotient clause
+    could fail only where additivity or its sub-side twin fails.
+
+    The pairing is the statement that Z is imaginary at the wall's top ``(s, t^2) = (center,
+    radius_sq)``: there ``(mu, Delta) = (-s - 3/2, (t^2 - 1/4)/2)`` and ``(mu + 1)(mu + 2) = s^2 -
+    1/4``, so by Riemann-Roch ``chi(zeta . xi) = ch2 - s c1 + (s^2 - t^2) r/2 = -Re Z_{s,t}(xi)``
+    for every ``xi``.  It is the clause kept, as the one that tests the wall minors against a
+    formula of their own, and it is the interpolation condition ``chi(E . I_Z) = 0``.
     """
     seq, obj = node.sequence, node.node
     total, sub, quot = chern_of(obj), chern_of(seq.sub), chern_of(seq.quotient)
@@ -194,12 +199,6 @@ def _check_chern(node: DecompositionTree) -> Iterator[str]:
         pairing = euler_char(ring_product(zeta, ch))
         if pairing != 0:
             yield f"orthogonal class pairs to {pairing} with {name} at {text_name(obj)}"
-        top = central_charge(ch, seq.wall.center, seq.wall.radius_sq)
-        if top.real != 0:
-            yield (
-                f"central charge of {name} has real part {top.real}"
-                f" at the top of the wall of {text_name(obj)}"
-            )
 
 
 def _check_resolution_chern(diagram: Diagram) -> Iterator[str]:

@@ -76,11 +76,16 @@ def test_validation_rejects_bad_rows():
         ("twist", lambda v: rank_one((3, 1), v).twist),
         ("twist", lambda v: rank_zero((2, 2), v).twist),
         ("twist", lambda v: rank_minus_one((3, 1), v).twist),
+        ("degree", lambda v: degree(next(enumerate_diagrams(v)))),
+        ("degree bound", lambda v: max(map(degree, enumerate_diagrams_upto(v)))),
     ],
-    ids=["as_diagram", "from_generators", "chern", "from_slope_discriminant", "rank_one", "rank_zero", "rank_minus_one"],
+    ids=[
+        "as_diagram", "from_generators", "chern", "from_slope_discriminant", "rank_one", "rank_zero",
+        "rank_minus_one", "enumerate_diagrams", "enumerate_diagrams_upto",
+    ],
 )
 def test_every_boundary_states_the_integer_rule_in_the_same_words(noun, read, value, expected):
-    """Rows, exponents, ranks and twists: an integral value is read as that int."""
+    """Rows, exponents, ranks, twists, degrees and bounds: an integral value is read as that int."""
     if expected is None:
         with pytest.raises(ValueError, match=re.escape(f"{noun} {value!r} is not an integer")):
             read(value)

@@ -13,7 +13,6 @@ from staircase import ktheory, walls
 from staircase.diagram import enumerate_diagrams_upto
 from staircase.ktheory import (
     ChernCharacter,
-    central_charge,
     chern,
     euler_char,
     from_integers,
@@ -68,8 +67,6 @@ def test_domain_checks():
         chern_of(RankMinusOne(()))
     with pytest.raises(ValueError):
         mumford_slope(chern(0, 1, 0))
-    with pytest.raises(ValueError):
-        central_charge(chern(1, 0, 0), 0, 0)
     with pytest.raises(ValueError):
         from_slope_discriminant(0, 1, 1)
     with pytest.raises(ValueError, match="rank 1.5 is not an integer"):
@@ -135,17 +132,6 @@ def test_euler_char_of_ring_product_pinned():
     assert euler_char(ring_product(zeta, xi)) == 0
 
 
-def test_central_charge_values():
-    assert central_charge(from_integers(1, 0, 0), 0, 1) == central_charge(chern(1, 0, 0), 0, 1)
-    value = central_charge(chern(1, 0, 0), 0, 1)
-    assert value.real == Fraction(1, 2)
-    assert value.imag_coeff == 0
-    xi = chern(0, 3, Fraction(-7, 2))
-    value = central_charge(xi, 2, 5)
-    assert value.real == Fraction(7, 2) + 6
-    assert value.imag_coeff == 3
-
-
 RATIONAL_ARGUMENTS = (
     3, -2, 0, True, False, Fraction(-7, 4), Fraction(9), 2.5, -0.125, float("nan"), float("inf"),
     Decimal("1.25"), Decimal("-3"), Decimal("NaN"), "3/4", "-1.5", " 2 ", "1/0", "x", None, [1],
@@ -163,11 +149,10 @@ def outcome(func, *args):
 @pytest.mark.parametrize("x", RATIONAL_ARGUMENTS, ids=repr)
 def test_rational_arguments_read_as_their_fraction(x):
     """An argument gives the value, or the error, of the same call on Fraction(x)."""
-    charge = partial(central_charge, chern(2, Fraction(1, 3), Fraction(-5, 2)))
     from_slope = partial(from_slope_discriminant, 3)
     for func, *args in (
-        (charge, x, 2),
-        (charge, Fraction(1, 2), x),
+        (partial(chern, 2), x, Fraction(-5, 2)),
+        (partial(chern, 2), Fraction(1, 3), x),
         (from_slope, x, Fraction(1, 8)),
         (from_slope, -1, x),
     ):
@@ -182,8 +167,6 @@ def test_rational_arguments_read_as_their_fraction(x):
         if isinstance(value, ChernCharacter):
             assert type(value.c1) is type(value.ch2) is Fraction
             assert value.d > 0 and gcd(value.a, value.b, value.d) == 1
-        elif not isinstance(value, tuple):
-            assert all(type(getattr(value, f.name)) is Fraction for f in fields(value))
 
 
 def test_ring_product_matches_hand_expansion():

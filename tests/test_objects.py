@@ -15,7 +15,7 @@ from staircase.diagram import (
     enumerate_diagrams_upto,
     transpose,
 )
-from staircase.ktheory import central_charge, chern, hilbert_P, twist
+from staircase.ktheory import chern, hilbert_P, twist
 from staircase.objects import (
     DecompositionTree,
     DestabilizingSequence,
@@ -147,7 +147,6 @@ def test_rank_zero_and_minus_one_are_their_diagram_and_twist():
 
 FROZEN = [
     chern(1, Fraction(1, 2), 3),
-    central_charge(chern(1, 0, -2), 1, 2),
     VerticalWall(Fraction(1, 2)),
     SemicircleWall(Fraction(-5, 2), Fraction(1, 4)),
     LineBundle(-2),

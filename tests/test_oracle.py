@@ -259,11 +259,14 @@ def test_node_predicates_run_once_per_distinct_node(monkeypatch):
         assert (pairings, walls) == expected, name
 
 
-@pytest.mark.parametrize("name", ["nesting", "chern"])
-def test_a_tampered_shared_node_is_replayed_at_every_visit(tamper, name):
+# chern's walk runs one degree further, where its witnesses pass the cap
+@pytest.mark.parametrize(
+    "name, n_max", [("nesting", SHARED_BOUND), ("chern", SHARED_BOUND + 1)], ids=["nesting", "chern"]
+)
+def test_a_tampered_shared_node_is_replayed_at_every_visit(tamper, name, n_max):
     tamper(SHARED, shifted_wall)
-    expected = unmemoized_failures(name, SHARED_BOUND)
-    report = run_check(name, SHARED_BOUND)
+    expected = unmemoized_failures(name, n_max)
+    report = run_check(name, n_max)
     assert report.failures == tuple(expected[:FAILURE_CAP])
     assert len({failure.diagram for failure in report.failures}) > 1
     if name == "chern":
@@ -347,7 +350,7 @@ def test_each_witness_of_a_tampered_shared_node_is_reported_once(tamper):
     tamper(SHARED, shifted_wall)
     report = run_check("chern", 8)
     pairs = [(failure.diagram, failure.detail) for failure in report.failures]
-    assert len(pairs) == 84
+    assert len(pairs) == 56
     assert len(set(pairs)) == len(pairs)
 
 
@@ -620,20 +623,6 @@ def recut(index):
             shifted_wall,
             3,
             Failure((2, 1), "orthogonal class pairs to 3 with node at I(2,1)"),
-        ),
-        (
-            "chern",
-            RankOne((2, 1), 0),
-            shifted_wall,
-            3,
-            Failure((2, 1), "central charge of sub has real part -2 at the top of the wall of I(2,1)"),
-        ),
-        (
-            "chern",
-            RankOne((2, 1), 0),
-            shifted_wall,
-            3,
-            Failure((2, 1), "central charge of node has real part -3 at the top of the wall of I(2,1)"),
         ),
         (
             "purity",

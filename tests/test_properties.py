@@ -19,9 +19,10 @@ twisted in -300..300, against the Fraction twist; the tree writer against
 ``json.dumps`` of a reference dict (also exhaustively to degree 11), and
 the text round-trips of trees and ideals; rational Chern characters of
 rank -3..3 against the Fraction formulas of the integer arithmetic cores,
-and their integer form against its inverse; the linearity of the wall,
-pairing and central charge in ``total - sub``, on those characters and on
-every tree node to degree 12; the stored lowest-terms form
+and their integer form against its inverse; the linearity of the wall and
+pairing in ``total - sub``, and the pairing with a wall's orthogonal class
+as minus the real part of Z at its top, on those characters and on every
+tree node to degree 12; the stored lowest-terms form
 after every builder, and equality as exact rational equality;
 row lists of mixed types for ``as_diagram``.
 """
@@ -49,8 +50,6 @@ from staircase.diagram import (
     transpose,
 )
 from staircase.ktheory import (
-    CentralChargeValue,
-    central_charge,
     chern,
     euler_char,
     from_integers,
@@ -676,63 +675,61 @@ def test_integer_wall_core_agrees_with_potential_wall(pair, scales):
         assert SemicircleWall.from_minors(*minors) == wall
 
 
-@settings(max_examples=150, deadline=None)
-@given(CHARACTERS, RATIONALS, RATIONALS)
-def test_central_charge_matches_the_fraction_formula(xi, s, t2):
-    def reference(xi, s, t2):
-        if t2 <= 0:
-            raise ValueError(f"t^2 must be positive, got {t2}")
-        real = -xi.ch2 + s * xi.c1 - (s * s - t2) * Fraction(xi.r, 2)
-        return CentralChargeValue(real, xi.c1 - s * xi.r)
+def assert_quotient_follows(sub, total, zeta):
+    """With quot = total - sub: W(total, quot) = W(sub, total), and chi(zeta . -) is linear.
 
-    value = outcome(central_charge, xi, s, t2)
-    assert value == outcome(reference, xi, s, t2)
-    if t2 > 0:
-        assert_fraction_fields(value)
-
-
-POSITIVE = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
-
-
-def assert_quotient_follows(sub, total, zeta, s, t2):
-    """With quot = total - sub: W(total, quot) = W(sub, total), and chi(zeta . -) and Re Z are linear.
-
-    These are why the ``chern`` check tests its wall, pairing and central charge on the sub
-    and the node only.
+    These are why the ``chern`` check tests its wall and pairing on the sub and the node only.
     """
     quot = chern(total.r - sub.r, total.c1 - sub.c1, total.ch2 - sub.ch2)
     assert outcome(potential_wall, total, quot) == outcome(potential_wall, sub, total)
     total_chi, sub_chi, quot_chi = (euler_char(ring_product(zeta, xi)) for xi in (total, sub, quot))
     assert quot_chi == total_chi - sub_chi
-    total_re, sub_re, quot_re = (central_charge(xi, s, t2).real for xi in (total, sub, quot))
-    assert quot_re == total_re - sub_re
 
 
 @cache
 def node_characters(n_max):
-    """The distinct (sub, node, quotient) characters of the oracle's tree nodes to degree ``n_max``."""
+    """The distinct (sub, node, quotient) characters and wall of the oracle's tree nodes to degree ``n_max``."""
     characters = {}
     for d in oracle._diagrams(n_max):
         for root in oracle._tree_roots(d):
             for node, _, _ in walk(decompose(root)):
                 if not node.is_leaf:
                     parts = node.sub.node, node.node, node.quotient.node
-                    characters[tuple(map(chern_of, parts))] = None
+                    characters[(*map(chern_of, parts), node.sequence.wall)] = None
     return tuple(characters)
 
 
+def real_part(xi, s, t2):
+    """Re Z_{s,t}(xi) = -ch2 + s c1 - (s^2 - t^2) r/2, in Fractions."""
+    return -xi.ch2 + s * xi.c1 - (s * s - t2) * Fraction(xi.r, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CHARACTERS, RATIONALS, RATIONALS)
+def test_the_orthogonal_pairing_is_minus_the_real_part_at_the_wall_top(xi, s, t2):
+    """chi(zeta . xi) = -Re Z_{s,t}(xi): why the ``chern`` check tests no central charge."""
+    zeta = from_slope_discriminant(1, *orthogonal_invariants(SemicircleWall(s, t2)))
+    assert euler_char(ring_product(zeta, xi)) == -real_part(xi, s, t2)
+
+
+def test_every_tree_node_to_degree_12_has_real_part_0_at_its_wall_top():
+    for sub, total, _, wall in node_characters(12):
+        assert real_part(sub, wall.center, wall.radius_sq) == 0
+        assert real_part(total, wall.center, wall.radius_sq) == 0
+
+
 @settings(max_examples=200, deadline=None)
-@given(wall_pairs(), CHARACTERS, RATIONALS, POSITIVE)
-def test_the_quotient_wall_pairing_and_central_charge_follow_from_the_sub_and_node(pair, zeta, s, t2):
-    assert_quotient_follows(*pair, zeta, s, t2)
+@given(wall_pairs(), CHARACTERS)
+def test_the_quotient_wall_and_pairing_follow_from_the_sub_and_node(pair, zeta):
+    assert_quotient_follows(*pair, zeta)
 
 
 @settings(max_examples=10, deadline=None)
-@given(CHARACTERS, RATIONALS, POSITIVE)
-def test_every_tree_node_to_degree_12_splits_its_quotient_clauses(zeta, s, t2):
-    for sub, total, quot in node_characters(12):
+@given(CHARACTERS)
+def test_every_tree_node_to_degree_12_splits_its_quotient_clauses(zeta):
+    for sub, total, quot, _ in node_characters(12):
         assert quot == chern(total.r - sub.r, total.c1 - sub.c1, total.ch2 - sub.ch2)
-        assert_quotient_follows(sub, total, zeta, s, t2)
+        assert_quotient_follows(sub, total, zeta)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,8 +2,8 @@
 "Command line" example exits 0 and prints the lines shown beneath it, its
 "Tree serialization" example is what the command it names prints, every
 library name it cites in backticks exists, every Sphinx-style reference in
-the package's own sources resolves, and every public function of the package
-has a caller inside it or a stated reason to stay."""
+the package's own sources resolves, and every public function and class of
+the package has a caller inside it or a stated reason to stay."""
 
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ def test_docstring_references_resolve():
     assert not missing
 
 
-# Public functions with no caller in src/, each kept for a stated reason.
+# Public functions and classes with no caller in src/, each kept for a stated reason.
 UNCALLED = {
     "chern": "the public constructor of a character from its rationals",
     "rank_zero": "the public constructor of a rank-0 object",
@@ -121,13 +121,13 @@ UNCALLED = {
 
 
 def test_every_public_function_has_a_caller():
-    """Each public module-level def is named in src/ outside its own body, imports aside, or is in ``UNCALLED``."""
+    """Each public module-level def or class is named in src/ outside its own body, imports aside, or is in ``UNCALLED``."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "staircase").glob("*.py")}
     defs = {
         node.name: (path, node)
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     called = set()
     for path, tree in trees.items():
@@ -138,5 +138,5 @@ def test_every_public_function_has_a_caller():
                 if home != path or not body.lineno <= node.lineno <= body.end_lineno:
                     called.add(name)
     uncalled = set(defs) - called
-    assert sorted(uncalled - set(UNCALLED)) == [], "public functions with no caller in src/"
+    assert sorted(uncalled - set(UNCALLED)) == [], "public functions and classes with no caller in src/"
     assert sorted(set(UNCALLED) - uncalled) == [], "allowlisted names that are gone or now have a caller"

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from staircase.ktheory import (
-    central_charge,
     chern,
     euler_char,
     from_slope_discriminant,
@@ -134,27 +133,19 @@ def test_rank0_reduction_consistency():
 def test_orthogonality_of_wall_class():
     xi1 = chern(1, -7, Fraction(41, 2))
     xi2 = chern(0, 5, Fraction(-101, 2))
-    wall = potential_wall(xi1, xi2)
-    mu, delta = orthogonal_invariants(wall)
-    assert (mu, delta) == (Fraction(43, 5), Fraction(17, 25))
-    zeta = from_slope_discriminant(1, mu, delta)
-    assert euler_char(ring_product(zeta, xi1)) == 0
-    assert euler_char(ring_product(zeta, xi2)) == 0
-
-
-def test_real_part_vanishes_at_wall_top():
+    assert orthogonal_invariants(potential_wall(xi1, xi2)) == (Fraction(43, 5), Fraction(17, 25))
     cases = [
         (chern(1, -5, Fraction(5, 2)), chern(1, 0, -48)),
-        (chern(1, -7, Fraction(41, 2)), chern(0, 5, Fraction(-101, 2))),
+        (xi1, xi2),
         (chern(1, -2, 2), chern_of(rank_one(complete_intersection(2, 5)))),
         (chern_of(rank_one((3, 1))), twist(chern_of(rank_one(())), -2)),
     ]
     for xi1, xi2 in cases:
         wall = potential_wall(xi1, xi2)
         assert isinstance(wall, SemicircleWall) and not is_empty(wall)
+        zeta = from_slope_discriminant(1, *orthogonal_invariants(wall))
         for xi in (xi1, xi2):
-            value = central_charge(xi, wall.center, wall.radius_sq)
-            assert value.real == 0
+            assert euler_char(ring_product(zeta, xi)) == 0
 
 
 def test_nesting_rules():
