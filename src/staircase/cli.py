@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 
-from .diagram import IdealSyntaxError, degree, parse_ideal, render_ideal
+from .diagram import IdealSyntaxError, degree, parse_ideal, render_ideal, row_texts
 from .objects import (
     decompose,
     derived_dual,
@@ -55,7 +55,7 @@ def _cmd_slope(args) -> int:
     diagram = _parse_nonempty(args.ideal)
     horizontal, vertical = slope_table(diagram)
     best = scheme_slope(diagram)
-    print(f"Z: rows {','.join(map(str, diagram))} (degree {degree(diagram)})")
+    print(f"Z: rows {','.join(row_texts(diagram))} (degree {degree(diagram)})")
     print(f"ideal: {render_ideal(diagram)}")
     for k, value in enumerate(horizontal, start=1):
         print(f"  mu_{k} = {_fmt(value, args.approx)}")

@@ -29,7 +29,7 @@ def as_diagram(rows) -> Diagram:
     rows = tuple(rows)
     if set(map(type, rows)) - {int}:
         rows = tuple(as_int(h, "row length") for h in rows)
-    if not all(map(int.__ge__, rows, rows[1:])):  # runs in C
+    if rows != tuple(sorted(rows, reverse=True)):  # one C pass on sorted rows
         prev, cur = next((a, b) for a, b in zip(rows, rows[1:]) if a < b)
         raise ValueError(
             f"rows must be weakly decreasing bottom-to-top, got {prev} before {cur}"
@@ -47,6 +47,27 @@ def as_int(value, noun: str) -> int:
     except (OverflowError, TypeError, ValueError):  # inf, nan, a non-number or bad text
         pass
     raise ValueError(f"{noun} {value!r} is not an integer")
+
+
+class _RowText(dict):
+    def __missing__(self, h):
+        text = str(h)
+        if type(h) is int:
+            self[h] = text
+        return text
+
+
+_ROW_TEXT = _RowText()  # each int row length's decimal text, kept for the process
+
+
+def row_texts(rows):
+    """``map(str, rows)`` read from one process-wide memo: every row text the library writes.
+
+    Only ints are stored.  A row equal to an int without being one (``2.0``, ``True``)
+    occurs only in a hand-built unchecked dataclass: once ``2`` is stored,
+    ``RankOne((2.0,))`` renders as ``I(2)``.
+    """
+    return map(_ROW_TEXT.__getitem__, rows)
 
 
 def degree(diagram: Diagram) -> int:
@@ -136,16 +157,17 @@ class IdealSyntaxError(ValueError):
         self.position = position
 
 
-_MONOMIAL = re.compile(r"1|(?=[xy])(x(?:\^(\d+))?)?(y(?:\^(\d+))?)?")
-_ROWS_ITEM = re.compile(r"\d+")
-_SPLIT_NUMBER = re.compile(r"\d\s+(?=\d)")
+# ASCII digits: \d takes any Unicode digit, and re.ASCII would stop \s taking U+00A0, which split() strips
+_MONOMIAL = re.compile(r"1|(?=[xy])(x(?:\^([0-9]+))?)?(y(?:\^([0-9]+))?)?")
+_ROWS_ITEM = re.compile(r"[0-9]+")
+_SPLIT_NUMBER = re.compile(r"[0-9]\s+(?=[0-9])")
 
 
 def parse_ideal(text: str) -> Diagram:
     """Parse ideal text into a diagram.
 
-    Two grammars are accepted; whitespace is insignificant except between
-    two digits, where it is an error rather than part of one number:
+    Two grammars of ASCII digits are accepted; whitespace is insignificant except
+    between two digits, where it is an error rather than part of one number:
 
     * a comma-separated list of monomials, e.g. ``x^9, x^7y^2, y^8`` (an
       exponent of 1 may be omitted, ``1`` denotes the unit ideal);

@@ -34,7 +34,8 @@ choice by :func:`first_largest_candidate` from them.  Decomposing yields a tree 
 
 :func:`walk` is the one preorder reader; :func:`decompose`, :func:`serialize_tree`
 and :func:`tree_to_dot` finish a node at a marker pushed below its children.  All
-keep an explicit stack, so only :func:`parse_tree` is bounded by the recursion limit.
+keep an explicit stack, and so does :func:`tree_from_dict`, so :func:`parse_tree` is bounded
+by the recursion limit only through ``json.loads``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .diagram import (
     as_int,
     complement_rotate,
     degree,
+    row_texts,
     transpose,
 )
 from .ktheory import ChernCharacter
@@ -496,7 +498,7 @@ def text_name(obj: MonomialObject) -> str:
         return f"O({obj.twist})"
     if isinstance(obj, ShiftedLineBundle):
         return f"O({obj.twist})[1]"
-    rows = ",".join(map(str, obj.diagram))
+    rows = ",".join(row_texts(obj.diagram))
     suffix = f"({obj.twist})" if obj.twist else ""
     if isinstance(obj, RankOne):
         return f"I({rows}){suffix}"
@@ -546,7 +548,7 @@ def _object_json(obj: MonomialObject, nl: str, step: str, colon: str) -> str:
     if not is_trivial(obj):
         if isinstance(obj, RankMinusOne):
             members.append(f'"colines"{colon}{obj.i}')
-        diagram = _json_block("[]", map(str, obj.diagram), nl + step, step)
+        diagram = _json_block("[]", row_texts(obj.diagram), nl + step, step)
         members.append(f'"diagram"{colon}{diagram}')
         if not isinstance(obj, RankOne):
             members.append(f'"lines"{colon}{obj.k}')
@@ -574,11 +576,15 @@ def _diagram(data: dict) -> Diagram:
     return as_diagram(rows)
 
 
-def _fraction(data: dict, key: str) -> Fraction:
-    try:
-        return Fraction(_member(data, key, str))  # serialize_tree writes exact fraction text
-    except ZeroDivisionError:
-        raise ValueError(f"{key} has a zero denominator") from None
+def _fraction(data: dict, key: str, read: dict) -> Fraction:
+    """The exact fraction text ``data[key]``, through the memo ``read``; a text that raises is not stored."""
+    text = _member(data, key, str)
+    if (value := read.get(text)) is None:
+        try:
+            value = read[text] = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{key} has a zero denominator") from None
+    return value
 
 
 def object_from_dict(data: dict) -> MonomialObject:
@@ -609,23 +615,34 @@ def object_from_dict(data: dict) -> MonomialObject:
 
 
 def tree_from_dict(data: dict) -> DecompositionTree:
-    node = object_from_dict(_member(data, "object", dict))
-    if "cut" not in data:
+    """The tree of parsed JSON, checked in preorder (object, cut, sub, quotient, wall); one explicit stack."""
+    read: dict[str, Fraction] = {}
+    stack = []  # [data, node, cut, the sub's tree once read] of each node above this one
+    while True:
+        node = object_from_dict(_member(data, "object", dict))
+        if "cut" in data:
+            if is_trivial(node):
+                raise ValueError(f"the trivial object {text_name(node)} has no cut")
+            cut = tuple(_member(data, "cut", list))
+            # serialize_tree writes both as they are, unescaped
+            if len(cut) != 2 or cut[0] not in ("horizontal", "vertical") or type(cut[1]) is not int:
+                raise ValueError(f"cut must be a direction and an integer index, got {list(cut)!r}")
+            stack.append([data, node, cut, None])
+            data = _member(data, "sub", dict)
+            continue
         if not is_trivial(node):
             raise ValueError(f"the nontrivial object {text_name(node)} has no cut")
-        return DecompositionTree(node)
-    if is_trivial(node):
-        raise ValueError(f"the trivial object {text_name(node)} has no cut")
-    cut = tuple(_member(data, "cut", list))
-    # serialize_tree writes both as they are, unescaped
-    if len(cut) != 2 or cut[0] not in ("horizontal", "vertical") or type(cut[1]) is not int:
-        raise ValueError(f"cut must be a direction and an integer index, got {list(cut)!r}")
-    sub = tree_from_dict(_member(data, "sub", dict))
-    quotient = tree_from_dict(_member(data, "quotient", dict))
-    wall = _member(data, "wall", dict)
-    wall = SemicircleWall(_fraction(wall, "center"), _fraction(wall, "radius_sq"))
-    sequence = DestabilizingSequence(sub.node, quotient.node, wall, cut)
-    return DecompositionTree(node, sequence, sub, quotient)
+        tree = DecompositionTree(node)
+        while stack and stack[-1][3] is not None:  # a quotient read: finish its node
+            data, node, cut, sub = stack.pop()
+            wall = _member(data, "wall", dict)
+            wall = SemicircleWall(_fraction(wall, "center", read), _fraction(wall, "radius_sq", read))
+            sequence = DestabilizingSequence(sub.node, tree.node, wall, cut)
+            tree = DecompositionTree(node, sequence, sub, tree)
+        if not stack:
+            return tree
+        stack[-1][3] = tree  # a sub read: its quotient comes next
+        data = _member(stack[-1][0], "quotient", dict)
 
 
 def serialize_tree(tree: DecompositionTree, pretty: bool = False) -> str:

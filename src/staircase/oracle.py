@@ -37,6 +37,7 @@ from .diagram import (
     complement_rotate,
     degree,
     enumerate_diagrams_upto,
+    row_texts,
 )
 from .ktheory import (
     euler_char,
@@ -401,7 +402,7 @@ def render_report(report: VerificationReport) -> str:
         f"failures: {len(report.failures)}",
     ]
     for failure in report.failures:
-        rows = ",".join(map(str, failure.diagram))
+        rows = ",".join(row_texts(failure.diagram))
         lines.append(f"  witness rows:{rows} -- {failure.detail}")
     lines.append(f"status: {'pass' if report.passed else 'FAIL'}")
     return "\n".join(lines)

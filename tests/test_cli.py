@@ -106,6 +106,12 @@ def test_a_zero_row_before_a_longer_row_is_a_usage_error(capsys):
     assert run(capsys, "slope", "rows:3,2,0") == run(capsys, "slope", "rows:3,2")
 
 
+def test_a_digit_outside_ascii_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "slope", "rows:\u0663")
+    assert (code, out) == (2, "")
+    assert "expected a row length, found '\u0663' (position 5)" in err
+
+
 def test_whitespace_between_digits_is_a_usage_error(capsys):
     code, out, err = run(capsys, "slope", "rows: 3 1")
     assert code == 2

@@ -309,6 +309,10 @@ def test_parse_ideal_errors_carry_positions():
         ("rows:,", "expected a row length, found ','", 5),
         ("rows: 1,2", "rows must be weakly decreasing bottom-to-top, got 1 before 2", 5),
         ("rows:3,0,2", "rows must be weakly decreasing bottom-to-top, got 0 before 2", 5),
+        # ASCII digits only: ARABIC-INDIC DIGIT THREE and ZERO, FULLWIDTH DIGIT THREE
+        ("rows:\u0663", "expected a row length, found '\u0663'", 5),
+        ("rows:1\u0660", "expected ',' between row lengths, found '\u0660'", 6),
+        ("x^\uff13,y", "expected ',' between monomials, found '^'", 1),
     ],
 )
 def test_parse_ideal_error_table(text, message, position):
@@ -325,6 +329,7 @@ def test_parse_ideal_error_table(text, message, position):
         ("rows:3,1 0", 8),
         ("x^1 0,y", 3),
         ("x^2,y^1\t\n2", 7),
+        ("rows:3\u00a01", 6),  # a no-break space, which str.split strips too
     ],
 )
 def test_whitespace_between_digits_is_an_error(text, position):
@@ -336,6 +341,7 @@ def test_whitespace_between_digits_is_an_error(text, position):
 
 def test_whitespace_elsewhere_is_insignificant():
     assert parse_ideal("rows: 3 , 1") == (3, 1)
+    assert parse_ideal("rows:3,\u00a01") == (3, 1)
     assert parse_ideal("x ^10, y") == (10,)
     assert parse_ideal("x^2 y^3, x^4, y^5") == parse_ideal("x^2y^3,x^4,y^5")
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from staircase import objects, oracle
+from staircase import diagram, objects, oracle
 from staircase.diagram import (
     degree,
     enumerate_diagrams_upto,
@@ -893,6 +893,13 @@ def test_dot_export_structure():
     )
 
 
+def test_the_row_memo_stores_only_int_rows():
+    # the memo lives for the process, so start without this row, which no other test writes
+    diagram._ROW_TEXT.pop(7777777, None)
+    assert text_name(RankOne((7777777.0,))) == "I(7777777.0)"
+    assert text_name(rank_one((7777777,))) == "I(7777777)"
+
+
 def test_text_names():
     assert text_name(rank_one(BIG)) == "I(9,9,7,7,6,4,3,3)"
     assert text_name(rank_one((4, 3, 3), -5)) == "I(4,3,3)(-5)"
@@ -951,3 +958,65 @@ def test_a_thousand_row_staircase_decomposes_at_the_default_recursion_limit():
     assert render_tree(tree).count("\n") == len(preorder) + 4000
     assert serialize_tree(tree).startswith('{"cut":')
     assert tree_to_dot(tree).count("->") == 4000
+
+
+def chain_dict(depth):
+    """:func:`chain`'s tree as the dict ``json.loads`` would give, built without ``json``."""
+    wall = {"center": "-3", "radius_sq": "1"}
+    data = {"object": {"twist": 0, "type": "line_bundle"}}
+    for m in range(1, depth + 1):
+        data = {
+            "cut": ["horizontal", 1],
+            "object": {"diagram": [1], "twist": m, "type": "rank1"},
+            "quotient": data,
+            "sub": {"object": {"twist": -m, "type": "line_bundle"}},
+            "wall": wall,
+        }
+    return data
+
+
+def test_tree_from_dict_is_not_bounded_by_the_recursion_limit():
+    depth = 2 * sys.getrecursionlimit()
+    assert objects.tree_from_dict(chain_dict(depth)) == chain(depth)
+
+
+def test_parse_reports_the_first_fault_in_preorder():
+    """A node's object and cut, then its sub subtree, then its quotient subtree, and last its wall."""
+    text = serialize_tree(decompose(rank_one((3, 1))))
+
+    def fault(*edits):
+        data = json.loads(text)
+        assert "cut" in data["sub"] and "cut" in data["quotient"]
+        for edit in edits:
+            edit(data)
+        with pytest.raises(ValueError) as err:
+            objects.tree_from_dict(data)
+        return str(err.value)
+
+    wall = lambda data: data["wall"].update(center="1/0")
+    sub = lambda data: data["sub"]["wall"].update(radius_sq=1)
+    quotient = lambda data: data["quotient"]["object"].update(twist="y")
+    cut = lambda data: data.update(cut=["diagonal", 1])
+    assert fault(wall) == "center has a zero denominator"
+    assert fault(wall, sub) == fault(sub) == "radius_sq must be a string, got 1"
+    assert fault(wall, quotient) == fault(quotient) == "twist must be an integer, got 'y'"
+    assert fault(quotient, sub) == fault(sub)
+    assert fault(sub, cut) == "cut must be a direction and an integer index, got ['diagonal', 1]"
+
+
+def test_parsed_walls_whose_texts_repeat_equal_the_built_ones():
+    tree = decompose(rank_one(tuple(range(40, 0, -1))))
+    built = [t.sequence.wall for t, _, _ in walk(tree) if not t.is_leaf]
+    assert len(set(built)) < len(built)
+    parsed = parse_tree(serialize_tree(tree))
+    assert [t.sequence.wall for t, _, _ in walk(parsed) if not t.is_leaf] == built
+
+
+@pytest.mark.parametrize("text, message", [("1/0", "has a zero denominator"), ("abc", "Invalid literal")])
+def test_a_bad_wall_text_raises_on_every_call(text, message):
+    data = json.loads(serialize_tree(decompose(rank_one((2, 1)))))
+    data["wall"]["radius_sq"] = text
+    data["quotient"]["wall"]["radius_sq"] = text
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            objects.tree_from_dict(data)

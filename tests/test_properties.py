@@ -24,7 +24,8 @@ pairing in ``total - sub``, and the pairing with a wall's orthogonal class
 as minus the real part of Z at its top, on those characters and on every
 tree node to degree 12; the stored lowest-terms form
 after every builder, and equality as exact rational equality;
-row lists of mixed types for ``as_diagram``.
+row lists of mixed types for ``as_diagram``, and its order check on int
+rows; the memoized row text against ``str``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -807,3 +809,25 @@ def test_as_diagram_accepts_and_rejects_as_the_plain_loop(rows):
     result, expected = outcome(as_diagram, rows), outcome(reference, rows)
     assert result == expected
     assert list(map(type, result)) == list(map(type, expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 8), max_size=30).map(tuple))
+@example((5, 3, 4, 1, 2))
+@example((3, 3, 1, 0, 0))
+def test_as_diagram_accepts_int_rows_exactly_when_they_are_weakly_decreasing(rows):
+    increasing = [(prev, cur) for prev, cur in zip(rows, rows[1:]) if prev < cur]
+    if not increasing:
+        assert as_diagram(rows) == tuple(h for h in rows if h)
+        return
+    prev, cur = increasing[0]
+    with pytest.raises(ValueError) as err:
+        as_diagram(rows)
+    assert str(err.value) == f"rows must be weakly decreasing bottom-to-top, got {prev} before {cur}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 10**12), min_size=1, max_size=200))
+def test_the_row_memo_writes_what_str_writes(lengths):
+    d = tuple(sorted(lengths, reverse=True))
+    assert text_name(rank_one(d)) == "I(" + ",".join(map(str, d)) + ")"
